@@ -31,7 +31,7 @@ from .errors import (
 from .fitting import FitSettings, ModelFit, fit
 from .inference import bootstrap_hr_ci, frailty_estimates, hazard_ratio_curve
 from .selection import frailty_lrt, selection_report
-from .simulation import ScenarioSpec, run_scenario
+from .simulation import ScenarioSpec, format_failure_reasons, run_scenario
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -250,7 +250,8 @@ def cmd_simulate(args):
         fh.write(summary.to_csv_text())
     print(
         f"replicates converged: {summary.n_converged}  "
-        f"failed: {summary.n_failed}  c_max: {summary.c_max:.6g}"
+        f"failed: {summary.n_failed} ({format_failure_reasons(summary.failure_reasons)})  "
+        f"c_max: {summary.c_max:.6g}"
     )
     print(f"wrote {path}")
     return EXIT_OK

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .baselines import WEIBULL, normalize_family
@@ -40,7 +39,14 @@ from .errors import (
     MPRFrailtyError,
     NonConvergenceError,
 )
-from .hlik import LOG_2PI, Evaluator, ParamLayout, _ell2_total, logdet_pd
+from .hlik import (
+    LOG_2PI,
+    Curvature,
+    Evaluator,
+    _ell2_total,
+    _penalty_block,
+    logdet_pd,
+)
 
 # Dispersion estimates below this are treated as boundary solutions.
 SIGMA_BOUNDARY = 1e-6
@@ -91,30 +97,9 @@ class InnerResult:
     ell1_sum: float
     ell2_sum: float
     score: np.ndarray
-    H: np.ndarray
+    H: Curvature
     iterations: int
     monotone: bool
-
-
-def _solve_ascent(H, g):
-    """Solve H @ d = g with a positive-definite factorization.
-
-    A failing Cholesky gets a relative ridge escalating from 1e-8.  Far
-    from the optimum the observed information can be indefinite (negative
-    shape weights under heavy censoring), where large shifts turn the
-    step into scaled gradient ascent; step-halving still guards it.
-    Returns (direction, cho_factor, ridge_used).
-    """
-    diag = np.abs(np.diag(H))
-    scale = np.where(diag > 0, diag, 1.0)
-    for lam in (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4):
-        Hr = H if lam == 0.0 else H + np.diag(lam * scale)
-        try:
-            factor = scipy.linalg.cho_factor(Hr, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            continue
-        return scipy.linalg.cho_solve(factor, g, check_finite=False), factor, lam
-    raise CurvatureError("observed information is singular beyond repair")
 
 
 def _newton(evaluator, x0, settings):
@@ -137,7 +122,7 @@ def _newton(evaluator, x0, settings):
                 f"(max |score| = {np.max(np.abs(g)):.3g})",
                 last=x,
             )
-        direction, _, _ = _solve_ascent(H, g)
+        direction, _ = H.solve_ascent(g)
         # float-noise allowance so near-converged steps are not rejected
         accept_floor = parts.h - 1e-10 * (1.0 + abs(parts.h))
         step = 1.0
@@ -265,7 +250,6 @@ class _DispersionObjective:
             probe = _spec_with_z(structure, transform_dispersion(
                 structure, _START_DISPERSION[structure]))
             ev = Evaluator(family, design, probe)
-            self._lay = ev.layout
             parts = ev.h_parts(self.x)
             self._ell1_sum = parts.ell1_sum
             self._H_data = ev.information(self.x, penalty=False)
@@ -281,27 +265,16 @@ class _DispersionObjective:
         spec = self.spec_at(z)
         try:
             if self._fast:
-                ev = Evaluator(self.family, self.design, spec)
-                q_bb, q_aa, q_ba = ev._penalty_curvature()
-                H = self._H_data.copy()
-                lay = self._lay
-                qr = np.arange(self.design.q)
-                if lay.has_vb:
-                    H[lay.sl_vb, lay.sl_vb][qr, qr] += q_bb
-                if lay.has_va:
-                    H[lay.sl_va, lay.sl_va][qr, qr] += q_aa
-                if lay.has_vb and lay.has_va:
-                    H[lay.sl_vb, lay.sl_va][qr, qr] += q_ba
-                    H[lay.sl_va, lay.sl_vb][qr, qr] += q_ba
+                H = self._H_data.with_penalty(_penalty_block(spec))
                 ell2 = _ell2_total(spec, self.design.q, self._vb, self._va)
                 hval = self._ell1_sum + ell2
-                p = hval - 0.5 * (logdet_pd(H) - lay.dim * LOG_2PI)
+                p = hval - 0.5 * (logdet_pd(H) - H.dim * LOG_2PI)
             else:
-                # CF: phi changes v_alpha = phi * v_beta, so everything moves
+                # CF: phi changes v_alpha = phi * v_beta, so the data blocks move
                 ev = Evaluator(self.family, self.design, spec)
                 hval = ev.h(self.x)
                 H = ev.information(self.x, penalty=True)
-                p = hval - 0.5 * (logdet_pd(H) - ev.layout.dim * LOG_2PI)
+                p = hval - 0.5 * (logdet_pd(H) - H.dim * LOG_2PI)
         except (MPRFrailtyError, ValueError):
             return None, spec
         if self.best is None or p > self.best[0]:
@@ -411,7 +384,7 @@ class ModelFit:
     modal_covariates: dict
     binary_covariates: dict
     warnings: list = field(default_factory=list)
-    H: np.ndarray | None = None  # in-process only; not serialized
+    H: Curvature | None = None  # in-process only; not serialized
 
     @property
     def spec(self):
@@ -666,9 +639,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     # evaluate the adjusted profile there
     final = _newton(Evaluator(family, design, spec), x, settings)
     inner_total += final.iterations
-    profile_loglik = final.h - 0.5 * (
-        logdet_pd(final.H) - ParamLayout.for_spec(design, spec).dim * LOG_2PI
-    )
+    profile_loglik = final.h - 0.5 * (logdet_pd(final.H) - final.H.dim * LOG_2PI)
 
     if not converged:
         fit_warnings.append(
@@ -701,17 +672,17 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
 
 def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
                   settings, converged, iterations, fit_warnings):
-    lay = ParamLayout.for_spec(design, spec)
     H = inner.H
+    lay = H.layout
     try:
-        factor = scipy.linalg.cho_factor(H, lower=True)
-        Hinv = scipy.linalg.cho_solve(factor, np.eye(lay.dim))
-    except scipy.linalg.LinAlgError:
+        cov_theta, v_blocks = H.inverse_blocks()
+    except CurvatureError:
         raise CurvatureError(
             "information matrix not positive definite at the optimum"
         ) from None
 
-    diag = np.diag(Hinv).copy()
+    diag = np.concatenate([np.diag(cov_theta)]
+                          + [v_blocks[j, j] for j in range(v_blocks.shape[0])])
     if np.any(diag <= 0):
         fit_warnings.append(
             "non-positive variance on the inverse information diagonal; "
@@ -720,7 +691,6 @@ def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
         diag[diag <= 0] = np.nan
     se_all = np.sqrt(diag)
 
-    m_b, m_a, q = design.m_beta, design.m_alpha, design.q
     se_beta = se_all[lay.sl_beta]
     se_alpha = se_all[lay.sl_alpha]
     se_v_beta = se_all[lay.sl_vb] if lay.has_vb else None
@@ -728,12 +698,8 @@ def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
     if spec.structure == CF:
         se_v_alpha = abs(spec.phi) * se_v_beta
 
-    cov_theta = Hinv[: m_b + m_a, : m_b + m_a].copy()
-
     # conditional effective degrees of freedom: trace(H^-1 H*)
-    ev = Evaluator(family, design, spec)
-    H_star = ev.information(inner.x, penalty=False)
-    df_c = float(np.trace(scipy.linalg.cho_solve(factor, H_star)))
+    df_c = H.df_c(v_blocks)
 
     dispersion = dict(zip(spec.dispersion_names(), spec.dispersion_values()))
     se_dispersion = _dispersion_se(

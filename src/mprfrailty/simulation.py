@@ -14,6 +14,7 @@ a fixed seed regardless of execution order or thread count.
 """
 
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -253,7 +254,11 @@ def simulate_dataset(scenario, c_max, rng):
 
 @dataclass
 class ScenarioSummary:
-    """Mean / SE / SEE per parameter over the converged replicates."""
+    """Mean / SE / SEE per parameter over the converged replicates.
+
+    ``failure_reasons`` counts the failed replicates by exception type
+    name, or "not converged" for a fit that stopped at ``max_outer``.
+    """
 
     structure: str
     param_names: list
@@ -266,6 +271,7 @@ class ScenarioSummary:
     c_max: float
     estimates: np.ndarray = field(repr=False, default=None)
     see_matrix: np.ndarray = field(repr=False, default=None)
+    failure_reasons: dict = field(default_factory=dict)
 
     def to_csv_text(self):
         lines = ["parameter,truth,mean,se,see"]
@@ -286,6 +292,12 @@ class ScenarioSummary:
                 )
             )
         return "\n".join(lines) + "\n"
+
+
+def format_failure_reasons(reasons):
+    """'NonConvergenceError x2, not converged x1': most frequent first."""
+    ordered = sorted(reasons.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ", ".join(f"{reason} x{count}" for reason, count in ordered) or "none"
 
 
 def _truth_for(scenario, structure, names):
@@ -325,9 +337,9 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
             f = fit(ds, structure=structure, family=scenario.family,
                     settings=settings)
         except MPRFrailtyError as exc:
-            return ("error", f"{type(exc).__name__}: {exc}")
+            return ("error", (type(exc).__name__, f"{type(exc).__name__}: {exc}"))
         if not f.converged:
-            return ("error", "fit did not converge")
+            return ("error", ("not converged", "fit did not converge"))
         disp_names = list(f.spec.dispersion_names())
         est = np.concatenate(
             [f.beta, f.alpha, [f.dispersion[k] for k in disp_names]]
@@ -349,10 +361,14 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
         results = [one(b) for b in range(reps)]
 
     oks = [payload for status, payload in results if status == "ok"]
+    errors = [payload for status, payload in results if status == "error"]
+    reasons = dict(Counter(reason for reason, _ in errors))
     n_failed = reps - len(oks)
     if n_failed > 0.2 * reps or not oks:
         raise ScenarioError(
-            f"{n_failed}/{reps} replicates failed; scenario aborted"
+            f"{n_failed}/{reps} replicates failed "
+            f"({format_failure_reasons(reasons)}; first: {errors[0][1]}); "
+            "scenario aborted"
         )
     names = oks[0][0]
     est = np.vstack([e for _, e, _ in oks])
@@ -373,4 +389,5 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
         c_max=c_max,
         estimates=est,
         see_matrix=see,
+        failure_reasons=reasons,
     )

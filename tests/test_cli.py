@@ -134,6 +134,12 @@ class TestCmdSimulate:
         b2 = (out2 / "scenario_summary.csv").read_bytes()
         assert b1 == b2
 
+    def test_simulate_reports_failure_reasons(self, tmp_path, capsys):
+        scen = self.scenario_file(tmp_path)
+        assert main(["simulate", "--scenario", scen, "--structure", "ScF",
+                     "--out", str(tmp_path)]) == 0
+        assert "failed: 0 (none)" in capsys.readouterr().out
+
     def test_bad_scenario_exits_1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\"q\": 1}")

@@ -20,7 +20,7 @@ from mprfrailty.fitting import (
 )
 from mprfrailty.hlik import Evaluator
 
-from ._oracles import nf_negloglik
+from ._oracles import nf_negloglik, rel_err
 from .conftest import small_weibull_dataset
 
 
@@ -309,3 +309,46 @@ class TestFit:
             out = outer_dispersion("weibull", design, "BVNF", z, settings, x)
             z, spec = out.z, out.spec
         assert np.all(np.diff(profile_trace) > -1e-10)
+
+
+class TestBlockCurvatureFit:
+    @pytest.mark.parametrize("q", [10, 150])
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "BVNF"])
+    def test_standard_errors_and_df_c_match_dense(self, q, structure):
+        sc = ScenarioSpec(q=q, n_i=5, beta_true=(1.0, -0.5, 0.5),
+                          alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0,
+                          sigma_alpha=0.5, rho=-0.5, censor_rate=0.25, seed=q)
+        ds = simulate_dataset(sc, 2.0, np.random.default_rng(q))
+        f = fit(ds, structure=structure)
+        Hd = f.H.to_dense()
+        Hinv = np.linalg.inv(Hd)
+        se = np.sqrt(np.diag(Hinv))
+        m = len(f.beta) + len(f.alpha)
+        assert rel_err(f.cov_theta, Hinv[:m, :m]) < 1e-10
+        assert rel_err(np.concatenate([f.se_beta, f.se_alpha]), se[:m]) < 1e-10
+        se_v = [s for s in (f.se_v_beta, f.se_v_alpha) if s is not None]
+        assert rel_err(np.concatenate(se_v), se[m:]) < 1e-10
+        lay = f.H.layout
+        x = lay.pack(f.beta, f.alpha, f.v_beta if lay.has_vb else None,
+                     f.v_alpha if lay.has_va else None)
+        ev = Evaluator("weibull", build_design(ds), f.spec)
+        H_star = ev.information(x, penalty=False).to_dense()
+        df_c = np.trace(np.linalg.solve(Hd, H_star))
+        assert abs(f.df_c - df_c) / df_c < 1e-10
+
+    def test_large_q_fit_allocates_no_dense_information(self):
+        import tracemalloc
+
+        sc = ScenarioSpec(q=2000, n_i=3, beta_true=(1.0, -0.5, 0.5),
+                          alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0,
+                          sigma_alpha=0.5, rho=-0.5, censor_rate=0.25, seed=2000)
+        ds = simulate_dataset(sc, 2.0, np.random.default_rng(2000))
+        tracemalloc.start()
+        try:
+            f = fit(ds, structure="BVNF")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.converged
+        # a dense (4002 x 4002) information alone would take 128 MB
+        assert peak < 32e6

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mprfrailty import (
+    CurvatureError,
     Dataset,
     DomainError,
     FrailtySpec,
+    ScenarioSpec,
     adjusted_profile_loglik,
     build_design,
     cond_loglik,
@@ -14,8 +17,9 @@ from mprfrailty import (
     h_loglik,
     information,
     score,
+    simulate_dataset,
 )
-from mprfrailty.hlik import Evaluator, ParamLayout
+from mprfrailty.hlik import Curvature, Evaluator, ParamLayout, logdet_pd
 
 from ._oracles import bvn_logpdf, cond_loglik_scalar, fd_gradient, fd_jacobian, rel_err
 from .conftest import spec_for
@@ -214,7 +218,7 @@ class TestInformation:
         rng = np.random.default_rng(hash((structure, family)) % 2**32)
         for _ in range(3):
             x = rng.uniform(-0.4, 0.4, ev.layout.dim)
-            H = ev.information(x)
+            H = ev.information(x).to_dense()
             H_fd = -fd_jacobian(ev.score, x)
             assert rel_err(H, H_fd) < 1e-5
 
@@ -224,7 +228,7 @@ class TestInformation:
         spec = spec_for(structure)
         ev = Evaluator("gompertz", design, spec)
         x = np.random.default_rng(1).uniform(-0.3, 0.3, ev.layout.dim)
-        H = ev.information(x)
+        H = ev.information(x).to_dense()
         assert np.max(np.abs(H - H.T)) < 1e-10
 
 
@@ -284,3 +288,164 @@ class TestAdjustedProfile:
         sign, logdet = np.linalg.slogdet(H / (2 * math.pi))
         assert sign > 0
         assert p == pytest.approx(hval - 0.5 * logdet, rel=1e-12)
+
+
+# -- bordered block-diagonal curvature -------------------------------------------
+
+
+def _penalty_scalars(spec):
+    """(q_bb, q_aa, q_ba): the frailty precision entries, from the bivariate normal."""
+    st = spec.structure
+    if st in ("ScF", "CF"):
+        return 1.0 / spec.sigma_beta**2, 0.0, 0.0
+    if st == "ShF":
+        return 0.0, 1.0 / spec.sigma_alpha**2, 0.0
+    if st in ("IF", "BVNF"):
+        sb, sa = spec.sigma_beta, spec.sigma_alpha
+        rho = 0.0 if st == "IF" else spec.rho
+        c = 1.0 / (1.0 - rho * rho)
+        return c / sb**2, c / sa**2, -c * rho / (sb * sa)
+    return 0.0, 0.0, 0.0
+
+
+def dense_information(ev, x, penalty):
+    """The (theta, v) information written entry by entry into a dense matrix."""
+    tau, gamma, s, glogt, _, _ = ev._predictors(x)
+    _, _, w_beta, w_alpha, w_ba = ev._record_terms(tau, gamma, s, glogt)
+    d, lay, spec = ev.design, ev.layout, ev.spec
+    Xb, Xa, idx, q = d.X_beta, d.X_alpha, d.cluster_index, d.q
+
+    def csum(w):
+        return np.bincount(idx, weights=w, minlength=q)
+
+    def csum_cols(w, X):
+        return np.array([csum(w * X[:, j]) for j in range(X.shape[1])])
+
+    H = np.zeros((lay.dim, lay.dim))
+    H[lay.sl_beta, lay.sl_beta] = (Xb * w_beta[:, None]).T @ Xb
+    H[lay.sl_beta, lay.sl_alpha] = (Xb * w_ba[:, None]).T @ Xa
+    H[lay.sl_alpha, lay.sl_beta] = H[lay.sl_beta, lay.sl_alpha].T
+    H[lay.sl_alpha, lay.sl_alpha] = (Xa * w_alpha[:, None]).T @ Xa
+    q_bb, q_aa, q_ba = _penalty_scalars(spec) if penalty else (0.0, 0.0, 0.0)
+    qr = np.arange(q)
+    if spec.structure == "CF":
+        phi = spec.phi
+        cols = {"beta": (csum_cols(w_beta, Xb) + phi * csum_cols(w_ba, Xb), lay.sl_beta),
+                "alpha": (csum_cols(w_ba, Xa) + phi * csum_cols(w_alpha, Xa), lay.sl_alpha)}
+        blocks = [(lay.sl_vb, cols, csum(w_beta) + 2.0 * phi * csum(w_ba)
+                   + phi * phi * csum(w_alpha) + q_bb)]
+    else:
+        blocks = []
+        if lay.has_vb:
+            blocks.append((lay.sl_vb, {"beta": (csum_cols(w_beta, Xb), lay.sl_beta),
+                                       "alpha": (csum_cols(w_ba, Xa), lay.sl_alpha)},
+                           csum(w_beta) + q_bb))
+        if lay.has_va:
+            blocks.append((lay.sl_va, {"beta": (csum_cols(w_ba, Xb), lay.sl_beta),
+                                       "alpha": (csum_cols(w_alpha, Xa), lay.sl_alpha)},
+                           csum(w_alpha) + q_aa))
+        if lay.has_vb and lay.has_va:
+            H[lay.sl_vb, lay.sl_va][qr, qr] = csum(w_ba) + q_ba
+            H[lay.sl_va, lay.sl_vb][qr, qr] = csum(w_ba) + q_ba
+    for sl_v, cols, diag in blocks:
+        for border, sl_t in cols.values():
+            H[sl_t, sl_v] = border
+            H[sl_v, sl_t] = border.T
+        H[sl_v, sl_v][qr, qr] = diag
+    return H
+
+
+@pytest.fixture(scope="module", params=[10, 150], ids=["q10", "q150"])
+def block_design(request):
+    sc = ScenarioSpec(q=request.param, n_i=5, beta_true=(1.0, -0.5, 0.5),
+                      alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0, sigma_alpha=0.5,
+                      rho=-0.5, censor_rate=0.25, seed=request.param)
+    ds = simulate_dataset(sc, 2.0, np.random.default_rng(request.param))
+    return build_design(ds)
+
+
+def _rel(a, b):
+    return abs(a - b) / max(1.0, abs(b))
+
+
+def _dense_ridge_solve(Hd, g):
+    """Ridge-escalating dense Cholesky solve: (direction, ridge)."""
+    diag = np.abs(np.diag(Hd))
+    scale = np.where(diag > 0, diag, 1.0)
+    for lam in (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4):
+        try:
+            factor = scipy.linalg.cho_factor(Hd + np.diag(lam * scale), lower=True)
+        except scipy.linalg.LinAlgError:
+            continue
+        return scipy.linalg.cho_solve(factor, g), lam
+    raise AssertionError("no ridge repaired the matrix")
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("penalty", [True, False])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_to_dense_equals_dense_assembly(self, fixture_30x5, structure, family, penalty):
+        _, design = fixture_30x5
+        ev = Evaluator(family, design, spec_for(structure))
+        x = np.random.default_rng(2).uniform(-0.4, 0.4, ev.layout.dim)
+        got = ev.information(x, penalty=penalty).to_dense()
+        assert (got == dense_information(ev, x, penalty)).all()
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_schur_matches_dense_lapack(self, block_design, structure):
+        ev = Evaluator("gompertz", block_design, spec_for(structure))
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-0.3, 0.3, ev.layout.dim)
+        H = ev.information(x)
+        Hd = H.to_dense()
+        m = ev.layout.m_beta + ev.layout.m_alpha
+        Hinv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(Hd), np.eye(ev.layout.dim))
+        H_star = ev.information(x, penalty=False).to_dense()
+        g = rng.standard_normal(ev.layout.dim)
+
+        logdet = 2.0 * np.sum(np.log(np.diag(scipy.linalg.cholesky(Hd))))
+        for got in (H.logdet(), H._logdet_schur(), logdet_pd(H)):
+            assert _rel(got, logdet) < 1e-10
+        direction = scipy.linalg.solve(Hd, g, assume_a="pos")
+        for got in (H.solve(g), H._solve_schur(g)):
+            assert rel_err(got, direction) < 1e-10
+        d, ridge = H.solve_ascent(g)
+        assert ridge == 0.0 and rel_err(d, direction) < 1e-10
+        df_c = np.trace(Hinv @ H_star)
+        for cov_theta, blocks in (H.inverse_blocks(), H._inverse_blocks_schur()):
+            assert rel_err(cov_theta, Hinv[:m, :m]) < 1e-10
+            if len(blocks):
+                se_v = np.sqrt([blocks[j, j] for j in range(len(blocks))]).ravel()
+                assert rel_err(se_v, np.sqrt(np.diag(Hinv)[m:])) < 1e-10
+            assert _rel(H.df_c(blocks), df_c) < 1e-10
+
+    @pytest.mark.parametrize("structure", ["ScF", "CF", "BVNF"])
+    def test_ridge_repairs_indefinite_schur_complement(self, block_design, structure):
+        ev = Evaluator("weibull", block_design, spec_for(structure))
+        rng = np.random.default_rng(7)
+        H = ev.information(rng.uniform(-0.3, 0.3, ev.layout.dim))
+        S_min = np.linalg.eigvalsh(np.linalg.inv(np.linalg.inv(H.to_dense())[:6, :6]))[0]
+        bad = Curvature(H.layout, H.A - 2.0 * S_min * np.eye(6), H.B, H.D, H.P)
+        g = rng.standard_normal(ev.layout.dim)
+        want, want_ridge = _dense_ridge_solve(bad.to_dense(), g)
+        d, ridge = bad.solve_ascent(g)
+        assert ridge == want_ridge > 0.0
+        assert rel_err(d, want) < 1e-10
+        with pytest.raises(CurvatureError):
+            bad._logdet_schur()
+        with pytest.raises(CurvatureError):
+            bad.logdet()
+
+    def test_frailty_block_with_negative_determinant_raises(self, block_design):
+        ev = Evaluator("weibull", block_design, spec_for("BVNF"))
+        H = ev.information(np.zeros(ev.layout.dim))
+        D = H.D.copy()
+        D[0, 1, 3] = D[1, 0, 3] = 1.5 * np.sqrt(D[0, 0, 3] * D[1, 1, 3])
+        bad = Curvature(H.layout, H.A, H.B, D, H.P)
+        for method in (bad._logdet_schur, bad.logdet, bad.inverse_blocks,
+                       bad._inverse_blocks_schur):
+            with pytest.raises(CurvatureError):
+                method()
+        with pytest.raises(CurvatureError):
+            bad._solve_schur(np.ones(ev.layout.dim))

@@ -262,3 +262,45 @@ class TestRunScenario:
         i_rho = s.param_names.index("rho")
         half = 1.96 * s.se[i_rho] / np.sqrt(s.n_converged)
         assert s.mean[i_rho] - half <= 0.0 <= s.mean[i_rho] + half
+
+
+class TestFailureReasons:
+    @staticmethod
+    def forced_fit(monkeypatch, outcomes):
+        """Replace the scenario's fit: outcome per call is "raise", "stall" or "ok"."""
+        import mprfrailty.simulation as simulation
+        from mprfrailty import CurvatureError
+
+        real_fit = simulation.fit
+        calls = iter(outcomes)
+
+        def fit(*args, **kwargs):
+            outcome = next(calls)
+            if outcome == "raise":
+                raise CurvatureError("forced")
+            f = real_fit(*args, **kwargs)
+            f.converged = outcome == "ok"
+            return f
+
+        monkeypatch.setattr(simulation, "fit", fit)
+
+    def test_counts_by_reason(self, monkeypatch):
+        spec = scenario(q=6, n_i=10, replicates=10, seed=41)
+        clean = run_scenario(spec, structure="ScF")
+        assert clean.failure_reasons == {}
+        self.forced_fit(monkeypatch, ["raise", "ok", "stall"] + ["ok"] * 7)
+        s = run_scenario(spec, structure="ScF")
+        assert s.failure_reasons == {"CurvatureError": 1, "not converged": 1}
+        assert (s.n_converged, s.n_failed) == (8, 2)
+        # the surviving replicates' estimates are untouched
+        assert np.array_equal(s.estimates, np.delete(clean.estimates, [0, 2], axis=0))
+
+    def test_counts_in_scenario_error(self, monkeypatch):
+        from mprfrailty import ScenarioError
+
+        spec = scenario(q=6, n_i=10, replicates=4, seed=41)
+        self.forced_fit(monkeypatch, ["stall", "raise", "stall", "ok"])
+        with pytest.raises(ScenarioError, match=r"3/4 replicates failed "
+                           r"\(not converged x2, CurvatureError x1; "
+                           r"first: fit did not converge\)"):
+            run_scenario(spec, structure="ScF")
