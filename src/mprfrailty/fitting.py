@@ -43,6 +43,7 @@ from .hlik import (
     LOG_2PI,
     Curvature,
     Evaluator,
+    _dispersion,
     _ell2_total,
     _penalty_block,
     logdet_pd,
@@ -231,11 +232,13 @@ class _DispersionObjective:
 
     The current (theta, v) estimates stay fixed while the dispersion
     varies, exactly as in the alternating algorithm: Step 2 plugs the
-    Step 1 estimates into h and H and searches the dispersion only.  For
-    every structure except CF the data part of the information and the
-    conditional log-likelihood do not depend on the dispersion, so they
-    are precomputed once and each trial point only pays for the frailty
-    log-density and one factorization.
+    Step 1 estimates into h and H and searches the dispersion only.  The
+    dispersion then enters p through the frailty log-density and the
+    frailty precision added to every D_i, and through the data part --
+    the ell1 sum and the penalty-free information -- only under CF,
+    where v_alpha = phi * v_beta.  The data part is therefore computed
+    once, under CF once per distinct phi, and each trial point pays for
+    one k x k penalty and one factorization.
     """
 
     def __init__(self, family, design, structure, x_fixed):
@@ -243,46 +246,46 @@ class _DispersionObjective:
         self.design = design
         self.structure = structure
         self.x = np.array(x_fixed, dtype=float)
-        self.best = None  # (p, z, spec)
+        self.best = None  # (p, z)
         self.n_eval = 0
-        self._fast = structure != CF
-        if self._fast:
-            probe = _spec_with_z(structure, transform_dispersion(
-                structure, _START_DISPERSION[structure]))
-            ev = Evaluator(family, design, probe)
-            parts = ev.h_parts(self.x)
-            self._ell1_sum = parts.ell1_sum
-            self._H_data = ev.information(self.x, penalty=False)
-            _, _, vb, va = _unpack_full(ev, self.x)
-            self._vb, self._va = vb, va
+        self._names = DISPERSION_NAMES[structure]
+        self._data = None  # (phi, data part at that phi); phi is None off CF
 
-    def spec_at(self, z):
-        return _spec_with_z(self.structure, z)
+    def _data_part(self, disp):
+        """(ell1 sum, penalty-free curvature, v_beta, v_alpha) at x.
+
+        Kept for the last phi evaluated; a phi whose evaluation raises
+        leaves the kept one in place.
+        """
+        phi = disp.get("phi")
+        if self._data is None or self._data[0] != phi:
+            ev = Evaluator(self.family, self.design,
+                           FrailtySpec(structure=self.structure, **disp))
+            ell1_sum = ev.h_parts(self.x).ell1_sum
+            H_data = ev.information(self.x, penalty=False)
+            _, _, vb, va = _unpack_full(ev, self.x)
+            self._data = (phi, (ell1_sum, H_data, vb, va))
+        return self._data[1]
 
     def profile(self, z):
         """p at transformed dispersion z with (theta, v) fixed; None on failure."""
         self.n_eval += 1
-        spec = self.spec_at(z)
+        disp = dict(zip(self._names, back_transform_dispersion(self.structure, z)))
+        if not all(math.isfinite(v) for v in disp.values()):
+            return None  # outside the domain of FrailtySpec
         try:
-            if self._fast:
-                H = self._H_data.with_penalty(_penalty_block(spec))
-                ell2 = _ell2_total(spec, self.design.q, self._vb, self._va)
-                hval = self._ell1_sum + ell2
-                p = hval - 0.5 * (logdet_pd(H) - H.dim * LOG_2PI)
-            else:
-                # CF: phi changes v_alpha = phi * v_beta, so the data blocks move
-                ev = Evaluator(self.family, self.design, spec)
-                hval = ev.h(self.x)
-                H = ev.information(self.x, penalty=True)
-                p = hval - 0.5 * (logdet_pd(H) - H.dim * LOG_2PI)
+            ell1_sum, H_data, vb, va = self._data_part(disp)
+            hval = ell1_sum + _ell2_total(self.structure, disp, self.design.q, vb, va)
+            logdet = logdet_pd(H_data, _penalty_block(self.structure, disp))
+            p = hval - 0.5 * (logdet - H_data.dim * LOG_2PI)
         except (MPRFrailtyError, ValueError):
-            return None, spec
+            return None
         if self.best is None or p > self.best[0]:
-            self.best = (p, np.array(z, dtype=float), spec)
-        return p, spec
+            self.best = (p, np.array(z, dtype=float))
+        return p
 
     def __call__(self, z):
-        p, _ = self.profile(z)
+        p = self.profile(z)
         if p is None:
             return _OBJECTIVE_PENALTY
         return -p
@@ -311,12 +314,12 @@ def outer_dispersion(family, design, structure, z0, settings, x_fixed,
     update that terminated on its gradient criterion.
     """
     obj = _DispersionObjective(family, design, structure, x_fixed)
-    p0, _ = obj.profile(z0)
+    p0 = obj.profile(z0)
     if p0 is None:
         # retry from deterministically perturbed dispersion
         for bump in (0.25, -0.25, 0.5, -0.5, 1.0):
             z_try = np.array(z0, dtype=float) + bump
-            p0, _ = obj.profile(z_try)
+            p0 = obj.profile(z_try)
             if p0 is not None:
                 z0 = z_try
                 break
@@ -341,9 +344,9 @@ def outer_dispersion(family, design, structure, z0, settings, x_fixed,
         gradient_converged = bool(result.status == 0)
     except (ValueError, FloatingPointError):
         pass  # fall back to the best evaluated point
-    p_best, z_best, spec_best = obj.best
+    p_best, z_best = obj.best
     return OuterResult(
-        spec=spec_best,
+        spec=_spec_with_z(structure, z_best),
         profile_loglik=p_best,
         z=z_best,
         n_eval=obj.n_eval,
@@ -701,7 +704,7 @@ def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
     # conditional effective degrees of freedom: trace(H^-1 H*)
     df_c = H.df_c(v_blocks)
 
-    dispersion = dict(zip(spec.dispersion_names(), spec.dispersion_values()))
+    dispersion = _dispersion(spec)
     se_dispersion = _dispersion_se(
         family, design, spec, outer_state, settings, fit_warnings
     )

@@ -120,39 +120,47 @@ def _baseline_terms(family, s):
     return np.log1p(s), inv, -inv * inv, 2.0 * inv**3, -np.log1p(s)
 
 
-def _ell2_total(spec, q, vb, va):
-    """sum_i ell2_i: total frailty log-density under the structure."""
-    st = spec.structure
-    if st == NF:
+def _ell2_total(structure, disp, q, vb, va):
+    """sum_i ell2_i: total frailty log-density under the structure.
+
+    ``disp`` maps the structure's dispersion names to their values, as
+    ``ModelFit.dispersion`` does.
+    """
+    if structure == NF:
         return 0.0
-    if st in (SCF, CF):
-        sb = spec.sigma_beta
+    if structure in (SCF, CF):
+        sb = disp["sigma_beta"]
         return float(-q * (0.5 * LOG_2PI + math.log(sb)) - 0.5 * np.sum(vb**2) / sb**2)
-    if st == SHF:
-        sa = spec.sigma_alpha
+    if structure == SHF:
+        sa = disp["sigma_alpha"]
         return float(-q * (0.5 * LOG_2PI + math.log(sa)) - 0.5 * np.sum(va**2) / sa**2)
-    sb, sa = spec.sigma_beta, spec.sigma_alpha
-    rho = 0.0 if st == IF else spec.rho
+    sb, sa = disp["sigma_beta"], disp["sigma_alpha"]
+    rho = 0.0 if structure == IF else disp["rho"]
     omr = 1.0 - rho * rho
     const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
-    quad = np.sum((vb / sb) ** 2 + (va / sa) ** 2 - 2.0 * rho * (vb / sb) * (va / sa))
+    ub, ua = vb / sb, va / sa
+    quad = (ub**2 + ua**2 - 2.0 * rho * ub * ua).sum()
     return float(const - 0.5 * quad / omr)
 
 
-def _penalty_block(spec):
+def _penalty_block(structure, disp):
     """Frailty precision P: the k x k block that -ell2 adds to every D_i."""
-    st = spec.structure
-    if st in (SCF, CF):
-        return np.array([[1.0 / spec.sigma_beta**2]])
-    if st == SHF:
-        return np.array([[1.0 / spec.sigma_alpha**2]])
-    if st in (IF, BVNF):
-        sb, sa = spec.sigma_beta, spec.sigma_alpha
-        rho = 0.0 if st == IF else spec.rho
+    if structure in (SCF, CF):
+        return np.array([[1.0 / disp["sigma_beta"]**2]])
+    if structure == SHF:
+        return np.array([[1.0 / disp["sigma_alpha"]**2]])
+    if structure in (IF, BVNF):
+        sb, sa = disp["sigma_beta"], disp["sigma_alpha"]
+        rho = 0.0 if structure == IF else disp["rho"]
         c = 1.0 / (1.0 - rho * rho)
         cross = -c * rho / (sb * sa)
         return np.array([[c / sb**2, cross], [cross, c / sa**2]])
     return np.zeros((0, 0))
+
+
+def _dispersion(spec):
+    """The dispersion of ``spec`` as a name -> value mapping."""
+    return dict(zip(spec.dispersion_names(), spec.dispersion_values()))
 
 
 # Up to this many (theta, v) coordinates a curvature is factored as one dense
@@ -166,11 +174,24 @@ DENSE_MAX_DIM = 60
 _RIDGES = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
 
-def _cholesky(H):
-    try:
-        return scipy.linalg.cho_factor(H, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        raise CurvatureError("information matrix is not positive definite") from None
+# the LAPACK routine behind scipy.linalg.cho_factor, called without its checks
+_POTRF = scipy.linalg.lapack.dpotrf
+
+
+def _cholesky(H, overwrite=False):
+    """(c, lower) for ``cho_solve``: the lower Cholesky factor of H.
+
+    The same factor, to the bit, as ``cho_factor(H, lower=True)``.
+    """
+    c, info = _POTRF(H, lower=1, overwrite_a=overwrite, clean=0)
+    if info != 0:
+        raise CurvatureError("information matrix is not positive definite")
+    return c, True
+
+
+def _logdet_factor(c):
+    """log det H from the Cholesky factor c of H."""
+    return 2.0 * float(np.log(c.diagonal()).sum())
 
 
 def _block_inverse(D):
@@ -212,6 +233,7 @@ class Curvature:
     def __init__(self, layout, A, B, D, P):
         self.layout = layout
         self.A, self.B, self.D, self.P = A, B, D, P
+        self._dense = None  # (to_dense() in Fortran order, flat index of each D_i entry)
 
     @property
     def dim(self):
@@ -259,16 +281,27 @@ class Curvature:
             D[j, j] += r[m + j * q: m + (j + 1) * q]
         return Curvature(self.layout, A, self.B, D, self.P)
 
-    def _schur(self):
-        """(D^-1, W = B D^-1, Cholesky factor of S, sum_i log det D_i)."""
-        Dinv, logdet_d = _block_inverse(self.D)
-        W = np.einsum("lai,lji->jai", self.B, Dinv)
-        S = self.A - np.einsum("jai,jbi->ab", W, self.B)
-        return Dinv, W, _cholesky(S), logdet_d
+    def logdet(self, P=None):
+        """log det H, or log det of H with the k x k precision P added to every D_i.
 
-    def logdet(self):
-        """log det H."""
-        return self._logdet_dense() if self._dense_side else self._logdet_schur()
+        On the dense side the matrix and the positions of the D_i entries
+        are kept, so that a further penalty costs one copy, one k x k
+        scatter and one factorization.
+        """
+        if not self._dense_side:
+            return (self if P is None else self.with_penalty(P))._logdet_schur()
+        if self._dense is None:
+            starts = np.array([sl.start for sl in self._v_slices()], dtype=np.intp)
+            cells = np.arange(self.layout.q)
+            rows = starts[:, None, None] + cells
+            cols = starts[None, :, None] + cells
+            self._dense = (np.asfortranarray(self.to_dense()), rows + cols * self.dim)
+        dense, d_index = self._dense
+        H = dense.copy(order="F")
+        if P is not None:
+            H.reshape(-1, order="F")[d_index] += P[:, :, None]
+        c, _ = _cholesky(H, overwrite=True)
+        return _logdet_factor(c)
 
     def solve(self, g):
         """H^-1 g."""
@@ -305,10 +338,6 @@ class Curvature:
 
     # dense LAPACK on to_dense(), for small dim
 
-    def _logdet_dense(self):
-        c, _ = _cholesky(self.to_dense())
-        return 2.0 * float(np.sum(np.log(np.diag(c))))
-
     def _solve_dense(self, g):
         return scipy.linalg.cho_solve(_cholesky(self.to_dense()), g, check_finite=False)
 
@@ -333,7 +362,7 @@ class Curvature:
 
     def _logdet_schur(self):
         _, _, (c, _), logdet_d = self._schur()
-        return logdet_d + 2.0 * float(np.sum(np.log(np.diag(c))))
+        return logdet_d + _logdet_factor(c)
 
     def _solve_schur(self, g):
         Dinv, W, factor, _ = self._schur()
@@ -371,6 +400,7 @@ class Evaluator:
         self.family = normalize_family(family)
         self.design = design
         self.spec = spec
+        self._disp = _dispersion(spec)
         self.layout = ParamLayout.for_spec(design, spec)
         if self.family == GOMPERTZ:
             # exp(s) in the hazard overflows beyond this
@@ -408,7 +438,7 @@ class Evaluator:
     # -- frailty log-density and its derivatives ------------------------------
 
     def _ell2(self, vb, va):
-        return _ell2_total(self.spec, self.design.q, vb, va)
+        return _ell2_total(self.spec.structure, self._disp, self.design.q, vb, va)
 
     def _penalty_score(self, vb, va):
         """(U_vbeta, U_valpha): gradients of -ell2 w.r.t. the free blocks."""
@@ -522,7 +552,7 @@ class Evaluator:
         k = lay.has_vb + lay.has_va
         B = np.empty((k, A.shape[0], d.q))
         D = np.empty((k, k, d.q))
-        P = _penalty_block(spec) if penalty else np.zeros((k, k))
+        P = _penalty_block(spec.structure, self._disp) if penalty else np.zeros((k, k))
 
         if spec.structure == CF:
             phi = spec.phi
@@ -619,7 +649,7 @@ def frailty_logdensity(spec, v_beta=None, v_alpha=None, q=None):
         else:
             raise DomainError("q cannot be inferred; pass q or a frailty vector")
     vb, va = expand_random_effects(spec, q, v_beta, v_alpha)
-    return _ell2_total(spec, q, vb, va)
+    return _ell2_total(spec.structure, _dispersion(spec), q, vb, va)
 
 
 def h_loglik(family, design, spec, beta, alpha, v_beta=None, v_alpha=None):
@@ -646,13 +676,15 @@ def information(family, design, spec, beta, alpha, v_beta=None, v_alpha=None,
     return Evaluator(family, design, spec).information(x, penalty=penalty).to_dense()
 
 
-def logdet_pd(H):
+def logdet_pd(H, P=None):
     """log det of the positive-definite information, a :class:`Curvature`.
 
-    Raises :class:`CurvatureError` when the factorization fails, rather
-    than silently taking absolute values of pivots.
+    With ``P`` the k x k frailty precision is added to every D_i first
+    (see :meth:`Curvature.logdet`).  Raises :class:`CurvatureError` when
+    the factorization fails, rather than silently taking absolute values
+    of pivots.
     """
-    return H.logdet()
+    return H.logdet(P)
 
 
 def adjusted_profile_loglik(family, design, spec, beta, alpha,

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from mprfrailty import (
@@ -12,13 +20,17 @@ from mprfrailty import (
     inner_newton,
     simulate_dataset,
 )
+from mprfrailty.errors import MPRFrailtyError
 from mprfrailty.fitting import (
+    _OBJECTIVE_PENALTY,
+    _DispersionObjective,
     _newton,
+    _spec_with_z,
     back_transform_dispersion,
     outer_dispersion,
     transform_dispersion,
 )
-from mprfrailty.hlik import Evaluator
+from mprfrailty.hlik import DENSE_MAX_DIM, LOG_2PI, Evaluator
 
 from ._oracles import nf_negloglik, rel_err
 from .conftest import small_weibull_dataset
@@ -352,3 +364,125 @@ class TestBlockCurvatureFit:
         assert f.converged
         # a dense (4002 x 4002) information alone would take 128 MB
         assert peak < 32e6
+
+
+def _objective_fixture(structure, q):
+    """(design, x, z): the inner maximizer of h at a Table-2-like dispersion."""
+    sc = ScenarioSpec(q=q, n_i=5, beta_true=(1.0, -0.5, 0.5),
+                      alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0,
+                      sigma_alpha=0.5, rho=-0.5, censor_rate=0.25, seed=q)
+    design = build_design(simulate_dataset(sc, 2.0, np.random.default_rng(q)))
+    z = transform_dispersion(structure, {
+        "ScF": (0.8,), "ShF": (0.6,), "IF": (0.8, 0.6), "CF": (0.8, 0.5),
+        "BVNF": (0.8, 0.6, -0.4)}[structure])
+    res = inner_newton("weibull", design, _spec_with_z(structure, z),
+                       np.zeros(3), np.zeros(3))
+    return design, res.x, z
+
+
+def _reference_objective(design, structure, x, z):
+    """-p(z) from a fresh Evaluator and the full penalized information."""
+    ev = Evaluator("weibull", design, _spec_with_z(structure, z))
+    dim = ev.layout.dim
+    return -(ev.h(x) - 0.5 * (ev.information(x).logdet() - dim * LOG_2PI))
+
+
+class TestDispersionObjective:
+    @pytest.mark.parametrize("q", [5, 80])
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
+    def test_equals_reference_formula(self, structure, q):
+        design, x, z0 = _objective_fixture(structure, q)
+        obj = _DispersionObjective("weibull", design, structure, x)
+        # q=5 is factored densely, q=80 through the Schur complement
+        assert (len(x) <= DENSE_MAX_DIM) == (q == 5)
+        zs = [z0 + d for d in (0.0, 0.3, -0.2, 0.05, 0.0)]
+        if structure == "CF":
+            # phi returns to earlier values, and 1e6 overflows v_alpha = phi * v_beta
+            zs = [z0, z0 + [0.3, 0.0], z0 + [0.0, -0.8], z0 + [-0.2, -0.8],
+                  np.array([z0[0], 1e6]), np.array([z0[0] + 0.1, 1e6]),
+                  z0 + [0.1, -0.8], z0 + [0.1, 0.0], np.array([z0[0], 1e6]), z0]
+        n_raised = 0
+        for z in zs:
+            try:
+                want = _reference_objective(design, structure, x, z)
+            except MPRFrailtyError:
+                want = _OBJECTIVE_PENALTY
+                n_raised += 1
+            assert obj(z) == want
+        assert obj.n_eval == len(zs)
+        assert n_raised == (3 if structure == "CF" else 0)
+        if q == 5:
+            # the dense side calls the LAPACK routine cho_factor wraps
+            H = Evaluator("weibull", design, _spec_with_z(structure, z0)).information(x)
+            c, _ = scipy.linalg.cho_factor(H.to_dense(), lower=True)
+            assert H.logdet() == 2.0 * float(np.sum(np.log(np.diag(c))))
+
+    @pytest.mark.parametrize("structure", ["ScF", "IF", "CF", "BVNF"])
+    def test_non_finite_dispersion_is_penalized(self, structure):
+        design, x, z0 = _objective_fixture(structure, 5)
+        obj = _DispersionObjective("weibull", design, structure, x)
+        for i in range(len(z0)):
+            z = z0.copy()
+            z[i] = np.nan
+            assert obj(z) == _OBJECTIVE_PENALTY
+        if structure == "CF":
+            assert obj(np.array([z0[0], np.inf])) == _OBJECTIVE_PENALTY
+        assert obj.n_eval == len(z0) + (structure == "CF")
+        assert obj.best is None
+        assert obj(z0) == _reference_objective(design, structure, x, z0)
+
+    def test_outer_dispersion_returns_spec_of_best_point(self, monkeypatch):
+        design, x, z0 = _objective_fixture("BVNF", 5)
+        trials = [np.full(3, np.nan), z0 + 0.05, z0 - 0.05, z0 + [0.0, np.nan, 0.0]]
+
+        def probing_minimize(fun, z_start, **kwargs):
+            values = [fun(z) for z in trials]
+            assert values[0] == values[3] == _OBJECTIVE_PENALTY
+            return SimpleNamespace(status=0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", probing_minimize)
+        out = outer_dispersion("weibull", design, "BVNF", z0, FitSettings(), x)
+        assert out.n_eval == 1 + len(trials)
+        finite = [z0, trials[1], trials[2]]
+        values = [-_reference_objective(design, "BVNF", x, z) for z in finite]
+        best = int(np.argmax(values))
+        assert np.array_equal(out.z, finite[best])
+        assert out.profile_loglik == values[best]
+        assert isinstance(out.spec, FrailtySpec)
+        assert out.spec == _spec_with_z("BVNF", finite[best])
+
+
+# each fit's to_dict() hashed, or the exception it raised; argv[1] holds the cases
+_FIT_HASHES = """
+import hashlib, json, sys
+import numpy as np
+from mprfrailty import ScenarioSpec, fit, simulate_dataset
+for structure, q, n_i in json.loads(sys.argv[1]):
+    sc = ScenarioSpec(q=q, n_i=n_i, beta_true=(1.0, -0.5, 0.5),
+                      alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0,
+                      sigma_alpha=0.5, rho=-0.5, censor_rate=0.25, seed=q)
+    ds = simulate_dataset(sc, 2.0, np.random.default_rng(q))
+    try:
+        out = json.dumps(fit(ds, structure=structure).to_dict())
+    except Exception as exc:
+        out = repr(exc)
+    print(structure, q, n_i, hashlib.sha256(out.encode()).hexdigest())
+"""
+
+
+def test_fits_identical_across_blas_thread_counts():
+    # BVNF at (20, 5) is factored densely; at (100, 10) through the Schur complement
+    cases = [("BVNF", 20, 5), ("BVNF", 100, 10), ("CF", 100, 10)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _FIT_HASHES, json.dumps(cases)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            stdout=subprocess.PIPE, text=True)
+        for threads in ("1", "2")
+    ]
+    outs = [p.communicate(timeout=120)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert len(outs[0].splitlines()) == len(cases)
+    assert outs[0] == outs[1]
