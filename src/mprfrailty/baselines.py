@@ -1,16 +1,20 @@
 """Baseline cumulative-hazard families on the transformed time scale.
 
 Each family supplies the cumulative hazard ``Lambda0``, the hazard
-``lambda0`` with its first two derivatives, and the inverse of
-``Lambda0`` (used by inverse-transform simulation).  The model applies
-these to the transformed time s = t**gamma, so the Weibull family is
-simply the identity cumulative hazard.
+``lambda0`` with its first two derivatives, ``log lambda0`` and the
+inverse of ``Lambda0`` (used by inverse-transform simulation).  The model
+applies these to the transformed time s = t**gamma, so the Weibull family
+is simply the identity cumulative hazard.
 
-All functions accept scalars or numpy arrays and are stateless.
-Derivatives are hand-coded closed forms: they sit in the innermost loop
-of the information-matrix weights, and finite differences there would be
-both slow and noisy.
+:data:`BASELINES` holds one :class:`Baseline` row per family; the
+likelihood reads it directly and the public functions below add input
+validation.  Derivatives are hand-coded closed forms: they sit in the
+innermost loop of the information-matrix weights, and finite differences
+there would be both slow and noisy.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +39,47 @@ _ALIASES = {
 }
 
 
+@dataclass(frozen=True)
+class Baseline:
+    """One family's closed forms in s; each takes an array and checks nothing."""
+
+    cumhaz: object      # Lambda0(s)
+    hazard: object      # (lambda0, lambda0', lambda0'')(s)
+    log_hazard: object  # log lambda0(s)
+    inverse: object     # s with Lambda0(s) = u
+    max_s: float        # largest s at which the terms are finite
+
+
+def _loglogistic_hazard(s):
+    inv = 1.0 / (1.0 + s)
+    return inv, -inv * inv, 2.0 * inv**3
+
+
+BASELINES = {
+    WEIBULL: Baseline(
+        cumhaz=lambda s: s,
+        hazard=lambda s: (np.ones_like(s), np.zeros_like(s), np.zeros_like(s)),
+        log_hazard=np.zeros_like,
+        inverse=lambda u: u,
+        max_s=math.inf,
+    ),
+    GOMPERTZ: Baseline(
+        cumhaz=np.expm1,
+        hazard=lambda s: (np.exp(s),) * 3,
+        log_hazard=lambda s: s,
+        inverse=np.log1p,
+        max_s=GOMPERTZ_MAX_ARG,
+    ),
+    LOGLOGISTIC: Baseline(
+        cumhaz=np.log1p,
+        hazard=_loglogistic_hazard,
+        log_hazard=lambda s: -np.log1p(s),
+        inverse=np.expm1,
+        max_s=math.inf,
+    ),
+}
+
+
 def normalize_family(name):
     """Map a family name string to its canonical identifier."""
     key = str(name).strip().lower()
@@ -45,13 +90,20 @@ def normalize_family(name):
     return _ALIASES[key]
 
 
-def _check_nonnegative(s, what):
+def _checked(family, s, what, positive=False):
+    """(table row, s as a finite array in the family's domain)."""
+    family = normalize_family(family)
     arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
-    if np.any(arr < 0):
-        raise DomainError(f"{what} must be non-negative")
-    return arr
+    if np.any(arr <= 0) if positive else np.any(arr < 0):
+        raise DomainError(f"{what} must be {'positive' if positive else 'non-negative'}")
+    return BASELINES[family], arr
+
+
+def _overflow_guard(base, arr):
+    if np.any(arr > base.max_s):
+        raise DomainError(f"the baseline hazard overflows for s > {base.max_s}")
 
 
 def cumulative_base(family, s):
@@ -59,18 +111,9 @@ def cumulative_base(family, s):
 
     Weibull: s; Gompertz: exp(s) - 1; log-logistic: log(1 + s).
     """
-    family = normalize_family(family)
-    arr = _check_nonnegative(s, "s")
-    if family == WEIBULL:
-        out = arr.copy()
-    elif family == GOMPERTZ:
-        if np.any(arr > GOMPERTZ_MAX_ARG):
-            raise DomainError(
-                f"Gompertz cumulative hazard overflows for s > {GOMPERTZ_MAX_ARG}"
-            )
-        out = np.expm1(arr)
-    else:
-        out = np.log1p(arr)
+    base, arr = _checked(family, s, "s")
+    _overflow_guard(base, arr)
+    out = np.array(base.cumhaz(arr))
     return out if np.ndim(s) else float(out)
 
 
@@ -81,32 +124,12 @@ def hazard_base_derivs(family, s):
     Weibull (1, 0, 0); Gompertz (e**s, e**s, e**s);
     log-logistic (1/(1+s), -1/(1+s)**2, 2/(1+s)**3).
     """
-    family = normalize_family(family)
-    arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("s must be finite")
-    if np.any(arr <= 0):
-        raise DomainError("s must be positive")
-    if family == WEIBULL:
-        lam = np.ones_like(arr)
-        d1 = np.zeros_like(arr)
-        d2 = np.zeros_like(arr)
-    elif family == GOMPERTZ:
-        if np.any(arr > GOMPERTZ_MAX_ARG):
-            raise DomainError(
-                f"Gompertz hazard overflows for s > {GOMPERTZ_MAX_ARG}"
-            )
-        lam = np.exp(arr)
-        d1 = lam
-        d2 = lam
-    else:
-        inv = 1.0 / (1.0 + arr)
-        lam = inv
-        d1 = -(inv * inv)
-        d2 = 2.0 * inv * inv * inv
+    base, arr = _checked(family, s, "s", positive=True)
+    _overflow_guard(base, arr)
+    terms = base.hazard(arr)
     if np.ndim(s):
-        return lam, d1, d2
-    return float(lam), float(d1), float(d2)
+        return terms
+    return tuple(float(t) for t in terms)
 
 
 def inverse_cumulative_base(family, u):
@@ -114,12 +137,6 @@ def inverse_cumulative_base(family, u):
 
     Weibull: u; Gompertz: log(1 + u); log-logistic: exp(u) - 1.
     """
-    family = normalize_family(family)
-    arr = _check_nonnegative(u, "u")
-    if family == WEIBULL:
-        out = arr.copy()
-    elif family == GOMPERTZ:
-        out = np.log1p(arr)
-    else:
-        out = np.expm1(arr)
+    base, arr = _checked(family, u, "u")
+    out = np.array(base.inverse(arr))
     return out if np.ndim(u) else float(out)

@@ -13,12 +13,14 @@ structures selected by :class:`FrailtySpec`.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DivergedIterateError, DomainError, StructureError
+from .errors import DataError, DomainError, StructureError
 
 # Frailty structures: none, scale-only, shape-only, independent pair,
 # common (shape proportional to scale), bivariate normal pair.
@@ -31,14 +33,117 @@ BVNF = "BVNF"
 
 STRUCTURES = (NF, SCF, SHF, IF, CF, BVNF)
 
-DISPERSION_NAMES = {
-    NF: (),
-    SCF: ("sigma_beta",),
-    SHF: ("sigma_alpha",),
-    IF: ("sigma_beta", "sigma_alpha"),
-    CF: ("sigma_beta", "phi"),
-    BVNF: ("sigma_beta", "sigma_alpha", "rho"),
+# |rho| is capped here so the correlated-frailty likelihood stays evaluable
+# while the common-frailty (CF) structure covers the exact boundary.
+RHO_CAP = 1.0 - 1e-6
+
+
+@dataclass(frozen=True)
+class FrailtyLaw:
+    """One structure's frailty law: v_i = L u_i with u_i ~ N(0, Sigma).
+
+    v_i = (v_beta_i, v_alpha_i) is cluster i's frailty pair and u_i its k
+    free components (k <= 2).  ``loading`` is L by rows (v_beta, v_alpha),
+    one entry per component: a constant, or the name of the dispersion
+    parameter it equals.  ``sigmas`` names the standard deviation of each
+    component and ``rho`` their correlation (None: 0).  Every column of L
+    holds a 1, so component j is the frailty ``free[j]`` (0: v_beta,
+    1: v_alpha), and every row at most one non-zero entry.
+    """
+
+    loading: tuple
+    sigmas: tuple
+    rho: str | None = None
+
+    @cached_property
+    def k(self):
+        return len(self.sigmas)
+
+    @cached_property
+    def loading_names(self):
+        """Dispersion parameters L depends on."""
+        return tuple(e for row in self.loading for e in row if isinstance(e, str))
+
+    @cached_property
+    def names(self):
+        """The dispersion parameters, in their conventional order."""
+        return self.sigmas + ((self.rho,) if self.rho else ()) + self.loading_names
+
+    @cached_property
+    def free(self):
+        """The frailty (0: v_beta, 1: v_alpha) each component equals."""
+        return tuple(next(r for r in (0, 1) if self.loading[r][j] == 1.0)
+                     for j in range(self.k))
+
+    def present(self, r):
+        """True when frailty r (0: v_beta, 1: v_alpha) is not structurally zero."""
+        return any(e != 0.0 for e in self.loading[r])
+
+    def sigma(self, disp):
+        """Sigma as (standard deviations of the components, their correlation).
+
+        ``disp`` maps the dispersion names to their values, as
+        ``ModelFit.dispersion`` does.
+        """
+        return [disp[n] for n in self.sigmas], (disp[self.rho] if self.rho else 0.0)
+
+    def loading_at(self, disp):
+        """L with its named entries looked up in the name -> value mapping ``disp``."""
+        return tuple(tuple(disp[e] if isinstance(e, str) else e for e in row)
+                     for row in self.loading)
+
+
+FRAILTY_LAWS = {
+    NF: FrailtyLaw(loading=((), ()), sigmas=()),
+    SCF: FrailtyLaw(loading=((1.0,), (0.0,)), sigmas=("sigma_beta",)),
+    SHF: FrailtyLaw(loading=((0.0,), (1.0,)), sigmas=("sigma_alpha",)),
+    IF: FrailtyLaw(loading=((1.0, 0.0), (0.0, 1.0)), sigmas=("sigma_beta", "sigma_alpha")),
+    CF: FrailtyLaw(loading=((1.0,), ("phi",)), sigmas=("sigma_beta",)),
+    BVNF: FrailtyLaw(loading=((1.0, 0.0), (0.0, 1.0)),
+                     sigmas=("sigma_beta", "sigma_alpha"), rho="rho"),
 }
+
+
+@dataclass(frozen=True)
+class Transform:
+    """A dispersion parameter's map to the unconstrained search scale z."""
+
+    to_z: object      # natural value -> z
+    from_z: object    # z -> natural value, capped at the boundaries
+    jacobian: object  # d(natural)/dz at a natural value
+
+
+_SIGMA = Transform(
+    to_z=math.log,
+    from_z=lambda z: max(float(np.exp(min(z, 50.0))), 1e-12),
+    jacobian=lambda v: v,
+)
+
+TRANSFORMS = {
+    "sigma_beta": _SIGMA,
+    "sigma_alpha": _SIGMA,
+    "rho": Transform(
+        to_z=lambda v: math.atanh(min(max(v, -RHO_CAP), RHO_CAP)),
+        from_z=lambda z: min(max(float(np.tanh(z)), -RHO_CAP), RHO_CAP),
+        jacobian=lambda v: 1.0 - v**2,
+    ),
+    "phi": Transform(to_z=lambda v: v, from_z=float, jacobian=lambda v: 1.0),
+}
+
+
+def combine(weights, term):
+    """sum_j weights[j] * term(j); None when every weight is zero.
+
+    Zero weights are skipped and unit ones not multiplied, so applying
+    a loading costs only its non-trivial entries.
+    """
+    total = None
+    for j, w in enumerate(weights):
+        if w != 0.0:
+            t = term(j) if w == 1.0 else w * term(j)
+            total = t if total is None else total + t
+    return total
+
 
 # Linear predictors beyond this magnitude overflow exp() or make the
 # likelihood meaningless; the fitting loop treats this as "damp the step".
@@ -60,7 +165,8 @@ def normalize_structure(name):
 class FrailtySpec:
     """A frailty structure together with its dispersion parameters.
 
-    Which dispersion fields are carried depends on the structure:
+    Which dispersion fields are carried depends on the structure's row of
+    :data:`FRAILTY_LAWS`:
 
     ========= ======================================
     NF        none
@@ -81,7 +187,7 @@ class FrailtySpec:
     def __post_init__(self):
         object.__setattr__(self, "structure", normalize_structure(self.structure))
         s = self.structure
-        want = DISPERSION_NAMES[s]
+        want = self.dispersion_names()
         for name in ("sigma_beta", "sigma_alpha", "rho", "phi"):
             val = getattr(self, name)
             if name in want:
@@ -91,10 +197,9 @@ class FrailtySpec:
                     raise DomainError(f"{name} must be finite")
             elif val is not None:
                 raise DomainError(f"structure {s} does not carry {name}")
-        if self.sigma_beta is not None and self.sigma_beta <= 0:
-            raise DomainError("sigma_beta must be positive")
-        if self.sigma_alpha is not None and self.sigma_alpha <= 0:
-            raise DomainError("sigma_alpha must be positive")
+        for name in self.law.sigmas:
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be positive")
         if self.rho is not None and not (-1.0 < self.rho < 1.0):
             raise DomainError(
                 "rho must lie strictly inside (-1, 1); use the CF structure "
@@ -102,25 +207,23 @@ class FrailtySpec:
             )
 
     @property
-    def has_scale_frailty(self):
-        """True when v_beta is a free parameter block."""
-        return self.structure in (SCF, IF, CF, BVNF)
-
-    @property
-    def has_shape_frailty(self):
-        """True when v_alpha is a free parameter block (CF derives it)."""
-        return self.structure in (SHF, IF, BVNF)
+    def law(self):
+        return FRAILTY_LAWS[self.structure]
 
     @property
     def df_r(self):
         """Number of dispersion parameters governing the frailty law."""
-        return {NF: 0, SCF: 1, SHF: 1, IF: 2, CF: 2, BVNF: 3}[self.structure]
+        return len(self.dispersion_names())
 
     def dispersion_names(self):
-        return DISPERSION_NAMES[self.structure]
+        return self.law.names
 
     def dispersion_values(self):
         return tuple(getattr(self, n) for n in self.dispersion_names())
+
+    def dispersion(self):
+        """The carried dispersion as a name -> value mapping."""
+        return dict(zip(self.dispersion_names(), self.dispersion_values()))
 
     def with_dispersion(self, values):
         """Return a copy with the carried dispersion parameters replaced."""
@@ -131,22 +234,6 @@ class FrailtySpec:
                 f"parameters, got {len(values)}"
             )
         return replace(self, **dict(zip(names, values)))
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """A single observation: cluster label, time, event status, covariates."""
-
-    cluster: object
-    time: float
-    status: int
-    covariates: tuple
-
-    def __post_init__(self):
-        if not (np.isfinite(self.time) and self.time > 0):
-            raise DataError(f"time must be positive and finite, got {self.time}")
-        if self.status not in (0, 1):
-            raise DataError(f"status must be 0 or 1, got {self.status}")
 
 
 class Dataset:
@@ -209,19 +296,6 @@ class Dataset:
         return list(seen)
 
     @classmethod
-    def from_records(cls, records, covariate_names):
-        records = list(records)
-        if not records:
-            raise DataError("dataset is empty")
-        return cls(
-            [r.cluster for r in records],
-            [r.time for r in records],
-            [r.status for r in records],
-            [r.covariates for r in records],
-            covariate_names,
-        )
-
-    @classmethod
     def read_csv(cls, path):
         """Read the `cluster,time,status,<covariate>...` CSV schema.
 
@@ -281,9 +355,7 @@ class ModelDesign:
     """Design matrices plus the response columns the likelihood needs.
 
     ``X_beta``/``X_alpha`` carry a leading intercept column; ``cluster_index``
-    maps each record to a cluster in first-appearance order.  The dense
-    incidence matrix Z is available as a property but the likelihood code
-    works with the index vector directly.
+    maps each record to a cluster in first-appearance order.
     """
 
     def __init__(self, X_beta, X_alpha, cluster_index, cluster_labels,
@@ -302,13 +374,6 @@ class ModelDesign:
         self.q = len(self.cluster_labels)
         self.n = len(self.time)
         self.cluster_sizes = np.bincount(self.cluster_index, minlength=self.q)
-
-    @property
-    def Z(self):
-        """Dense n x q cluster incidence matrix (one 1 per row)."""
-        Z = np.zeros((self.n, self.q))
-        Z[np.arange(self.n), self.cluster_index] = 1.0
-        return Z
 
     @property
     def m_beta(self):
@@ -372,53 +437,21 @@ def build_design(dataset, scale_covariates=None, shape_covariates=None):
 
 
 def expand_random_effects(spec, q, v_beta=None, v_alpha=None):
-    """Materialize full-length frailty vectors for a structure.
+    """Materialize full-length frailty vectors v = L u for a structure.
 
-    Absent components are fixed at zero; under CF the shape effect is
-    phi * v_beta regardless of any supplied v_alpha.
+    The free components u are read from the supplied vectors; a frailty
+    the structure holds at zero must be zero or absent, and one derived
+    from others (v_alpha = phi * v_beta under CF) is recomputed whatever
+    was supplied.
     """
-    vb = np.zeros(q) if v_beta is None else np.asarray(v_beta, dtype=float)
-    va = np.zeros(q) if v_alpha is None else np.asarray(v_alpha, dtype=float)
-    if vb.shape != (q,) or va.shape != (q,):
+    v = [np.zeros(q) if w is None else np.asarray(w, dtype=float)
+         for w in (v_beta, v_alpha)]
+    if v[0].shape != (q,) or v[1].shape != (q,):
         raise DomainError(f"random-effect vectors must have length q={q}")
-    if not spec.has_scale_frailty:
-        if np.any(vb != 0.0):
-            raise StructureError(
-                f"v_beta is structurally absent under {spec.structure}"
-            )
-        vb = np.zeros(q)
-    if spec.structure == CF:
-        va = spec.phi * vb
-    elif not spec.has_shape_frailty:
-        if np.any(va != 0.0):
-            raise StructureError(
-                f"v_alpha is structurally absent under {spec.structure}"
-            )
-        va = np.zeros(q)
-    return vb, va
-
-
-def linear_predictors(design, beta, alpha, v_beta=None, v_alpha=None):
-    """Per-record distributional parameters (tau, gamma).
-
-    tau = exp(X_beta @ beta + v_beta[cluster]) and analogously for gamma.
-    A linear predictor beyond +-700 raises :class:`DivergedIterateError`
-    so the fitting loop can damp the step instead of propagating inf.
-    """
-    beta = np.asarray(beta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if beta.shape != (design.m_beta,) or alpha.shape != (design.m_alpha,):
-        raise DomainError("coefficient vector lengths do not match the design")
-    idx = design.cluster_index
-    lp_beta = design.X_beta @ beta
-    lp_alpha = design.X_alpha @ alpha
-    if v_beta is not None:
-        lp_beta = lp_beta + np.asarray(v_beta, dtype=float)[idx]
-    if v_alpha is not None:
-        lp_alpha = lp_alpha + np.asarray(v_alpha, dtype=float)[idx]
-    bound = LINPRED_MAX
-    if np.any(np.abs(lp_beta) > bound) or np.any(np.abs(lp_alpha) > bound):
-        raise DivergedIterateError(
-            f"linear predictor magnitude exceeded {bound}; iterate diverged"
-        )
-    return np.exp(lp_beta), np.exp(lp_alpha)
+    law = spec.law
+    for r, name in enumerate(("v_beta", "v_alpha")):
+        if not law.present(r) and np.any(v[r] != 0.0):
+            raise StructureError(f"{name} is structurally absent under {spec.structure}")
+    u = [v[r] for r in law.free]
+    vb, va = (combine(row, u.__getitem__) for row in law.loading_at(spec.dispersion()))
+    return (np.zeros(q) if vb is None else vb), (np.zeros(q) if va is None else va)

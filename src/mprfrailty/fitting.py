@@ -21,15 +21,13 @@ import scipy.optimize
 
 from .baselines import WEIBULL, normalize_family
 from .data import (
-    BVNF,
-    CF,
-    DISPERSION_NAMES,
-    IF,
+    FRAILTY_LAWS,
     NF,
-    SCF,
-    SHF,
+    RHO_CAP,
+    TRANSFORMS,
     FrailtySpec,
     build_design,
+    combine,
     normalize_structure,
 )
 from .errors import (
@@ -43,7 +41,6 @@ from .hlik import (
     LOG_2PI,
     Curvature,
     Evaluator,
-    _dispersion,
     _ell2_total,
     _penalty_block,
     logdet_pd,
@@ -51,21 +48,11 @@ from .hlik import (
 
 # Dispersion estimates below this are treated as boundary solutions.
 SIGMA_BOUNDARY = 1e-6
-# |rho| is capped here so the correlated-frailty likelihood stays evaluable
-# while the common-frailty (CF) structure covers the exact boundary.
-RHO_CAP = 1.0 - 1e-6
 
 _OBJECTIVE_PENALTY = 1e12
 
-# starting dispersion of the alternating algorithm: (0.1, 0.1, 0.1) mapped
-# to whichever parameters the structure carries (phi also starts at 0.1)
-_START_DISPERSION = {
-    SCF: (0.1,),
-    SHF: (0.1,),
-    IF: (0.1, 0.1),
-    CF: (0.1, 0.1),
-    BVNF: (0.1, 0.1, 0.1),
-}
+# starting value of every dispersion parameter of the alternating algorithm
+_START_DISPERSION = 0.1
 
 
 @dataclass(frozen=True)
@@ -111,7 +98,7 @@ def _newton(evaluator, x0, settings):
     it = 0
     while True:
         if float(np.max(np.abs(g))) < settings.inner_tol:
-            beta, alpha, vb, va = _unpack_full(evaluator, x)
+            beta, alpha, vb, va = evaluator.unpack(x)
             return InnerResult(
                 x=x, beta=beta, alpha=alpha, v_beta=vb, v_alpha=va,
                 h=parts.h, ell1_sum=parts.ell1_sum, ell2_sum=parts.ell2_sum,
@@ -149,19 +136,6 @@ def _newton(evaluator, x0, settings):
         it += 1
 
 
-def _unpack_full(evaluator, x):
-    beta, alpha, vb_free, va_free = evaluator.layout.unpack(x)
-    q = evaluator.design.q
-    vb = np.array(vb_free) if vb_free is not None else np.zeros(q)
-    if evaluator.spec.structure == CF:
-        va = evaluator.spec.phi * vb
-    elif va_free is not None:
-        va = np.array(va_free)
-    else:
-        va = np.zeros(q)
-    return np.array(beta), np.array(alpha), vb, va
-
-
 def inner_newton(family, design, spec, beta0, alpha0, v_beta0=None,
                  v_alpha0=None, settings=None):
     """Maximize h over (theta, v) for a fixed dispersion specification."""
@@ -182,63 +156,34 @@ def inner_newton(family, design, spec, beta0, alpha0, v_beta0=None,
 
 def transform_dispersion(structure, values):
     """Map natural dispersion values to the unconstrained search scale."""
-    structure = normalize_structure(structure)
-    v = list(values)
-    if structure == SCF:
-        return np.array([math.log(v[0])])
-    if structure == SHF:
-        return np.array([math.log(v[0])])
-    if structure == IF:
-        return np.array([math.log(v[0]), math.log(v[1])])
-    if structure == CF:
-        return np.array([math.log(v[0]), v[1]])
-    if structure == BVNF:
-        rho = min(max(v[2], -RHO_CAP), RHO_CAP)
-        return np.array([math.log(v[0]), math.log(v[1]), math.atanh(rho)])
-    return np.empty(0)
+    names = FRAILTY_LAWS[normalize_structure(structure)].names
+    return np.array([TRANSFORMS[n].to_z(v) for n, v in zip(names, values)])
 
 
 def back_transform_dispersion(structure, z):
     """Inverse of :func:`transform_dispersion`, with boundary caps."""
-    structure = normalize_structure(structure)
-    z = np.asarray(z, dtype=float)
-
-    def sig(u):
-        return max(float(np.exp(min(u, 50.0))), 1e-12)
-
-    if structure == SCF:
-        return (sig(z[0]),)
-    if structure == SHF:
-        return (sig(z[0]),)
-    if structure == IF:
-        return (sig(z[0]), sig(z[1]))
-    if structure == CF:
-        return (sig(z[0]), float(z[1]))
-    if structure == BVNF:
-        rho = float(np.tanh(z[2]))
-        rho = min(max(rho, -RHO_CAP), RHO_CAP)
-        return (sig(z[0]), sig(z[1]), rho)
-    return ()
+    names = FRAILTY_LAWS[normalize_structure(structure)].names
+    return tuple(TRANSFORMS[n].from_z(u) for n, u in zip(names, np.asarray(z, dtype=float)))
 
 
 def _spec_with_z(structure, z):
     values = back_transform_dispersion(structure, z)
     return FrailtySpec(structure=structure,
-                       **dict(zip(DISPERSION_NAMES[structure], values)))
+                       **dict(zip(FRAILTY_LAWS[structure].names, values)))
 
 
 class _DispersionObjective:
     """Negative adjusted profile likelihood over transformed dispersion.
 
-    The current (theta, v) estimates stay fixed while the dispersion
+    The current (theta, u) estimates stay fixed while the dispersion
     varies, exactly as in the alternating algorithm: Step 2 plugs the
     Step 1 estimates into h and H and searches the dispersion only.  The
     dispersion then enters p through the frailty log-density and the
     frailty precision added to every D_i, and through the data part --
-    the ell1 sum and the penalty-free information -- only under CF,
-    where v_alpha = phi * v_beta.  The data part is therefore computed
-    once, under CF once per distinct phi, and each trial point pays for
-    one k x k penalty and one factorization.
+    the ell1 sum and the penalty-free information -- only via the loading
+    L (phi under CF, where v_alpha = phi * v_beta).  The data part is
+    therefore computed once per distinct value of L's parameters, and
+    each trial point pays for one k x k penalty and one factorization.
     """
 
     def __init__(self, family, design, structure, x_fixed):
@@ -248,35 +193,36 @@ class _DispersionObjective:
         self.x = np.array(x_fixed, dtype=float)
         self.best = None  # (p, z)
         self.n_eval = 0
-        self._names = DISPERSION_NAMES[structure]
-        self._data = None  # (phi, data part at that phi); phi is None off CF
+        self._law = FRAILTY_LAWS[structure]
+        self._from_z = [(n, TRANSFORMS[n].from_z) for n in self._law.names]
+        self._u = list(self.x[design.m_beta + design.m_alpha:].reshape(self._law.k, design.q))
+        self._data = None  # (values of L's parameters, data part at them)
 
     def _data_part(self, disp):
-        """(ell1 sum, penalty-free curvature, v_beta, v_alpha) at x.
+        """(ell1 sum, penalty-free curvature) at x.
 
-        Kept for the last phi evaluated; a phi whose evaluation raises
-        leaves the kept one in place.
+        Kept for the last values of L's parameters evaluated; values whose
+        evaluation raises leave the kept ones in place.
         """
-        phi = disp.get("phi")
-        if self._data is None or self._data[0] != phi:
+        key = tuple([disp[n] for n in self._law.loading_names])
+        if self._data is None or self._data[0] != key:
             ev = Evaluator(self.family, self.design,
                            FrailtySpec(structure=self.structure, **disp))
             ell1_sum = ev.h_parts(self.x).ell1_sum
-            H_data = ev.information(self.x, penalty=False)
-            _, _, vb, va = _unpack_full(ev, self.x)
-            self._data = (phi, (ell1_sum, H_data, vb, va))
+            self._data = (key, (ell1_sum, ev.information(self.x, penalty=False)))
         return self._data[1]
 
     def profile(self, z):
-        """p at transformed dispersion z with (theta, v) fixed; None on failure."""
+        """p at transformed dispersion z with (theta, u) fixed; None on failure."""
         self.n_eval += 1
-        disp = dict(zip(self._names, back_transform_dispersion(self.structure, z)))
+        disp = {n: from_z(v) for (n, from_z), v in zip(self._from_z, z)}
         if not all(math.isfinite(v) for v in disp.values()):
             return None  # outside the domain of FrailtySpec
         try:
-            ell1_sum, H_data, vb, va = self._data_part(disp)
-            hval = ell1_sum + _ell2_total(self.structure, disp, self.design.q, vb, va)
-            logdet = logdet_pd(H_data, _penalty_block(self.structure, disp))
+            ell1_sum, H_data = self._data_part(disp)
+            sig, rho = self._law.sigma(disp)
+            hval = ell1_sum + _ell2_total(sig, rho, self.design.q, self._u)
+            logdet = logdet_pd(H_data, _penalty_block(sig, rho))
             p = hval - 0.5 * (logdet - H_data.dim * LOG_2PI)
         except (MPRFrailtyError, ValueError):
             return None
@@ -300,8 +246,7 @@ class OuterResult:
     gradient_converged: bool
 
 
-def outer_dispersion(family, design, structure, z0, settings, x_fixed,
-                     effort="tight"):
+def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
     """One dispersion update: maximize the adjusted profile likelihood.
 
     ``z0`` is the starting point on the transformed scale and ``x_fixed``
@@ -511,18 +456,11 @@ def _num_hessian(f, z, step=1e-4):
 
 def _dispersion_jacobian(structure, values):
     """d(natural)/d(transformed), diagonal by construction."""
-    if structure in (SCF, SHF):
-        return np.array([values[0]])
-    if structure == IF:
-        return np.array([values[0], values[1]])
-    if structure == CF:
-        return np.array([values[0], 1.0])
-    if structure == BVNF:
-        return np.array([values[0], values[1], 1.0 - values[2] ** 2])
-    return np.empty(0)
+    names = FRAILTY_LAWS[structure].names
+    return np.array([TRANSFORMS[n].jacobian(v) for n, v in zip(names, values)])
 
 
-def _initial_theta(family, design, settings):
+def _initial_theta(design, settings):
     """Fixed-effects Weibull fit from 0.01 starts, seeding the main fit."""
     nf = FrailtySpec(NF)
     ev = Evaluator(WEIBULL, design, nf)
@@ -562,34 +500,32 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         if theta0.shape != (design.m_beta + design.m_alpha,):
             raise ValueError("theta_init length does not match the design")
     else:
-        init_res = _initial_theta(family, design, settings)
+        init_res = _initial_theta(design, settings)
         inner_total += init_res.iterations
         theta0 = np.concatenate([init_res.beta, init_res.alpha])
 
-    if structure == NF:
-        spec = FrailtySpec(NF)
+    names = FRAILTY_LAWS[structure].names
+    if not names:
+        # no frailty: one Newton solve, nothing to alternate with
+        spec = FrailtySpec(structure)
         ev = Evaluator(family, design, spec)
         res = _newton(ev, theta0.copy(), settings)
         inner_total += res.iterations
         logdet = logdet_pd(res.H)
         profile = res.h - 0.5 * (logdet - ev.layout.dim * LOG_2PI)
         return _assemble_fit(
-            family, design, spec, res, profile, None, settings,
+            family, design, spec, res, profile, None,
             converged=True,
             iterations={"outer": 0, "inner_total": inner_total},
             fit_warnings=fit_warnings,
         )
 
-    z = transform_dispersion(structure, _START_DISPERSION[structure])
+    z = transform_dispersion(structure, [_START_DISPERSION] * len(names))
     spec = _spec_with_z(structure, z)
 
     ev = Evaluator(family, design, spec)
-    x = ev.layout.pack(
-        theta0[: design.m_beta],
-        theta0[design.m_beta:],
-        np.full(design.q, 0.01) if ev.layout.has_vb else None,
-        np.full(design.q, 0.01) if ev.layout.has_va else None,
-    )
+    start_v = np.full(design.q, 0.01)
+    x = ev.layout.pack(theta0[: design.m_beta], theta0[design.m_beta:], start_v, start_v)
 
     converged = False
     monotone = True
@@ -606,8 +542,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         # Step 2: dispersion at fixed (theta, v); cheap while the
         # alternation is still moving, full precision near the fixed point
         effort = "tight" if last_change < 1e-3 else "loose"
-        outer = outer_dispersion(family, design, structure, z, settings, x,
-                                 effort=effort)
+        outer = outer_dispersion(family, design, structure, z, x, effort=effort)
         z_out = outer.z
         estimates = np.concatenate([x, back_transform_dispersion(structure, z_out)])
         if prev_estimates is not None:
@@ -653,7 +588,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         fit_warnings.append("inner step-halving accepted a non-increasing step")
 
     values = back_transform_dispersion(structure, z)
-    for name, value in zip(spec.dispersion_names(), values):
+    for name, value in zip(names, values):
         if name.startswith("sigma") and value < SIGMA_BOUNDARY:
             fit_warnings.append(
                 f"{name} collapsed to the boundary ({value:.2e}); consider the "
@@ -665,8 +600,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
             )
 
     return _assemble_fit(
-        family, design, spec, final, profile_loglik,
-        (structure, z, final.x), settings,
+        family, design, spec, final, profile_loglik, (structure, z, final.x),
         converged=converged,
         iterations={"outer": outer_it, "inner_total": inner_total},
         fit_warnings=fit_warnings,
@@ -674,7 +608,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
 
 
 def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
-                  settings, converged, iterations, fit_warnings):
+                  converged, iterations, fit_warnings):
     H = inner.H
     lay = H.layout
     try:
@@ -696,18 +630,16 @@ def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
 
     se_beta = se_all[lay.sl_beta]
     se_alpha = se_all[lay.sl_alpha]
-    se_v_beta = se_all[lay.sl_vb] if lay.has_vb else None
-    se_v_alpha = se_all[lay.sl_va] if lay.has_va else None
-    if spec.structure == CF:
-        se_v_alpha = abs(spec.phi) * se_v_beta
+    # v_r = L[r, j] u_j for the one non-zero entry of each row of L
+    se_u = [se_all[lay.block(j)] for j in range(lay.k)]
+    dispersion = spec.dispersion()
+    se_v_beta, se_v_alpha = (combine([abs(w) for w in row], se_u.__getitem__)
+                             for row in spec.law.loading_at(dispersion))
 
     # conditional effective degrees of freedom: trace(H^-1 H*)
     df_c = H.df_c(v_blocks)
 
-    dispersion = _dispersion(spec)
-    se_dispersion = _dispersion_se(
-        family, design, spec, outer_state, settings, fit_warnings
-    )
+    se_dispersion = _dispersion_se(family, design, spec, outer_state, fit_warnings)
 
     modes, binary = _empirical_modes(design)
     return ModelFit(
@@ -741,7 +673,7 @@ def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
     )
 
 
-def _dispersion_se(family, design, spec, outer_state, settings, fit_warnings):
+def _dispersion_se(family, design, spec, outer_state, fit_warnings):
     """Delta-method standard errors for the dispersion estimates.
 
     The curvature of the adjusted profile likelihood is measured on the

@@ -18,12 +18,13 @@ at different parameter points is safe.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .baselines import GOMPERTZ, WEIBULL, normalize_family
-from .data import BVNF, CF, IF, NF, SCF, SHF, LINPRED_MAX, expand_random_effects
+from .baselines import BASELINES, normalize_family
+from .data import LINPRED_MAX, combine, expand_random_effects
 from .errors import CurvatureError, DivergedIterateError, DomainError, EvaluationError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -40,32 +41,34 @@ class HlikValue:
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Index layout of the stacked (theta, v) parameter vector.
+    """Index layout of the stacked (theta, u) parameter vector.
 
-    Order is [beta, alpha, v_beta block, v_alpha block]; a block is
-    present only when the structure treats it as free (under CF the
-    shape effects are phi * v_beta, so only the v_beta block appears).
+    Order is [beta, alpha, u_1, ..., u_k]: the fixed effects, then one
+    block of q per free frailty component of the structure's law.  Block
+    j holds the frailty ``free[j]`` (0: v_beta, 1: v_alpha); a frailty
+    derived from the others (v_alpha = phi * v_beta under CF) has none.
     """
 
     m_beta: int
     m_alpha: int
     q: int
-    has_vb: bool
-    has_va: bool
+    free: tuple
 
     @classmethod
     def for_spec(cls, design, spec):
-        return cls(
-            m_beta=design.m_beta,
-            m_alpha=design.m_alpha,
-            q=design.q,
-            has_vb=spec.has_scale_frailty,
-            has_va=spec.has_shape_frailty,
-        )
+        return cls(design.m_beta, design.m_alpha, design.q, spec.law.free)
 
-    @property
+    @cached_property
+    def m(self):
+        return self.m_beta + self.m_alpha
+
+    @cached_property
+    def k(self):
+        return len(self.free)
+
+    @cached_property
     def dim(self):
-        return self.m_beta + self.m_alpha + self.q * (self.has_vb + self.has_va)
+        return self.m + self.q * self.k
 
     @property
     def sl_beta(self):
@@ -73,94 +76,68 @@ class ParamLayout:
 
     @property
     def sl_alpha(self):
-        return slice(self.m_beta, self.m_beta + self.m_alpha)
+        return slice(self.m_beta, self.m)
 
-    @property
-    def sl_vb(self):
-        if not self.has_vb:
-            return None
-        start = self.m_beta + self.m_alpha
-        return slice(start, start + self.q)
-
-    @property
-    def sl_va(self):
-        if not self.has_va:
-            return None
-        start = self.m_beta + self.m_alpha + (self.q if self.has_vb else 0)
+    def block(self, j):
+        """Slice of free frailty block j."""
+        start = self.m + j * self.q
         return slice(start, start + self.q)
 
     def pack(self, beta, alpha, v_beta=None, v_alpha=None):
         x = np.empty(self.dim)
         x[self.sl_beta] = beta
         x[self.sl_alpha] = alpha
-        if self.has_vb:
-            x[self.sl_vb] = 0.0 if v_beta is None else v_beta
-        if self.has_va:
-            x[self.sl_va] = 0.0 if v_alpha is None else v_alpha
+        for j, r in enumerate(self.free):
+            v = (v_beta, v_alpha)[r]
+            x[self.block(j)] = 0.0 if v is None else v
         return x
 
     def unpack(self, x):
-        beta = x[self.sl_beta]
-        alpha = x[self.sl_alpha]
-        vb = x[self.sl_vb] if self.has_vb else None
-        va = x[self.sl_va] if self.has_va else None
-        return beta, alpha, vb, va
+        """(beta, alpha, u) with u the k x q free frailty blocks, as views of x."""
+        return x[self.sl_beta], x[self.sl_alpha], x[self.m:].reshape(self.k, self.q)
 
 
-def _baseline_terms(family, s):
-    """(Lambda0, lambda0, lambda0', lambda0'', log lambda0) at s = t**gamma."""
-    if family == WEIBULL:
-        one = np.ones_like(s)
-        zero = np.zeros_like(s)
-        return s, one, zero, zero, zero
-    if family == GOMPERTZ:
-        lam = np.exp(s)
-        return np.expm1(s), lam, lam, lam, s
-    inv = 1.0 / (1.0 + s)
-    return np.log1p(s), inv, -inv * inv, 2.0 * inv**3, -np.log1p(s)
+# The closed forms below take Sigma as (standard deviations, correlation),
+# see FrailtyLaw.sigma.
 
 
-def _ell2_total(structure, disp, q, vb, va):
-    """sum_i ell2_i: total frailty log-density under the structure.
-
-    ``disp`` maps the structure's dispersion names to their values, as
-    ``ModelFit.dispersion`` does.
-    """
-    if structure == NF:
+def _ell2_total(sig, rho, q, u):
+    """sum_i ell2_i: total log-density of the free frailty components u (k x q)."""
+    if not sig:
         return 0.0
-    if structure in (SCF, CF):
-        sb = disp["sigma_beta"]
-        return float(-q * (0.5 * LOG_2PI + math.log(sb)) - 0.5 * np.sum(vb**2) / sb**2)
-    if structure == SHF:
-        sa = disp["sigma_alpha"]
-        return float(-q * (0.5 * LOG_2PI + math.log(sa)) - 0.5 * np.sum(va**2) / sa**2)
-    sb, sa = disp["sigma_beta"], disp["sigma_alpha"]
-    rho = 0.0 if structure == IF else disp["rho"]
+    if len(sig) == 1:
+        s = sig[0]
+        return float(-q * (0.5 * LOG_2PI + math.log(s)) - 0.5 * np.sum(u[0]**2) / s**2)
+    sb, sa = sig
     omr = 1.0 - rho * rho
     const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
-    ub, ua = vb / sb, va / sa
+    ub, ua = u[0] / sb, u[1] / sa
     quad = (ub**2 + ua**2 - 2.0 * rho * ub * ua).sum()
     return float(const - 0.5 * quad / omr)
 
 
-def _penalty_block(structure, disp):
-    """Frailty precision P: the k x k block that -ell2 adds to every D_i."""
-    if structure in (SCF, CF):
-        return np.array([[1.0 / disp["sigma_beta"]**2]])
-    if structure == SHF:
-        return np.array([[1.0 / disp["sigma_alpha"]**2]])
-    if structure in (IF, BVNF):
-        sb, sa = disp["sigma_beta"], disp["sigma_alpha"]
-        rho = 0.0 if structure == IF else disp["rho"]
-        c = 1.0 / (1.0 - rho * rho)
-        cross = -c * rho / (sb * sa)
-        return np.array([[c / sb**2, cross], [cross, c / sa**2]])
-    return np.zeros((0, 0))
+def _penalty_block(sig, rho):
+    """Frailty precision P = Sigma^-1: the k x k block that -ell2 adds to every D_i."""
+    if not sig:
+        return np.zeros((0, 0))
+    if len(sig) == 1:
+        return np.array([[1.0 / sig[0]**2]])
+    sb, sa = sig
+    c = 1.0 / (1.0 - rho * rho)
+    cross = -c * rho / (sb * sa)
+    return np.array([[c / sb**2, cross], [cross, c / sa**2]])
 
 
-def _dispersion(spec):
-    """The dispersion of ``spec`` as a name -> value mapping."""
-    return dict(zip(spec.dispersion_names(), spec.dispersion_values()))
+def _penalty_score(sig, rho, u):
+    """Gradient of -ell2 w.r.t. each free component, as a list of k vectors."""
+    if not sig:
+        return []
+    if len(sig) == 1:
+        return [u[0] / sig[0]**2]
+    sb, sa = sig
+    vb, va = u
+    c = 1.0 / (1.0 - rho * rho)
+    return [c * (vb / sb**2 - rho * va / (sb * sa)), c * (va / sa**2 - rho * vb / (sb * sa))]
 
 
 # Up to this many (theta, v) coordinates a curvature is factored as one dense
@@ -217,10 +194,9 @@ class Curvature:
     Each cluster's frailties enter h only through theta and themselves, so
     H is an m x m fixed-effect block A, a border B and q independent k x k
     blocks D_i, one per cluster (k <= 2 free frailty components).
-    ``B[j]`` (m x q) is the border of component j (v_beta first, then
-    v_alpha), ``D[j, l]`` (length q) holds entry (j, l) of every D_i, and
-    ``P`` is the k x k frailty precision included in each D_i (zero
-    without the penalty).
+    ``B[j]`` (m x q) is the border of component j, ``D[j, l]`` (length
+    q) holds entry (j, l) of every D_i, and ``P`` is the k x k frailty
+    precision included in each D_i (zero without the penalty).
 
     The log-determinant, Newton solve and inverse blocks go through the
     Schur complement S = A - B D^-1 B' with closed-form D_i^-1: O(q m^2 k
@@ -244,7 +220,7 @@ class Curvature:
         return self.dim <= DENSE_MAX_DIM
 
     def _v_slices(self):
-        return [sl for sl in (self.layout.sl_vb, self.layout.sl_va) if sl is not None]
+        return [self.layout.block(j) for j in range(self.layout.k)]
 
     def to_dense(self):
         """The full symmetric matrix in :class:`ParamLayout` order."""
@@ -393,85 +369,80 @@ class Evaluator:
 
     Operates on the stacked parameter vector of :class:`ParamLayout`,
     which is what the Newton solver iterates on.  Dispersion parameters
-    live in ``spec`` and are fixed for the lifetime of the object.
+    live in ``spec`` and are fixed for the lifetime of the object; the
+    frailties enter through the structure's law v = L u (see
+    :class:`~mprfrailty.data.FrailtyLaw`).
     """
 
     def __init__(self, family, design, spec):
         self.family = normalize_family(family)
         self.design = design
         self.spec = spec
-        self._disp = _dispersion(spec)
+        self._base = BASELINES[self.family]
+        self._law = spec.law
+        disp = spec.dispersion()
+        self._L = self._law.loading_at(disp)
+        self._sigma = self._law.sigma(disp)
+        # the columns of L and, for each entry (i, j) of L' D_v L, the weights
+        # of the D_v entries (0, 0), (0, 1) and (1, 1) in it
+        self._cols = [tuple(row[j] for row in self._L) for j in range(self._law.k)]
+        self._d_weights = [
+            (i, j, (ci[0] * cj[0], ci[0] * cj[1] + ci[1] * cj[0], ci[1] * cj[1]))
+            for j, cj in enumerate(self._cols) for i, ci in enumerate(self._cols[:j + 1])]
         self.layout = ParamLayout.for_spec(design, spec)
-        if self.family == GOMPERTZ:
-            # exp(s) in the hazard overflows beyond this
-            self._max_glogt = math.log(700.0)
-        else:
-            self._max_glogt = LINPRED_MAX
+        # s = exp(glogt) must stay inside the family's domain and finite
+        self._max_glogt = min(math.log(self._base.max_s), LINPRED_MAX)
 
     # -- parameter expansion -------------------------------------------------
 
+    def _frailties(self, u):
+        """(v_beta, v_alpha) = L u; None for a frailty the structure holds at zero."""
+        return [combine(row, u.__getitem__) for row in self._L]
+
+    def unpack(self, x):
+        """(beta, alpha, v_beta, v_alpha) at x as new arrays, zeros for an absent frailty."""
+        beta, alpha, u = self.layout.unpack(x)
+        v = [np.zeros(self.design.q) if w is None else np.array(w)
+             for w in self._frailties(u)]
+        return np.array(beta), np.array(alpha), v[0], v[1]
+
     def _predictors(self, x):
         d = self.design
-        beta, alpha, vb_free, va_free = self.layout.unpack(x)
+        beta, alpha, u = self.layout.unpack(x)
         idx = d.cluster_index
         lp_b = d.X_beta @ beta
         lp_a = d.X_alpha @ alpha
-        vb = vb_free if vb_free is not None else np.zeros(d.q)
-        if self.spec.structure == CF:
-            va = self.spec.phi * vb
-        elif va_free is not None:
-            va = va_free
-        else:
-            va = np.zeros(d.q)
-        lp_b = lp_b + vb[idx]
-        lp_a = lp_a + va[idx]
+        vb, va = self._frailties(u)
+        if vb is not None:
+            lp_b = lp_b + vb[idx]
+        if va is not None:
+            lp_a = lp_a + va[idx]
         if np.any(np.abs(lp_b) > LINPRED_MAX) or np.any(np.abs(lp_a) > LINPRED_MAX):
             raise DivergedIterateError("linear predictor overflow; damp the step")
-        glogt = np.exp(lp_a) * d.log_time
+        gamma = np.exp(lp_a)
+        glogt = gamma * d.log_time
         if np.any(glogt > self._max_glogt):
             raise DivergedIterateError("transformed time overflow; damp the step")
         tau = np.exp(lp_b)
-        gamma = np.exp(lp_a)
         s = np.exp(glogt)
-        return tau, gamma, s, glogt, vb, va
-
-    # -- frailty log-density and its derivatives ------------------------------
-
-    def _ell2(self, vb, va):
-        return _ell2_total(self.spec.structure, self._disp, self.design.q, vb, va)
-
-    def _penalty_score(self, vb, va):
-        """(U_vbeta, U_valpha): gradients of -ell2 w.r.t. the free blocks."""
-        spec = self.spec
-        st = spec.structure
-        if st in (SCF, CF):
-            return vb / spec.sigma_beta**2, None
-        if st == SHF:
-            return None, va / spec.sigma_alpha**2
-        if st in (IF, BVNF):
-            sb, sa = spec.sigma_beta, spec.sigma_alpha
-            rho = 0.0 if st == IF else spec.rho
-            c = 1.0 / (1.0 - rho * rho)
-            u_vb = c * (vb / sb**2 - rho * va / (sb * sa))
-            u_va = c * (va / sa**2 - rho * vb / (sb * sa))
-            return u_vb, u_va
-        return None, None
+        return tau, gamma, s, glogt, u
 
     # -- record-level likelihood terms ----------------------------------------
 
     def _ell1_vec(self, tau, gamma, s, glogt):
         d = self.design
-        Lam0, _, _, _, log_lam0 = _baseline_terms(self.family, s)
         return (
-            d.status * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * d.log_time + log_lam0)
-            - tau * Lam0
+            d.status * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * d.log_time
+                        + self._base.log_hazard(s))
+            - tau * self._base.cumhaz(s)
         )
 
     def _record_terms(self, tau, gamma, s, glogt):
         """U vectors and information weights, all length n."""
         d = self.design
         delta = d.status
-        Lam0, lam0, dlam0, d2lam0, _ = _baseline_terms(self.family, s)
+        Lam0 = self._base.cumhaz(s)
+        lam0, dlam0, d2lam0 = self._base.hazard(s)
         a = dlam0 / lam0
         s_lam0 = s * lam0
         tau_Lam0 = tau * Lam0
@@ -500,81 +471,66 @@ class Evaluator:
     # -- public evaluations ------------------------------------------------------
 
     def h_parts(self, x):
-        tau, gamma, s, glogt, vb, va = self._predictors(x)
+        tau, gamma, s, glogt, u = self._predictors(x)
         ell1 = self._ell1_vec(tau, gamma, s, glogt)
         ell1_sum = float(np.sum(ell1))
         if not np.isfinite(ell1_sum):
             bad = int(np.argmax(~np.isfinite(ell1)))
             raise EvaluationError("non-finite conditional log-likelihood", index=bad)
-        ell2_sum = self._ell2(vb, va)
+        ell2_sum = _ell2_total(*self._sigma, self.design.q, u)
         return HlikValue(h=ell1_sum + ell2_sum, ell1_sum=ell1_sum, ell2_sum=ell2_sum)
 
     def h(self, x):
         return self.h_parts(x).h
 
     def score(self, x):
-        tau, gamma, s, glogt, vb, va = self._predictors(x)
+        tau, gamma, s, glogt, u = self._predictors(x)
         u_beta, u_alpha, *_ = self._record_terms(tau, gamma, s, glogt)
-        return self._assemble_score(u_beta, u_alpha, vb, va)
+        return self._assemble_score(u_beta, u_alpha, u)
 
-    def _assemble_score(self, u_beta, u_alpha, vb, va):
-        d, lay, spec = self.design, self.layout, self.spec
+    def _assemble_score(self, u_beta, u_alpha, u):
+        # the frailty block is L' (Z'U_beta, Z'U_alpha) minus the penalty score
+        d, lay = self.design, self.layout
         g = np.empty(lay.dim)
         g[lay.sl_beta] = d.X_beta.T @ u_beta
         g[lay.sl_alpha] = d.X_alpha.T @ u_alpha
-        u_vb, u_va = self._penalty_score(vb, va)
-        if spec.structure == CF:
-            g[lay.sl_vb] = self._csum(u_beta) + spec.phi * self._csum(u_alpha) - u_vb
-        else:
-            if lay.has_vb:
-                g[lay.sl_vb] = self._csum(u_beta) - u_vb
-            if lay.has_va:
-                g[lay.sl_va] = self._csum(u_alpha) - u_va
+        U = (u_beta, u_alpha)
+        pen = _penalty_score(*self._sigma, u)
+        for j, col in enumerate(self._cols):
+            g[lay.block(j)] = combine(col, lambda r: self._csum(U[r])) - pen[j]
         if not np.all(np.isfinite(g)):
             raise EvaluationError("non-finite score entry")
         return g
 
     def information(self, x, penalty=True):
-        tau, gamma, s, glogt, vb, va = self._predictors(x)
+        tau, gamma, s, glogt, _ = self._predictors(x)
         _, _, w_beta, w_alpha, w_ba = self._record_terms(tau, gamma, s, glogt)
         return self._assemble_information(w_beta, w_alpha, w_ba, penalty)
 
     def _assemble_information(self, w_beta, w_alpha, w_ba, penalty):
-        d, lay, spec = self.design, self.layout, self.spec
+        # with the information of (theta, v) written [[A, B_v], [B_v', D_v]],
+        # that of (theta, u) has border B_v L and frailty blocks L' D_v L + P
+        d, lay = self.design, self.layout
         Xb, Xa = d.X_beta, d.X_alpha
         m_b = lay.m_beta
-        A = np.empty((m_b + lay.m_alpha,) * 2)
+        A = np.empty((lay.m,) * 2)
         A[:m_b, :m_b] = (Xb * w_beta[:, None]).T @ Xb
         A[:m_b, m_b:] = (Xb * w_ba[:, None]).T @ Xa
         A[m_b:, :m_b] = A[:m_b, m_b:].T
         A[m_b:, m_b:] = (Xa * w_alpha[:, None]).T @ Xa
 
-        k = lay.has_vb + lay.has_va
-        B = np.empty((k, A.shape[0], d.q))
+        k = lay.k
+        B = np.empty((k, lay.m, d.q))
         D = np.empty((k, k, d.q))
-        P = _penalty_block(spec.structure, self._disp) if penalty else np.zeros((k, k))
-
-        if spec.structure == CF:
-            phi = spec.phi
-            B[0, :m_b] = self._csum_cols(w_beta, Xb) + phi * self._csum_cols(w_ba, Xb)
-            B[0, m_b:] = self._csum_cols(w_ba, Xa) + phi * self._csum_cols(w_alpha, Xa)
-            D[0, 0] = (
-                self._csum(w_beta)
-                + 2.0 * phi * self._csum(w_ba)
-                + phi * phi * self._csum(w_alpha)
-                + P[0, 0]
-            )
-        else:
-            # component j of B and D: v_beta first, then v_alpha; each is
-            # (weight on X_beta, weight on X_alpha, weight on D_jj)
-            comps = ([(w_beta, w_ba, w_beta)] if lay.has_vb else []) + (
-                [(w_ba, w_alpha, w_alpha)] if lay.has_va else [])
-            for j, (wb, wa, wd) in enumerate(comps):
-                B[j, :m_b] = self._csum_cols(wb, Xb)
-                B[j, m_b:] = self._csum_cols(wa, Xa)
-                D[j, j] = self._csum(wd) + P[j, j]
-            if k == 2:
-                D[0, 1] = D[1, 0] = self._csum(w_ba) + P[0, 1]
+        P = _penalty_block(*self._sigma) if penalty else np.zeros((k, k))
+        # record weights between frailty r and the covariates of the scale
+        # (W_b[r]) and shape (W_a[r]) components, and of D_v's entries
+        W_b, W_a, W_d = (w_beta, w_ba), (w_ba, w_alpha), (w_beta, w_ba, w_alpha)
+        for j, col in enumerate(self._cols):
+            B[j, :m_b] = combine(col, lambda r: self._csum_cols(W_b[r], Xb))
+            B[j, m_b:] = combine(col, lambda r: self._csum_cols(W_a[r], Xa))
+        for i, j, weights in self._d_weights:
+            D[i, j] = D[j, i] = combine(weights, lambda e: self._csum(W_d[e])) + P[i, j]
 
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))
                 and np.all(np.isfinite(D))):
@@ -583,16 +539,16 @@ class Evaluator:
 
     def h_score_info(self, x):
         """One-pass (HlikValue, score, information) sharing the record terms."""
-        tau, gamma, s, glogt, vb, va = self._predictors(x)
+        tau, gamma, s, glogt, u = self._predictors(x)
         ell1 = self._ell1_vec(tau, gamma, s, glogt)
         ell1_sum = float(np.sum(ell1))
         if not np.isfinite(ell1_sum):
             bad = int(np.argmax(~np.isfinite(ell1)))
             raise EvaluationError("non-finite conditional log-likelihood", index=bad)
-        ell2_sum = self._ell2(vb, va)
+        ell2_sum = _ell2_total(*self._sigma, self.design.q, u)
         parts = HlikValue(h=ell1_sum + ell2_sum, ell1_sum=ell1_sum, ell2_sum=ell2_sum)
         u_beta, u_alpha, w_beta, w_alpha, w_ba = self._record_terms(tau, gamma, s, glogt)
-        g = self._assemble_score(u_beta, u_alpha, vb, va)
+        g = self._assemble_score(u_beta, u_alpha, u)
         H = self._assemble_information(w_beta, w_alpha, w_ba, penalty=True)
         return parts, g, H
 
@@ -603,13 +559,7 @@ class Evaluator:
 def _as_packed(design, spec, beta, alpha, v_beta, v_alpha):
     vb, va = expand_random_effects(spec, design.q, v_beta, v_alpha)
     lay = ParamLayout.for_spec(design, spec)
-    x = lay.pack(
-        np.asarray(beta, dtype=float),
-        np.asarray(alpha, dtype=float),
-        vb if lay.has_vb else None,
-        va if lay.has_va else None,
-    )
-    return lay, x
+    return lay, lay.pack(np.asarray(beta, dtype=float), np.asarray(alpha, dtype=float), vb, va)
 
 
 def cond_loglik(family, time, status, tau, gamma):
@@ -631,8 +581,9 @@ def cond_loglik(family, time, status, tau, gamma):
         raise DomainError("tau and gamma must be positive")
     logt = np.log(t)
     s = np.exp(gamma * logt)
-    Lam0, _, _, _, log_lam0 = _baseline_terms(family, s)
-    out = delta * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * logt + log_lam0) - tau * Lam0
+    base = BASELINES[family]
+    out = (delta * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * logt + base.log_hazard(s))
+           - tau * base.cumhaz(s))
     if not np.all(np.isfinite(out)):
         bad = int(np.argmax(~np.isfinite(np.atleast_1d(out))))
         raise EvaluationError("non-finite conditional log-likelihood", index=bad)
@@ -648,8 +599,9 @@ def frailty_logdensity(spec, v_beta=None, v_alpha=None, q=None):
                 break
         else:
             raise DomainError("q cannot be inferred; pass q or a frailty vector")
-    vb, va = expand_random_effects(spec, q, v_beta, v_alpha)
-    return _ell2_total(spec.structure, _dispersion(spec), q, vb, va)
+    v = expand_random_effects(spec, q, v_beta, v_alpha)
+    return _ell2_total(*spec.law.sigma(spec.dispersion()), q,
+                       [v[r] for r in spec.law.free])
 
 
 def h_loglik(family, design, spec, beta, alpha, v_beta=None, v_alpha=None):

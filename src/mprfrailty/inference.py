@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import WEIBULL, normalize_family
-from .data import BVNF, CF, IF, SCF, SHF
+from .baselines import BASELINES, WEIBULL, normalize_family
+from .data import FRAILTY_LAWS
 from .errors import BootstrapError, DomainError, MPRFrailtyError, StructureError
-from .hlik import _baseline_terms
 
 
 class UnsupportedCovariateError(MPRFrailtyError, ValueError):
@@ -106,7 +105,7 @@ def _hr_values(family, times, beta, alpha, k_scale, k_shape, x_scale, x_shape):
         tau = np.exp(xs @ beta)
         gamma = np.exp(xa @ alpha)
         s = times**gamma
-        _, lam0, _, _, _ = _baseline_terms(family, s)
+        lam0 = BASELINES[family].hazard(s)[0]
         return tau * gamma * times ** (gamma - 1.0) * lam0
 
     return hazard(x_scale1, x_shape1) / hazard(x_scale, x_shape)
@@ -187,10 +186,6 @@ def bootstrap_hr_ci(fit, covariate, times, n_boot=1000, seed=0, threads=1,
     )
 
 
-_SCALE_PRESENT = (SCF, IF, CF, BVNF)
-_SHAPE_PRESENT = (SHF, IF, CF, BVNF)
-
-
 def frailty_estimates(fit, component):
     """Per-cluster frailty estimates with 95% intervals, small clusters first.
 
@@ -200,19 +195,12 @@ def frailty_estimates(fit, component):
     """
     if component not in ("scale", "shape"):
         raise DomainError("component must be 'scale' or 'shape'")
-    structure = fit.structure
-    if component == "scale":
-        if structure not in _SCALE_PRESENT:
-            raise StructureError(
-                f"scale frailty is structurally absent under {structure}"
-            )
-        est, se = fit.v_beta, fit.se_v_beta
-    else:
-        if structure not in _SHAPE_PRESENT:
-            raise StructureError(
-                f"shape frailty is structurally absent under {structure}"
-            )
-        est, se = fit.v_alpha, fit.se_v_alpha
+    r = ("scale", "shape").index(component)
+    if not FRAILTY_LAWS[fit.structure].present(r):
+        raise StructureError(
+            f"{component} frailty is structurally absent under {fit.structure}"
+        )
+    est, se = ((fit.v_beta, fit.se_v_beta), (fit.v_alpha, fit.se_v_alpha))[r]
     if se is None:
         raise StructureError(f"standard errors for {component} frailty missing")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mprfrailty
 from mprfrailty import (
     Dataset,
     DataError,
@@ -9,11 +10,17 @@ from mprfrailty import (
     FrailtySpec,
     StructureError,
     build_design,
-    linear_predictors,
 )
 from mprfrailty.data import expand_random_effects
+from mprfrailty.hlik import Evaluator
 
 from .conftest import small_weibull_dataset
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from mprfrailty import *", namespace)
+    assert set(mprfrailty.__all__) <= set(namespace)
 
 
 def toy_dataset():
@@ -56,35 +63,6 @@ class TestFrailtySpec:
         spec = FrailtySpec("IF", sigma_beta=1.0, sigma_alpha=1.0)
         spec2 = spec.with_dispersion((2.0, 0.5))
         assert spec2.sigma_beta == 2.0 and spec2.sigma_alpha == 0.5
-
-
-class TestSurvivalRecord:
-    def test_valid_record(self):
-        from mprfrailty import SurvivalRecord
-
-        r = SurvivalRecord(cluster="A", time=1.5, status=1, covariates=(0.2,))
-        assert r.time == 1.5
-
-    def test_invalid_records(self):
-        from mprfrailty import SurvivalRecord
-
-        with pytest.raises(DataError):
-            SurvivalRecord(cluster="A", time=0.0, status=1, covariates=())
-        with pytest.raises(DataError):
-            SurvivalRecord(cluster="A", time=1.0, status=2, covariates=())
-
-    def test_from_records_round_trip(self):
-        from mprfrailty import SurvivalRecord
-
-        records = [
-            SurvivalRecord("A", 1.0, 1, (0.1,)),
-            SurvivalRecord("A", 2.0, 0, (0.2,)),
-            SurvivalRecord("B", 0.5, 1, (-0.3,)),
-        ]
-        ds = Dataset.from_records(records, ["age"])
-        assert ds.n == 3
-        assert ds.cluster_labels() == ["A", "B"]
-        assert ds.covariates[:, 0].tolist() == [0.1, 0.2, -0.3]
 
 
 class TestDataset:
@@ -147,7 +125,7 @@ class TestReadCsv(object):
 class TestBuildDesign:
     def test_incidence_matrix(self):
         design = build_design(toy_dataset())
-        assert design.Z.tolist() == [[1, 0], [1, 0], [0, 1]]
+        assert design.cluster_index.tolist() == [0, 0, 1]
         assert design.cluster_sizes.tolist() == [2, 1]
 
     def test_intercept_prepended(self):
@@ -159,7 +137,9 @@ class TestBuildDesign:
     def test_column_sums_equal_cluster_sizes(self):
         ds = small_weibull_dataset(q=4, n_i=3)
         design = build_design(ds)
-        assert np.all(design.Z.sum(axis=0) == design.cluster_sizes)
+        assert np.all(np.bincount(design.cluster_index, minlength=design.q)
+                      == design.cluster_sizes)
+        assert design.cluster_sizes.sum() == design.n
 
     def test_separate_covariate_lists(self):
         ds = small_weibull_dataset(p=2)
@@ -198,7 +178,16 @@ class TestBuildDesign:
         )
         design = build_design(ds)
         assert design.X_beta.shape == (579, 6)
-        assert design.Z.shape == (579, 31)
+        assert design.cluster_index.shape == (579,) and design.q == 31
+        assert np.array_equal(np.unique(design.cluster_index), np.arange(31))
+
+
+def linear_predictors(design, beta, alpha, v_beta=None, v_alpha=None):
+    """(tau, gamma) per record, from the Evaluator that owns the linear predictors."""
+    spec = FrailtySpec("BVNF", sigma_beta=1.0, sigma_alpha=1.0, rho=0.0)
+    ev = Evaluator("weibull", design, spec)
+    tau, gamma, *_ = ev._predictors(ev.layout.pack(beta, alpha, v_beta, v_alpha))
+    return tau, gamma
 
 
 class TestLinearPredictors:
@@ -241,8 +230,9 @@ class TestLinearPredictors:
 
     def test_overflow_raises_diverged(self):
         design = build_design(toy_dataset())
+        ev = Evaluator("weibull", design, FrailtySpec("NF"))
         with pytest.raises(DivergedIterateError):
-            linear_predictors(design, np.array([800.0, 0.0]), np.zeros(2))
+            ev.h(ev.layout.pack(np.array([800.0, 0.0]), np.zeros(2)))
 
 
 class TestExpandRandomEffects:

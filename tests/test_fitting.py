@@ -24,6 +24,7 @@ from mprfrailty.errors import MPRFrailtyError
 from mprfrailty.fitting import (
     _OBJECTIVE_PENALTY,
     _DispersionObjective,
+    _dispersion_jacobian,
     _newton,
     _spec_with_z,
     back_transform_dispersion,
@@ -142,6 +143,26 @@ class TestOuterDispersion:
             back = back_transform_dispersion(structure, z)
             assert back == pytest.approx(values, rel=1e-12)
 
+    @pytest.mark.parametrize("structure, values", [
+        ("ScF", (0.37,)),
+        ("ShF", (1.21,)),
+        ("IF", (0.5, 2.0)),
+        ("CF", (0.8, -1.3)),
+        ("BVNF", (0.9, 0.4, 0.9)),
+        ("BVNF", (0.9, 0.4, -0.9)),
+    ])
+    def test_jacobian_matches_central_differences(self, structure, values):
+        z = transform_dispersion(structure, values)
+        step = 1e-6
+        fd = np.empty((len(z), len(z)))
+        for i in range(len(z)):
+            e = np.zeros(len(z))
+            e[i] = step
+            fd[:, i] = (np.array(back_transform_dispersion(structure, z + e))
+                        - np.array(back_transform_dispersion(structure, z - e))) / (2 * step)
+        jac = _dispersion_jacobian(structure, values)
+        assert fd == pytest.approx(np.diag(jac), rel=1e-8, abs=1e-9)
+
     def test_rho_cap(self):
         vals = back_transform_dispersion("BVNF", np.array([0.0, 0.0, 50.0]))
         assert vals[2] == pytest.approx(1.0 - 1e-6)
@@ -154,10 +175,9 @@ class TestOuterDispersion:
             "weibull", design, spec, np.full(2, 0.01), np.full(2, 0.01),
             np.full(design.q, 0.01),
         )
-        settings = FitSettings()
         z0 = transform_dispersion("ScF", (0.5,))
-        r1 = outer_dispersion("weibull", design, "ScF", z0, settings, inner.x)
-        r2 = outer_dispersion("weibull", design, "ScF", z0 + 0.05, settings, inner.x)
+        r1 = outer_dispersion("weibull", design, "ScF", z0, inner.x)
+        r2 = outer_dispersion("weibull", design, "ScF", z0 + 0.05, inner.x)
         assert r1.z == pytest.approx(r2.z, abs=1e-4)
 
 
@@ -305,8 +325,8 @@ class TestFit:
         ds = simulate_dataset(spec_sc, 2.17, np.random.default_rng(3))
         settings = FitSettings()
         design = build_design(ds)
-        init = _initial_theta("weibull", design, settings)
-        z = transform_dispersion("BVNF", _START_DISPERSION["BVNF"])
+        init = _initial_theta(design, settings)
+        z = transform_dispersion("BVNF", (_START_DISPERSION,) * 3)
         spec = _spec_with_z("BVNF", z)
         ev = Evaluator("weibull", design, spec)
         x = ev.layout.pack(init.beta, init.alpha,
@@ -318,7 +338,7 @@ class TestFit:
             profile_trace.append(
                 res.h - 0.5 * (logdet_pd(res.H) - ev.layout.dim * LOG_2PI)
             )
-            out = outer_dispersion("weibull", design, "BVNF", z, settings, x)
+            out = outer_dispersion("weibull", design, "BVNF", z, x)
             z, spec = out.z, out.spec
         assert np.all(np.diff(profile_trace) > -1e-10)
 
@@ -341,8 +361,7 @@ class TestBlockCurvatureFit:
         se_v = [s for s in (f.se_v_beta, f.se_v_alpha) if s is not None]
         assert rel_err(np.concatenate(se_v), se[m:]) < 1e-10
         lay = f.H.layout
-        x = lay.pack(f.beta, f.alpha, f.v_beta if lay.has_vb else None,
-                     f.v_alpha if lay.has_va else None)
+        x = lay.pack(f.beta, f.alpha, f.v_beta, f.v_alpha)
         ev = Evaluator("weibull", build_design(ds), f.spec)
         H_star = ev.information(x, penalty=False).to_dense()
         df_c = np.trace(np.linalg.solve(Hd, H_star))
@@ -441,7 +460,7 @@ class TestDispersionObjective:
             return SimpleNamespace(status=0)
 
         monkeypatch.setattr(scipy.optimize, "minimize", probing_minimize)
-        out = outer_dispersion("weibull", design, "BVNF", z0, FitSettings(), x)
+        out = outer_dispersion("weibull", design, "BVNF", z0, x)
         assert out.n_eval == 1 + len(trials)
         finite = [z0, trials[1], trials[2]]
         values = [-_reference_objective(design, "BVNF", x, z) for z in finite]

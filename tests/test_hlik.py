@@ -21,7 +21,14 @@ from mprfrailty import (
 )
 from mprfrailty.hlik import Curvature, Evaluator, ParamLayout, logdet_pd
 
-from ._oracles import bvn_logpdf, cond_loglik_scalar, fd_gradient, fd_jacobian, rel_err
+from ._oracles import (
+    bvn_logpdf,
+    cond_loglik_scalar,
+    fd_gradient,
+    fd_jacobian,
+    norm_logpdf,
+    rel_err,
+)
 from .conftest import spec_for
 
 STRUCTURES = ["NF", "ScF", "ShF", "IF", "CF", "BVNF"]
@@ -98,6 +105,21 @@ class TestFrailtyLogdensity:
     def test_nf_is_zero(self):
         assert frailty_logdensity(FrailtySpec("NF"), q=4) == 0.0
 
+    def test_shf_against_oracle(self):
+        spec = FrailtySpec("ShF", sigma_alpha=0.6)
+        va = np.array([0.3, -0.7, 0.1])
+        got = frailty_logdensity(spec, None, va)
+        want = sum(norm_logpdf(v, 0.6) for v in va)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_cf_against_oracle(self):
+        # v_alpha = phi * v_beta carries no density of its own
+        spec = FrailtySpec("CF", sigma_beta=0.8, phi=-1.7)
+        vb = np.array([0.2, -0.5, 0.4, 0.0])
+        got = frailty_logdensity(spec, vb, np.array([9.0, 9.0, 9.0, 9.0]))
+        want = sum(norm_logpdf(v, 0.8) for v in vb)
+        assert got == pytest.approx(want, rel=1e-13)
+
 
 class TestHLoglik:
     def test_nf_equals_plain_loglik(self, fixture_30x5):
@@ -133,8 +155,8 @@ class TestHLoglik:
             val = h_loglik(
                 "weibull", design, spec,
                 rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 3),
-                rng.uniform(-0.3, 0.3, design.q) if spec.has_scale_frailty else None,
-                rng.uniform(-0.3, 0.3, design.q) if spec.has_shape_frailty else None,
+                rng.uniform(-0.3, 0.3, design.q) if spec.law.present(0) else None,
+                rng.uniform(-0.3, 0.3, design.q) if spec.law.present(1) else None,
             )
             assert val.h == pytest.approx(val.ell1_sum + val.ell2_sum, abs=1e-12)
 
@@ -202,9 +224,9 @@ class TestInformation:
         H_pen = information("weibull", design, spec, *_split(lay, x))
         H_raw = information("weibull", design, spec, *_split(lay, x), penalty=False)
         dq = H_pen - H_raw
-        vb_block = dq[lay.sl_vb, lay.sl_vb]
-        va_block = dq[lay.sl_va, lay.sl_va]
-        cross = dq[lay.sl_vb, lay.sl_va]
+        vb_block = dq[lay.block(0), lay.block(0)]
+        va_block = dq[lay.block(1), lay.block(1)]
+        cross = dq[lay.block(0), lay.block(1)]
         assert vb_block == pytest.approx(np.eye(design.q) / 4.0)
         assert va_block == pytest.approx(np.eye(design.q) * 4.0)
         assert cross == pytest.approx(np.zeros((design.q, design.q)))
@@ -233,11 +255,16 @@ class TestInformation:
 
 
 def _split(lay, x):
-    beta = x[lay.sl_beta]
-    alpha = x[lay.sl_alpha]
-    vb = x[lay.sl_vb] if lay.has_vb else None
-    va = x[lay.sl_va] if lay.has_va else None
-    return beta, alpha, vb, va
+    beta, alpha, u = lay.unpack(x)
+    v = [None, None]
+    for j, r in enumerate(lay.free):
+        v[r] = u[j]
+    return beta, alpha, v[0], v[1]
+
+
+def _v_slice(lay, r):
+    """Slice of the frailty block of component r (0: v_beta, 1: v_alpha), if free."""
+    return lay.block(lay.free.index(r)) if r in lay.free else None
 
 
 class TestStructureNesting:
@@ -310,9 +337,10 @@ def _penalty_scalars(spec):
 
 def dense_information(ev, x, penalty):
     """The (theta, v) information written entry by entry into a dense matrix."""
-    tau, gamma, s, glogt, _, _ = ev._predictors(x)
+    tau, gamma, s, glogt, _ = ev._predictors(x)
     _, _, w_beta, w_alpha, w_ba = ev._record_terms(tau, gamma, s, glogt)
     d, lay, spec = ev.design, ev.layout, ev.spec
+    sl_vb, sl_va = _v_slice(lay, 0), _v_slice(lay, 1)
     Xb, Xa, idx, q = d.X_beta, d.X_alpha, d.cluster_index, d.q
 
     def csum(w):
@@ -332,21 +360,21 @@ def dense_information(ev, x, penalty):
         phi = spec.phi
         cols = {"beta": (csum_cols(w_beta, Xb) + phi * csum_cols(w_ba, Xb), lay.sl_beta),
                 "alpha": (csum_cols(w_ba, Xa) + phi * csum_cols(w_alpha, Xa), lay.sl_alpha)}
-        blocks = [(lay.sl_vb, cols, csum(w_beta) + 2.0 * phi * csum(w_ba)
+        blocks = [(sl_vb, cols, csum(w_beta) + 2.0 * phi * csum(w_ba)
                    + phi * phi * csum(w_alpha) + q_bb)]
     else:
         blocks = []
-        if lay.has_vb:
-            blocks.append((lay.sl_vb, {"beta": (csum_cols(w_beta, Xb), lay.sl_beta),
+        if sl_vb is not None:
+            blocks.append((sl_vb, {"beta": (csum_cols(w_beta, Xb), lay.sl_beta),
                                        "alpha": (csum_cols(w_ba, Xa), lay.sl_alpha)},
                            csum(w_beta) + q_bb))
-        if lay.has_va:
-            blocks.append((lay.sl_va, {"beta": (csum_cols(w_ba, Xb), lay.sl_beta),
+        if sl_va is not None:
+            blocks.append((sl_va, {"beta": (csum_cols(w_ba, Xb), lay.sl_beta),
                                        "alpha": (csum_cols(w_alpha, Xa), lay.sl_alpha)},
                            csum(w_alpha) + q_aa))
-        if lay.has_vb and lay.has_va:
-            H[lay.sl_vb, lay.sl_va][qr, qr] = csum(w_ba) + q_ba
-            H[lay.sl_va, lay.sl_vb][qr, qr] = csum(w_ba) + q_ba
+        if sl_vb is not None and sl_va is not None:
+            H[sl_vb, sl_va][qr, qr] = csum(w_ba) + q_ba
+            H[sl_va, sl_vb][qr, qr] = csum(w_ba) + q_ba
     for sl_v, cols, diag in blocks:
         for border, sl_t in cols.values():
             H[sl_t, sl_v] = border
