@@ -45,18 +45,11 @@ from .fitting import (
     FitSettings,
     ModelFit,
     fit,
-    inner_newton,
     outer_dispersion,
 )
 from .hlik import (
     HlikValue,
     ParamLayout,
-    adjusted_profile_loglik,
-    cond_loglik,
-    frailty_logdensity,
-    h_loglik,
-    information,
-    score,
 )
 from .inference import (
     FrailtyInterval,
@@ -117,14 +110,7 @@ __all__ = [
     "inverse_cumulative_base",
     "normalize_family",
     "build_design",
-    "cond_loglik",
-    "frailty_logdensity",
-    "h_loglik",
-    "score",
-    "information",
-    "adjusted_profile_loglik",
     "fit",
-    "inner_newton",
     "outer_dispersion",
     "raic",
     "caic",

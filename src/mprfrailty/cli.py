@@ -264,7 +264,7 @@ def cmd_hr(args):
         if args.boot:
             curve = bootstrap_hr_ci(
                 model_fit, args.covariate, times,
-                n_boot=args.boot, seed=args.seed or 0, threads=args.threads,
+                n_boot=args.boot, seed=args.seed or 0,
             )
         else:
             curve = hazard_ratio_curve(model_fit, args.covariate, times)
@@ -381,7 +381,6 @@ def build_parser():
     p_hr.add_argument("--boot", type=int, default=0,
                       help="bootstrap replicates for bands (0 = none)")
     p_hr.add_argument("--seed", type=int, default=0)
-    p_hr.add_argument("--threads", type=int, default=os.cpu_count())
     p_hr.add_argument("--out", default=".")
     p_hr.set_defaults(func=cmd_hr)
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DomainError, StructureError
+from .errors import DataError, DomainError
 
 # Frailty structures: none, scale-only, shape-only, independent pair,
 # common (shape proportional to scale), bivariate normal pair.
@@ -435,23 +435,3 @@ def build_design(dataset, scale_covariates=None, shape_covariates=None):
         covariate_values=covariate_values,
     )
 
-
-def expand_random_effects(spec, q, v_beta=None, v_alpha=None):
-    """Materialize full-length frailty vectors v = L u for a structure.
-
-    The free components u are read from the supplied vectors; a frailty
-    the structure holds at zero must be zero or absent, and one derived
-    from others (v_alpha = phi * v_beta under CF) is recomputed whatever
-    was supplied.
-    """
-    v = [np.zeros(q) if w is None else np.asarray(w, dtype=float)
-         for w in (v_beta, v_alpha)]
-    if v[0].shape != (q,) or v[1].shape != (q,):
-        raise DomainError(f"random-effect vectors must have length q={q}")
-    law = spec.law
-    for r, name in enumerate(("v_beta", "v_alpha")):
-        if not law.present(r) and np.any(v[r] != 0.0):
-            raise StructureError(f"{name} is structurally absent under {spec.structure}")
-    u = [v[r] for r in law.free]
-    vb, va = (combine(row, u.__getitem__) for row in law.loading_at(spec.dispersion()))
-    return (np.zeros(q) if vb is None else vb), (np.zeros(q) if va is None else va)

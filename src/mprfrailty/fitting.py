@@ -136,21 +136,6 @@ def _newton(evaluator, x0, settings):
         it += 1
 
 
-def inner_newton(family, design, spec, beta0, alpha0, v_beta0=None,
-                 v_alpha0=None, settings=None):
-    """Maximize h over (theta, v) for a fixed dispersion specification."""
-    settings = settings or FitSettings()
-    ev = Evaluator(family, design, spec)
-    lay = ev.layout
-    x0 = lay.pack(
-        np.asarray(beta0, dtype=float),
-        np.asarray(alpha0, dtype=float),
-        None if v_beta0 is None else np.asarray(v_beta0, dtype=float),
-        None if v_alpha0 is None else np.asarray(v_alpha0, dtype=float),
-    )
-    return _newton(ev, x0, settings)
-
-
 # -- dispersion transforms -----------------------------------------------------
 
 

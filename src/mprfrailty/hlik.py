@@ -24,8 +24,8 @@ import numpy as np
 import scipy.linalg
 
 from .baselines import BASELINES, normalize_family
-from .data import LINPRED_MAX, combine, expand_random_effects
-from .errors import CurvatureError, DivergedIterateError, DomainError, EvaluationError
+from .data import LINPRED_MAX, combine
+from .errors import CurvatureError, DivergedIterateError, EvaluationError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -429,19 +429,23 @@ class Evaluator:
 
     # -- record-level likelihood terms ----------------------------------------
 
-    def _ell1_vec(self, tau, gamma, s, glogt):
+    def _value(self, tau, gamma, s, u, Lam0):
+        """h, ell1 and ell2 from the predictors and Lam0 = Lambda0(s)."""
         d = self.design
-        return (
-            d.status * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * d.log_time
-                        + self._base.log_hazard(s))
-            - tau * self._base.cumhaz(s)
-        )
+        ell1 = (d.status * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * d.log_time
+                            + self._base.log_hazard(s))
+                - tau * Lam0)
+        ell1_sum = float(np.sum(ell1))
+        if not np.isfinite(ell1_sum):
+            bad = int(np.argmax(~np.isfinite(ell1)))
+            raise EvaluationError("non-finite conditional log-likelihood", index=bad)
+        ell2_sum = _ell2_total(*self._sigma, d.q, u)
+        return HlikValue(h=ell1_sum + ell2_sum, ell1_sum=ell1_sum, ell2_sum=ell2_sum)
 
-    def _record_terms(self, tau, gamma, s, glogt):
+    def _record_terms(self, tau, s, glogt, Lam0):
         """U vectors and information weights, all length n."""
         d = self.design
         delta = d.status
-        Lam0 = self._base.cumhaz(s)
         lam0, dlam0, d2lam0 = self._base.hazard(s)
         a = dlam0 / lam0
         s_lam0 = s * lam0
@@ -471,22 +475,11 @@ class Evaluator:
     # -- public evaluations ------------------------------------------------------
 
     def h_parts(self, x):
-        tau, gamma, s, glogt, u = self._predictors(x)
-        ell1 = self._ell1_vec(tau, gamma, s, glogt)
-        ell1_sum = float(np.sum(ell1))
-        if not np.isfinite(ell1_sum):
-            bad = int(np.argmax(~np.isfinite(ell1)))
-            raise EvaluationError("non-finite conditional log-likelihood", index=bad)
-        ell2_sum = _ell2_total(*self._sigma, self.design.q, u)
-        return HlikValue(h=ell1_sum + ell2_sum, ell1_sum=ell1_sum, ell2_sum=ell2_sum)
+        tau, gamma, s, _, u = self._predictors(x)
+        return self._value(tau, gamma, s, u, self._base.cumhaz(s))
 
     def h(self, x):
         return self.h_parts(x).h
-
-    def score(self, x):
-        tau, gamma, s, glogt, u = self._predictors(x)
-        u_beta, u_alpha, *_ = self._record_terms(tau, gamma, s, glogt)
-        return self._assemble_score(u_beta, u_alpha, u)
 
     def _assemble_score(self, u_beta, u_alpha, u):
         # the frailty block is L' (Z'U_beta, Z'U_alpha) minus the penalty score
@@ -503,8 +496,8 @@ class Evaluator:
         return g
 
     def information(self, x, penalty=True):
-        tau, gamma, s, glogt, _ = self._predictors(x)
-        _, _, w_beta, w_alpha, w_ba = self._record_terms(tau, gamma, s, glogt)
+        tau, _, s, glogt, _ = self._predictors(x)
+        _, _, w_beta, w_alpha, w_ba = self._record_terms(tau, s, glogt, self._base.cumhaz(s))
         return self._assemble_information(w_beta, w_alpha, w_ba, penalty)
 
     def _assemble_information(self, w_beta, w_alpha, w_ba, penalty):
@@ -540,92 +533,12 @@ class Evaluator:
     def h_score_info(self, x):
         """One-pass (HlikValue, score, information) sharing the record terms."""
         tau, gamma, s, glogt, u = self._predictors(x)
-        ell1 = self._ell1_vec(tau, gamma, s, glogt)
-        ell1_sum = float(np.sum(ell1))
-        if not np.isfinite(ell1_sum):
-            bad = int(np.argmax(~np.isfinite(ell1)))
-            raise EvaluationError("non-finite conditional log-likelihood", index=bad)
-        ell2_sum = _ell2_total(*self._sigma, self.design.q, u)
-        parts = HlikValue(h=ell1_sum + ell2_sum, ell1_sum=ell1_sum, ell2_sum=ell2_sum)
-        u_beta, u_alpha, w_beta, w_alpha, w_ba = self._record_terms(tau, gamma, s, glogt)
+        Lam0 = self._base.cumhaz(s)
+        parts = self._value(tau, gamma, s, u, Lam0)
+        u_beta, u_alpha, w_beta, w_alpha, w_ba = self._record_terms(tau, s, glogt, Lam0)
         g = self._assemble_score(u_beta, u_alpha, u)
         H = self._assemble_information(w_beta, w_alpha, w_ba, penalty=True)
         return parts, g, H
-
-
-# -- functional API over full-length frailty vectors ---------------------------
-
-
-def _as_packed(design, spec, beta, alpha, v_beta, v_alpha):
-    vb, va = expand_random_effects(spec, design.q, v_beta, v_alpha)
-    lay = ParamLayout.for_spec(design, spec)
-    return lay, lay.pack(np.asarray(beta, dtype=float), np.asarray(alpha, dtype=float), vb, va)
-
-
-def cond_loglik(family, time, status, tau, gamma):
-    """Per-record conditional log-likelihood given the frailties.
-
-    ell1 = delta*(log tau + log gamma + (gamma-1) log t + log lambda0(t**gamma))
-           - tau * Lambda0(t**gamma)
-    """
-    family = normalize_family(family)
-    t = np.asarray(time, dtype=float)
-    delta = np.asarray(status, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(t <= 0) or not np.all(np.isfinite(t)):
-        raise DomainError("time must be positive and finite")
-    if not np.all(np.isin(delta, (0.0, 1.0))):
-        raise DomainError("status must be 0 or 1")
-    if np.any(tau <= 0) or np.any(gamma <= 0):
-        raise DomainError("tau and gamma must be positive")
-    logt = np.log(t)
-    s = np.exp(gamma * logt)
-    base = BASELINES[family]
-    out = (delta * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * logt + base.log_hazard(s))
-           - tau * base.cumhaz(s))
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.isfinite(np.atleast_1d(out))))
-        raise EvaluationError("non-finite conditional log-likelihood", index=bad)
-    return out if np.ndim(out) else float(out)
-
-
-def frailty_logdensity(spec, v_beta=None, v_alpha=None, q=None):
-    """Total frailty log-density sum_i ell2_i for the given structure."""
-    if q is None:
-        for v in (v_beta, v_alpha):
-            if v is not None:
-                q = len(np.asarray(v))
-                break
-        else:
-            raise DomainError("q cannot be inferred; pass q or a frailty vector")
-    v = expand_random_effects(spec, q, v_beta, v_alpha)
-    return _ell2_total(*spec.law.sigma(spec.dispersion()), q,
-                       [v[r] for r in spec.law.free])
-
-
-def h_loglik(family, design, spec, beta, alpha, v_beta=None, v_alpha=None):
-    """Joint log-likelihood h = sum ell1 + sum ell2 as an :class:`HlikValue`."""
-    _, x = _as_packed(design, spec, beta, alpha, v_beta, v_alpha)
-    return Evaluator(family, design, spec).h_parts(x)
-
-
-def score(family, design, spec, beta, alpha, v_beta=None, v_alpha=None):
-    """Stacked analytic gradient of h over (beta, alpha, free frailty blocks)."""
-    _, x = _as_packed(design, spec, beta, alpha, v_beta, v_alpha)
-    return Evaluator(family, design, spec).score(x)
-
-
-def information(family, design, spec, beta, alpha, v_beta=None, v_alpha=None,
-                penalty=True):
-    """Observed information -d2h/d(theta,v)2 as a dense symmetric matrix.
-
-    With ``penalty=False`` the frailty-precision blocks are omitted,
-    giving the curvature of the conditional part sum ell1 alone (the
-    H* matrix of the conditional-AIC effective degrees of freedom).
-    """
-    _, x = _as_packed(design, spec, beta, alpha, v_beta, v_alpha)
-    return Evaluator(family, design, spec).information(x, penalty=penalty).to_dense()
 
 
 def logdet_pd(H, P=None):
@@ -638,16 +551,3 @@ def logdet_pd(H, P=None):
     """
     return H.logdet(P)
 
-
-def adjusted_profile_loglik(family, design, spec, beta, alpha,
-                            v_beta=None, v_alpha=None):
-    """Laplace-adjusted profile log-likelihood p = h - 0.5 log det(H/2pi).
-
-    Meaningful when (beta, alpha, v) is the inner maximizer of h for the
-    dispersion carried by ``spec``; the caller is responsible for that.
-    """
-    lay, x = _as_packed(design, spec, beta, alpha, v_beta, v_alpha)
-    ev = Evaluator(family, design, spec)
-    hval = ev.h(x)
-    H = ev.information(x, penalty=True)
-    return hval - 0.5 * (logdet_pd(H) - lay.dim * LOG_2PI)

@@ -15,7 +15,6 @@ approximation; dispersion uncertainty is not propagated, which is a
 documented limitation of the band.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,18 +91,23 @@ def _reference_vectors(fit, covariate):
 
 
 def _hr_values(family, times, beta, alpha, k_scale, k_shape, x_scale, x_shape):
-    """Point hazard ratio on a time grid, frailties at their modal zeros."""
+    """Hazard ratios on a time grid, frailties at their modal zeros.
+
+    ``beta`` and ``alpha`` hold one coefficient vector per row; the result
+    has one curve per row.
+    """
     if family == WEIBULL:
-        exponent = np.exp(x_shape @ alpha) * (np.exp(alpha[k_shape]) - 1.0)
-        return np.exp(beta[k_scale] + alpha[k_shape]) * times**exponent
+        exponent = np.exp(alpha @ x_shape) * (np.exp(alpha[:, k_shape]) - 1.0)
+        return (np.exp(beta[:, k_scale] + alpha[:, k_shape])[:, None]
+                * times ** exponent[:, None])
     x_scale1 = x_scale.copy()
     x_scale1[k_scale] = 1.0
     x_shape1 = x_shape.copy()
     x_shape1[k_shape] = 1.0
 
     def hazard(xs, xa):
-        tau = np.exp(xs @ beta)
-        gamma = np.exp(xa @ alpha)
+        tau = np.exp(beta @ xs)[:, None]
+        gamma = np.exp(alpha @ xa)[:, None]
         s = times**gamma
         lam0 = BASELINES[family].hazard(s)[0]
         return tau * gamma * times ** (gamma - 1.0) * lam0
@@ -111,41 +115,44 @@ def _hr_values(family, times, beta, alpha, k_scale, k_shape, x_scale, x_shape):
     return hazard(x_scale1, x_shape1) / hazard(x_scale, x_shape)
 
 
-def hazard_ratio_curve(fit, covariate, times):
-    """Time-varying hazard ratio for a binary covariate (point values)."""
+def _prepare(fit, covariate, times):
+    """(times, curves, reference covariates); ``curves(theta)`` gives one HR curve per row."""
     family = normalize_family(fit.family)
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or not np.all(np.isfinite(times)):
         raise DomainError("times must be positive and finite")
     k_scale, k_shape = _covariate_indices(fit, covariate)
     x_scale, x_shape, reference = _reference_vectors(fit, covariate)
-    hr = _hr_values(
-        family, times, fit.beta, fit.alpha, k_scale, k_shape, x_scale, x_shape
-    )
+    m_b = len(fit.beta)
+
+    def curves(theta):
+        return _hr_values(family, times, theta[:, :m_b], theta[:, m_b:],
+                          k_scale, k_shape, x_scale, x_shape)
+
+    return times, curves, reference
+
+
+def hazard_ratio_curve(fit, covariate, times):
+    """Time-varying hazard ratio for a binary covariate (point values)."""
+    times, curves, reference = _prepare(fit, covariate, times)
+    theta_hat = np.concatenate([fit.beta, fit.alpha])
     return HazardRatioCurve(
-        covariate=covariate, times=times, hr=hr,
+        covariate=covariate, times=times, hr=curves(theta_hat[None])[0],
         lower=None, upper=None, reference_covariates=reference,
     )
 
 
-def bootstrap_hr_ci(fit, covariate, times, n_boot=1000, seed=0, threads=1,
-                    level=0.95):
+def bootstrap_hr_ci(fit, covariate, times, n_boot=1000, seed=0, level=0.95):
     """Hazard-ratio curve with pointwise parametric-bootstrap bands.
 
     Fixed effects are redrawn from N(theta_hat, cov_theta); each draw
     yields a curve and the band is the pointwise empirical 2.5/97.5
-    percentile envelope (for the default level).  Replicates use
-    per-index RNG substreams, so the result is reproducible for a given
-    seed regardless of thread count.
+    percentile envelope (for the default level).  Draw b comes from RNG
+    substream b of ``seed``, and all draws are evaluated as one batch.
     """
     if n_boot < 100:
         raise DomainError("n_boot must be at least 100 for percentile bands")
-    family = normalize_family(fit.family)
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0) or not np.all(np.isfinite(times)):
-        raise DomainError("times must be positive and finite")
-    k_scale, k_shape = _covariate_indices(fit, covariate)
-    x_scale, x_shape, reference = _reference_vectors(fit, covariate)
+    times, curves, reference = _prepare(fit, covariate, times)
 
     theta_hat = np.concatenate([fit.beta, fit.alpha])
     cov = np.asarray(fit.cov_theta, dtype=float)
@@ -156,33 +163,16 @@ def bootstrap_hr_ci(fit, covariate, times, n_boot=1000, seed=0, threads=1,
             "fixed-effect covariance block is not positive definite"
         ) from None
 
-    m_b = len(fit.beta)
-    children = np.random.SeedSequence(seed).spawn(n_boot)
-
-    def one(b):
-        z = np.random.default_rng(children[b]).standard_normal(len(theta_hat))
-        theta_b = theta_hat + L @ z
-        return _hr_values(
-            family, times, theta_b[:m_b], theta_b[m_b:],
-            k_scale, k_shape, x_scale, x_shape,
-        )
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(one, range(n_boot)))
-    else:
-        curves = [one(b) for b in range(n_boot)]
-    curves = np.vstack(curves)
+    Z = np.array([np.random.default_rng(child).standard_normal(len(theta_hat))
+                  for child in np.random.SeedSequence(seed).spawn(n_boot)])
+    boot = curves(theta_hat + Z @ L.T)
 
     tail = 100.0 * (1.0 - level) / 2.0
-    lower = np.percentile(curves, tail, axis=0)
-    upper = np.percentile(curves, 100.0 - tail, axis=0)
-    hr = _hr_values(
-        family, times, fit.beta, fit.alpha, k_scale, k_shape, x_scale, x_shape
-    )
     return HazardRatioCurve(
-        covariate=covariate, times=times, hr=hr,
-        lower=lower, upper=upper, reference_covariates=reference,
+        covariate=covariate, times=times, hr=curves(theta_hat[None])[0],
+        lower=np.percentile(boot, tail, axis=0),
+        upper=np.percentile(boot, 100.0 - tail, axis=0),
+        reference_covariates=reference,
     )
 
 

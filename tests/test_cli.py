@@ -168,7 +168,7 @@ class TestCmdHr:
         out = tmp_path / "hr"
         code = main(["hr", "--fit", str(saved_fit), "--covariate", "x1",
                      "--times", "0.2:3:10", "--boot", "150", "--seed", "9",
-                     "--threads", "2", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "hr_x1.json").read_text())
         reloaded = ModelFit.from_dict(json.loads(saved_fit.read_text()))

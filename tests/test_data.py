@@ -8,10 +8,8 @@ from mprfrailty import (
     DivergedIterateError,
     DomainError,
     FrailtySpec,
-    StructureError,
     build_design,
 )
-from mprfrailty.data import expand_random_effects
 from mprfrailty.hlik import Evaluator
 
 from .conftest import small_weibull_dataset
@@ -238,10 +236,8 @@ class TestLinearPredictors:
 class TestExpandRandomEffects:
     def test_cf_derives_shape(self):
         spec = FrailtySpec("CF", sigma_beta=1.0, phi=2.0)
-        vb, va = expand_random_effects(spec, 3, np.array([0.1, -0.2, 0.3]))
+        ev = Evaluator("weibull", build_design(small_weibull_dataset(q=3)), spec)
+        x = ev.layout.pack(np.zeros(2), np.zeros(2), np.array([0.1, -0.2, 0.3]))
+        _, _, vb, va = ev.unpack(x)
+        assert vb == pytest.approx([0.1, -0.2, 0.3])
         assert va == pytest.approx(2.0 * vb)
-
-    def test_absent_component_must_be_zero(self):
-        spec = FrailtySpec("ScF", sigma_beta=1.0)
-        with pytest.raises(StructureError):
-            expand_random_effects(spec, 2, None, np.array([0.1, 0.0]))

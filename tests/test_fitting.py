@@ -17,7 +17,6 @@ from mprfrailty import (
     ScenarioSpec,
     build_design,
     fit,
-    inner_newton,
     simulate_dataset,
 )
 from mprfrailty.errors import MPRFrailtyError
@@ -35,6 +34,12 @@ from mprfrailty.hlik import DENSE_MAX_DIM, LOG_2PI, Evaluator
 
 from ._oracles import nf_negloglik, rel_err
 from .conftest import small_weibull_dataset
+
+
+def newton_at(design, spec, beta0, alpha0, v_beta0=None):
+    """Inner Newton maximizer of h from the given start, at the dispersion of spec."""
+    ev = Evaluator("weibull", design, spec)
+    return _newton(ev, ev.layout.pack(beta0, alpha0, v_beta0), FitSettings())
 
 
 class RecordingEvaluator(Evaluator):
@@ -72,21 +77,15 @@ class TestInnerNewton:
     def test_starting_at_optimum_takes_zero_steps(self, small_dataset):
         design = build_design(small_dataset)
         spec = FrailtySpec("ScF", sigma_beta=0.5)
-        res = inner_newton(
-            "weibull", design, spec, np.full(2, 0.01), np.full(2, 0.01),
-            np.zeros(design.q),
-        )
-        again = inner_newton(
-            "weibull", design, spec, res.beta, res.alpha, res.v_beta
-        )
+        res = newton_at(design, spec, np.full(2, 0.01), np.full(2, 0.01),
+                        np.zeros(design.q))
+        again = newton_at(design, spec, res.beta, res.alpha, res.v_beta)
         assert again.iterations == 0
         assert np.array_equal(again.x, res.x)
 
     def test_nf_matches_independent_optimizer(self, small_dataset):
         design = build_design(small_dataset)
-        res = inner_newton(
-            "weibull", design, FrailtySpec("NF"), np.full(2, 0.01), np.full(2, 0.01)
-        )
+        res = newton_at(design, FrailtySpec("NF"), np.full(2, 0.01), np.full(2, 0.01))
         negll, m = nf_negloglik("weibull", small_dataset)
         start = np.full(2 * m, 0.01)
         opt = scipy.optimize.minimize(negll, start, method="BFGS",
@@ -171,10 +170,8 @@ class TestOuterDispersion:
         # the maximizer should not depend on small start perturbations
         design = build_design(small_dataset)
         spec = FrailtySpec("ScF", sigma_beta=0.5)
-        inner = inner_newton(
-            "weibull", design, spec, np.full(2, 0.01), np.full(2, 0.01),
-            np.full(design.q, 0.01),
-        )
+        inner = newton_at(design, spec, np.full(2, 0.01), np.full(2, 0.01),
+                          np.full(design.q, 0.01))
         z0 = transform_dispersion("ScF", (0.5,))
         r1 = outer_dispersion("weibull", design, "ScF", z0, inner.x)
         r2 = outer_dispersion("weibull", design, "ScF", z0 + 0.05, inner.x)
@@ -242,22 +239,16 @@ class TestFit:
         assert np.max(np.abs(a - b)) < 1e-4
 
     def test_converged_fit_is_stationary(self, small_dataset):
-        from mprfrailty import score
-
         f = fit(small_dataset, structure="IF")
         assert f.converged
-        g = score(
-            "weibull", build_design(small_dataset), f.spec,
-            f.beta, f.alpha, f.v_beta, f.v_alpha,
-        )
+        ev = Evaluator("weibull", build_design(small_dataset), f.spec)
+        _, g, _ = ev.h_score_info(ev.layout.pack(f.beta, f.alpha, f.v_beta, f.v_alpha))
         assert np.max(np.abs(g)) < 1e-6
 
     def test_se_from_inverse_information(self, small_dataset):
         f = fit(small_dataset, structure="NF")
-        design = build_design(small_dataset)
-        from mprfrailty import information
-
-        H = information("weibull", design, f.spec, f.beta, f.alpha)
+        ev = Evaluator("weibull", build_design(small_dataset), f.spec)
+        H = ev.information(ev.layout.pack(f.beta, f.alpha)).to_dense()
         se = np.sqrt(np.diag(np.linalg.inv(H)))
         assert np.concatenate([f.se_beta, f.se_alpha]) == pytest.approx(se, rel=1e-8)
 
@@ -394,8 +385,7 @@ def _objective_fixture(structure, q):
     z = transform_dispersion(structure, {
         "ScF": (0.8,), "ShF": (0.6,), "IF": (0.8, 0.6), "CF": (0.8, 0.5),
         "BVNF": (0.8, 0.6, -0.4)}[structure])
-    res = inner_newton("weibull", design, _spec_with_z(structure, z),
-                       np.zeros(3), np.zeros(3))
+    res = newton_at(design, _spec_with_z(structure, z), np.zeros(3), np.zeros(3))
     return design, res.x, z
 
 
@@ -471,11 +461,12 @@ class TestDispersionObjective:
         assert out.spec == _spec_with_z("BVNF", finite[best])
 
 
-# each fit's to_dict() hashed, or the exception it raised; argv[1] holds the cases
+# each fit's to_dict() hashed, or the exception it raised; argv[1] holds the cases;
+# then the bootstrap HR bands of a BVNF fit with a dichotomized first covariate
 _FIT_HASHES = """
 import hashlib, json, sys
 import numpy as np
-from mprfrailty import ScenarioSpec, fit, simulate_dataset
+from mprfrailty import Dataset, ScenarioSpec, bootstrap_hr_ci, fit, simulate_dataset
 for structure, q, n_i in json.loads(sys.argv[1]):
     sc = ScenarioSpec(q=q, n_i=n_i, beta_true=(1.0, -0.5, 0.5),
                       alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0,
@@ -486,11 +477,18 @@ for structure, q, n_i in json.loads(sys.argv[1]):
     except Exception as exc:
         out = repr(exc)
     print(structure, q, n_i, hashlib.sha256(out.encode()).hexdigest())
+x = ds.covariates
+ds = Dataset(ds.clusters, ds.time, ds.status, np.column_stack([x[:, 0] > 0, x[:, 1]]),
+             ["trt", "x2"])
+curve = bootstrap_hr_ci(fit(ds, structure="BVNF"), "trt", np.linspace(0.05, 5, 60),
+                        n_boot=1000, seed=3)
+print("bands", hashlib.sha256(curve.lower.tobytes() + curve.upper.tobytes()).hexdigest())
 """
 
 
 def test_fits_identical_across_blas_thread_counts():
-    # BVNF at (20, 5) is factored densely; at (100, 10) through the Schur complement
+    # BVNF at (20, 5) is factored densely; at (100, 10) through the Schur complement;
+    # the bands come from the last data set, (100, 10)
     cases = [("BVNF", 20, 5), ("BVNF", 100, 10), ("CF", 100, 10)]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -503,5 +501,5 @@ def test_fits_identical_across_blas_thread_counts():
     ]
     outs = [p.communicate(timeout=120)[0] for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
-    assert len(outs[0].splitlines()) == len(cases)
+    assert len(outs[0].splitlines()) == len(cases) + 1
     assert outs[0] == outs[1]

@@ -7,16 +7,10 @@ import scipy.linalg
 from mprfrailty import (
     CurvatureError,
     Dataset,
-    DomainError,
     FrailtySpec,
     ScenarioSpec,
-    adjusted_profile_loglik,
     build_design,
-    cond_loglik,
-    frailty_logdensity,
-    h_loglik,
-    information,
-    score,
+    fit,
     simulate_dataset,
 )
 from mprfrailty.hlik import Curvature, Evaluator, ParamLayout, logdet_pd
@@ -29,28 +23,57 @@ from ._oracles import (
     norm_logpdf,
     rel_err,
 )
-from .conftest import spec_for
+from .conftest import small_weibull_dataset, spec_for
 
 STRUCTURES = ["NF", "ScF", "ShF", "IF", "CF", "BVNF"]
 FAMILIES = ["weibull", "gompertz", "loglogistic"]
 
 
-def single_record_design():
-    ds = Dataset(["A"], [1.0], [1], np.zeros((1, 0)), [])
+def cluster_design(q, time=1.0, status=1):
+    """A design of q one-record clusters without covariates."""
+    ds = Dataset([f"c{i}" for i in range(q)], np.full(q, time), np.full(q, status),
+                 np.zeros((q, 0)), [])
+    if q > 1:
+        return build_design(ds)
     with pytest.warns(UserWarning, match="single cluster"):
         return build_design(ds)
 
 
+def record_ell1(family, t, delta, tau, gamma):
+    """ell1 of one record: h_parts on a one-record design, tau and gamma as intercepts."""
+    ev = Evaluator(family, cluster_design(1, t, delta), FrailtySpec("NF"))
+    return ev.h_parts(ev.layout.pack(math.log(tau), math.log(gamma))).ell1_sum
+
+
+def frailty_ell2(spec, v_beta=None, v_alpha=None, q=None):
+    """sum_i ell2_i: h_parts at the given frailties on a design of q clusters."""
+    if q is None:
+        q = len(v_beta if v_beta is not None else v_alpha)
+    ev = Evaluator("weibull", cluster_design(q), spec)
+    return ev.h_parts(ev.layout.pack(0.0, 0.0, v_beta, v_alpha)).ell2_sum
+
+
+def score_of(ev):
+    """x -> the analytic score of h at x."""
+    return lambda x: ev.h_score_info(x)[1]
+
+
+def packed(design, spec, beta, alpha, v_beta=None, v_alpha=None):
+    """(Evaluator, x) for the given estimates."""
+    ev = Evaluator("weibull", design, spec)
+    return ev, ev.layout.pack(beta, alpha, v_beta, v_alpha)
+
+
 class TestCondLoglik:
     def test_weibull_unit_event(self):
-        assert cond_loglik("weibull", 1.0, 1, 1.0, 1.0) == pytest.approx(-1.0)
+        assert record_ell1("weibull", 1.0, 1, 1.0, 1.0) == pytest.approx(-1.0)
 
     def test_weibull_censored(self):
         # censored record contributes -tau * t**gamma
-        assert cond_loglik("weibull", 0.5, 0, 2.0, 1.0) == pytest.approx(-1.0)
+        assert record_ell1("weibull", 0.5, 0, 2.0, 1.0) == pytest.approx(-1.0)
 
     def test_gompertz_against_oracle(self):
-        got = cond_loglik("gompertz", 0.7, 1, 1.3, 0.8)
+        got = record_ell1("gompertz", 0.7, 1, 1.3, 0.8)
         want = cond_loglik_scalar("gompertz", 0.7, 1, 1.3, 0.8)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -61,54 +84,46 @@ class TestCondLoglik:
         delta = rng.integers(0, 2, 12)
         tau = rng.uniform(0.5, 2.0, 12)
         gamma = rng.uniform(0.5, 1.5, 12)
-        got = cond_loglik(family, t, delta, tau, gamma)
+        got = [record_ell1(family, t[i], int(delta[i]), tau[i], gamma[i]) for i in range(12)]
         want = [
             cond_loglik_scalar(family, t[i], int(delta[i]), tau[i], gamma[i])
             for i in range(12)
         ]
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_domain_validation(self):
-        with pytest.raises(DomainError):
-            cond_loglik("weibull", -1.0, 1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            cond_loglik("weibull", 1.0, 2, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            cond_loglik("weibull", 1.0, 1, -1.0, 1.0)
-
 
 class TestFrailtyLogdensity:
     def test_bvnf_standard_origin(self):
         spec = FrailtySpec("BVNF", sigma_beta=1.0, sigma_alpha=1.0, rho=0.0)
-        got = frailty_logdensity(spec, np.zeros(1), np.zeros(1))
+        got = frailty_ell2(spec, np.zeros(1), np.zeros(1))
         assert got == pytest.approx(-math.log(2 * math.pi))
 
     def test_scf_standard_origin(self):
         spec = FrailtySpec("ScF", sigma_beta=1.0)
-        assert frailty_logdensity(spec, np.zeros(1)) == pytest.approx(
+        assert frailty_ell2(spec, np.zeros(1)) == pytest.approx(
             -0.5 * math.log(2 * math.pi)
         )
 
     def test_bvnf_against_oracle(self):
         spec = FrailtySpec("BVNF", sigma_beta=1.0, sigma_alpha=0.5, rho=-0.5)
-        got = frailty_logdensity(spec, np.array([0.3]), np.array([-0.2]))
+        got = frailty_ell2(spec, np.array([0.3]), np.array([-0.2]))
         assert got == pytest.approx(bvn_logpdf(0.3, -0.2, 1.0, 0.5, -0.5), rel=1e-13)
 
     def test_sums_over_clusters(self):
         spec = FrailtySpec("IF", sigma_beta=0.8, sigma_alpha=0.6)
         vb = np.array([0.1, -0.4, 0.2])
         va = np.array([-0.3, 0.0, 0.5])
-        got = frailty_logdensity(spec, vb, va)
+        got = frailty_ell2(spec, vb, va)
         want = sum(bvn_logpdf(vb[i], va[i], 0.8, 0.6, 0.0) for i in range(3))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_nf_is_zero(self):
-        assert frailty_logdensity(FrailtySpec("NF"), q=4) == 0.0
+        assert frailty_ell2(FrailtySpec("NF"), q=4) == 0.0
 
     def test_shf_against_oracle(self):
         spec = FrailtySpec("ShF", sigma_alpha=0.6)
         va = np.array([0.3, -0.7, 0.1])
-        got = frailty_logdensity(spec, None, va)
+        got = frailty_ell2(spec, None, va)
         want = sum(norm_logpdf(v, 0.6) for v in va)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -116,7 +131,7 @@ class TestFrailtyLogdensity:
         # v_alpha = phi * v_beta carries no density of its own
         spec = FrailtySpec("CF", sigma_beta=0.8, phi=-1.7)
         vb = np.array([0.2, -0.5, 0.4, 0.0])
-        got = frailty_logdensity(spec, vb, np.array([9.0, 9.0, 9.0, 9.0]))
+        got = frailty_ell2(spec, vb, np.array([9.0, 9.0, 9.0, 9.0]))
         want = sum(norm_logpdf(v, 0.8) for v in vb)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -126,14 +141,13 @@ class TestHLoglik:
         ds, design = fixture_30x5
         beta = np.array([0.2, -0.1, 0.1])
         alpha = np.array([0.1, 0.2, -0.1])
-        val = h_loglik("weibull", design, FrailtySpec("NF"), beta, alpha)
-        want = float(
-            np.sum(
-                cond_loglik(
-                    "weibull", ds.time, ds.status,
-                    np.exp(design.X_beta @ beta), np.exp(design.X_alpha @ alpha),
-                )
-            )
+        ev, x = packed(design, FrailtySpec("NF"), beta, alpha)
+        val = ev.h_parts(x)
+        tau = np.exp(design.X_beta @ beta)
+        gamma = np.exp(design.X_alpha @ alpha)
+        want = sum(
+            cond_loglik_scalar("weibull", float(ds.time[i]), int(ds.status[i]), tau[i], gamma[i])
+            for i in range(ds.n)
         )
         assert val.ell2_sum == 0.0
         assert val.h == pytest.approx(want, rel=1e-13)
@@ -141,7 +155,8 @@ class TestHLoglik:
     def test_zero_frailty_constant(self, fixture_30x5):
         _, design = fixture_30x5
         spec = FrailtySpec("BVNF", sigma_beta=0.8, sigma_alpha=0.6, rho=-0.4)
-        val = h_loglik("weibull", design, spec, np.zeros(3), np.zeros(3))
+        ev, x = packed(design, spec, np.zeros(3), np.zeros(3))
+        val = ev.h_parts(x)
         const = -math.log(
             2 * math.pi * 0.8 * 0.6 * math.sqrt(1 - 0.4**2)
         )
@@ -152,12 +167,13 @@ class TestHLoglik:
         rng = np.random.default_rng(0)
         for structure in STRUCTURES:
             spec = spec_for(structure)
-            val = h_loglik(
-                "weibull", design, spec,
+            ev, x = packed(
+                design, spec,
                 rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 3),
                 rng.uniform(-0.3, 0.3, design.q) if spec.law.present(0) else None,
                 rng.uniform(-0.3, 0.3, design.q) if spec.law.present(1) else None,
             )
+            val = ev.h_parts(x)
             assert val.h == pytest.approx(val.ell1_sum + val.ell2_sum, abs=1e-12)
 
     def test_matches_direct_summation_oracle(self, fixture_30x5):
@@ -168,7 +184,8 @@ class TestHLoglik:
         alpha = rng.uniform(-0.3, 0.3, 3)
         vb = rng.uniform(-0.5, 0.5, design.q)
         va = rng.uniform(-0.5, 0.5, design.q)
-        val = h_loglik("weibull", design, spec, beta, alpha, vb, va)
+        ev, x = packed(design, spec, beta, alpha, vb, va)
+        val = ev.h_parts(x)
         total = 0.0
         for i in range(ds.n):
             k = design.cluster_index[i]
@@ -184,8 +201,8 @@ class TestHLoglik:
 
 class TestScore:
     def test_single_record_trivial(self):
-        design = single_record_design()
-        g = score("weibull", design, FrailtySpec("NF"), np.zeros(1), np.zeros(1))
+        ev, x = packed(cluster_design(1), FrailtySpec("NF"), np.zeros(1), np.zeros(1))
+        g = ev.h_score_info(x)[1]
         assert g == pytest.approx([0.0, 1.0])
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -197,7 +214,7 @@ class TestScore:
         rng = np.random.default_rng(hash((family, structure)) % 2**32)
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, ev.layout.dim)
-            assert rel_err(ev.score(x), fd_gradient(ev.h, x)) < 1e-6
+            assert rel_err(score_of(ev)(x), fd_gradient(ev.h, x)) < 1e-6
 
     def test_cf_chain_rule(self, fixture_30x5):
         # CF score block = Z'U_beta + phi Z'U_alpha - v_beta/sigma^2
@@ -206,23 +223,24 @@ class TestScore:
         ev = Evaluator("weibull", design, spec)
         rng = np.random.default_rng(5)
         x = rng.uniform(-0.3, 0.3, ev.layout.dim)
-        assert rel_err(ev.score(x), fd_gradient(ev.h, x)) < 1e-6
+        assert rel_err(score_of(ev)(x), fd_gradient(ev.h, x)) < 1e-6
 
 
 class TestInformation:
     def test_single_record_weights(self):
-        design = single_record_design()
-        H = information("weibull", design, FrailtySpec("NF"), np.zeros(1), np.zeros(1))
+        ev, x = packed(cluster_design(1), FrailtySpec("NF"), np.zeros(1), np.zeros(1))
+        H = ev.information(x).to_dense()
         # w_beta = 1; log t = 0 annihilates w_alpha and w_betaalpha
         assert H == pytest.approx(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_q_blocks_at_rho_zero(self, fixture_30x5):
         _, design = fixture_30x5
         spec = FrailtySpec("IF", sigma_beta=2.0, sigma_alpha=0.5)
-        lay = ParamLayout.for_spec(design, spec)
+        ev = Evaluator("weibull", design, spec)
+        lay = ev.layout
         x = np.zeros(lay.dim)
-        H_pen = information("weibull", design, spec, *_split(lay, x))
-        H_raw = information("weibull", design, spec, *_split(lay, x), penalty=False)
+        H_pen = ev.information(x).to_dense()
+        H_raw = ev.information(x, penalty=False).to_dense()
         dq = H_pen - H_raw
         vb_block = dq[lay.block(0), lay.block(0)]
         va_block = dq[lay.block(1), lay.block(1)]
@@ -241,7 +259,7 @@ class TestInformation:
         for _ in range(3):
             x = rng.uniform(-0.4, 0.4, ev.layout.dim)
             H = ev.information(x).to_dense()
-            H_fd = -fd_jacobian(ev.score, x)
+            H_fd = -fd_jacobian(score_of(ev), x)
             assert rel_err(H, H_fd) < 1e-5
 
     @pytest.mark.parametrize("structure", STRUCTURES)
@@ -252,14 +270,6 @@ class TestInformation:
         x = np.random.default_rng(1).uniform(-0.3, 0.3, ev.layout.dim)
         H = ev.information(x).to_dense()
         assert np.max(np.abs(H - H.T)) < 1e-10
-
-
-def _split(lay, x):
-    beta, alpha, u = lay.unpack(x)
-    v = [None, None]
-    for j, r in enumerate(lay.free):
-        v[r] = u[j]
-    return beta, alpha, v[0], v[1]
 
 
 def _v_slice(lay, r):
@@ -277,15 +287,13 @@ class TestStructureNesting:
         alpha = rng.uniform(-0.3, 0.3, 3)
         vb = rng.uniform(-0.4, 0.4, design.q)
         va = rng.uniform(-0.4, 0.4, design.q)
-        hb = h_loglik("weibull", design, bvnf, beta, alpha, vb, va)
-        hi = h_loglik("weibull", design, ifs, beta, alpha, vb, va)
+        ev_b, xb = packed(design, bvnf, beta, alpha, vb, va)
+        ev_i, xi = packed(design, ifs, beta, alpha, vb, va)
+        hb, gb, Hb = ev_b.h_score_info(xb)
+        hi, gi, Hi = ev_i.h_score_info(xi)
         assert hb.h == pytest.approx(hi.h, abs=1e-12)
-        assert score("weibull", design, bvnf, beta, alpha, vb, va) == pytest.approx(
-            score("weibull", design, ifs, beta, alpha, vb, va), abs=1e-12
-        )
-        Hb = information("weibull", design, bvnf, beta, alpha, vb, va)
-        Hi = information("weibull", design, ifs, beta, alpha, vb, va)
-        assert np.max(np.abs(Hb - Hi)) < 1e-12
+        assert gb == pytest.approx(gi, abs=1e-12)
+        assert np.max(np.abs(Hb.to_dense() - Hi.to_dense())) < 1e-12
 
     def test_bvnf_vanishing_shape_approaches_scf(self, fixture_30x5):
         # at v_alpha = 0, h differs from ScF only by the sigma_alpha constant
@@ -297,24 +305,21 @@ class TestStructureNesting:
         beta = rng.uniform(-0.3, 0.3, 3)
         alpha = rng.uniform(-0.3, 0.3, 3)
         vb = rng.uniform(-0.4, 0.4, design.q)
-        hb = h_loglik("weibull", design, bvnf, beta, alpha, vb, np.zeros(design.q))
-        hs = h_loglik("weibull", design, scf, beta, alpha, vb)
+        ev_b, xb = packed(design, bvnf, beta, alpha, vb, np.zeros(design.q))
+        ev_s, xs = packed(design, scf, beta, alpha, vb)
         const = design.q * (-0.5 * math.log(2 * math.pi) - math.log(eps))
-        assert hb.h - hs.h == pytest.approx(const, rel=1e-10)
+        assert ev_b.h(xb) - ev_s.h(xs) == pytest.approx(const, rel=1e-10)
 
 
 class TestAdjustedProfile:
-    def test_nf_definition(self, fixture_30x5):
-        _, design = fixture_30x5
-        spec = FrailtySpec("NF")
-        beta = np.array([0.2, -0.1, 0.1])
-        alpha = np.array([0.1, 0.2, -0.1])
-        p = adjusted_profile_loglik("weibull", design, spec, beta, alpha)
-        hval = h_loglik("weibull", design, spec, beta, alpha).h
-        H = information("weibull", design, spec, beta, alpha)
-        sign, logdet = np.linalg.slogdet(H / (2 * math.pi))
+    def test_nf_definition(self):
+        # a fit's deviance is -2 p with p = h - 0.5 log det(H / 2 pi) at its estimates
+        ds = small_weibull_dataset()
+        f = fit(ds, structure="NF")
+        ev, x = packed(build_design(ds), f.spec, f.beta, f.alpha)
+        sign, logdet = np.linalg.slogdet(ev.information(x).to_dense() / (2 * math.pi))
         assert sign > 0
-        assert p == pytest.approx(hval - 0.5 * logdet, rel=1e-12)
+        assert -0.5 * f.deviance_profile == pytest.approx(ev.h(x) - 0.5 * logdet, rel=1e-12)
 
 
 # -- bordered block-diagonal curvature -------------------------------------------
@@ -337,8 +342,8 @@ def _penalty_scalars(spec):
 
 def dense_information(ev, x, penalty):
     """The (theta, v) information written entry by entry into a dense matrix."""
-    tau, gamma, s, glogt, _ = ev._predictors(x)
-    _, _, w_beta, w_alpha, w_ba = ev._record_terms(tau, gamma, s, glogt)
+    tau, _, s, glogt, _ = ev._predictors(x)
+    _, _, w_beta, w_alpha, w_ba = ev._record_terms(tau, s, glogt, ev._base.cumhaz(s))
     d, lay, spec = ev.design, ev.layout, ev.spec
     sl_vb, sl_va = _v_slice(lay, 0), _v_slice(lay, 1)
     Xb, Xa, idx, q = d.X_beta, d.X_alpha, d.cluster_index, d.q

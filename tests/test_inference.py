@@ -148,6 +148,21 @@ class TestHazardRatioCurve:
         assert f.modal_covariates["x1"] == 0.0
 
 
+def looped_hr(family, times, theta):
+    """HR of trt for one coefficient vector of synthetic_fit, other covariates at 0."""
+    beta, alpha = theta[:3], theta[3:]
+    x0, x1 = np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])
+    if family == "weibull":
+        exponent = np.exp(x0 @ alpha) * (np.exp(alpha[1]) - 1.0)
+        return np.exp(beta[1] + alpha[1]) * times**exponent
+
+    def hazard(x):
+        tau, gamma = np.exp(x @ beta), np.exp(x @ alpha)
+        return tau * gamma * times ** (gamma - 1.0) * BASELINES[family].hazard(times**gamma)[0]
+
+    return hazard(x1) / hazard(x0)
+
+
 class TestBootstrapHrCi:
     def test_pinned_covariance_collapses_bands(self):
         f = synthetic_fit([0.5, -0.3, 0.1], [0.2, 0.4, -0.1],
@@ -173,13 +188,23 @@ class TestBootstrapHrCi:
         assert np.array_equal(c1.lower, c2.lower)
         assert np.array_equal(c1.upper, c2.upper)
 
-    def test_threading_does_not_change_result(self):
-        f = synthetic_fit([0.5, -0.3, 0.1], [0.2, 0.4, -0.1])
-        times = np.linspace(0.2, 4, 7)
-        c1 = bootstrap_hr_ci(f, "trt", times, n_boot=150, seed=7, threads=1)
-        c2 = bootstrap_hr_ci(f, "trt", times, n_boot=150, seed=7, threads=3)
-        assert np.array_equal(c1.lower, c2.lower)
-        assert np.array_equal(c1.upper, c2.upper)
+    @pytest.mark.parametrize("family", ["weibull", "gompertz"])
+    def test_batched_draws_match_per_draw_loop(self, family):
+        cov = 0.01 * (np.eye(6) + 0.3 * np.ones((6, 6)))
+        f = synthetic_fit([0.5, -0.3, 0.1], [0.2, 0.4, -0.1], family=family, cov=cov)
+        times = np.linspace(0.2, 4, 9)
+        curve = bootstrap_hr_ci(f, "trt", times, n_boot=300, seed=13)
+        theta_hat = np.concatenate([f.beta, f.alpha])
+        L = np.linalg.cholesky(cov)
+        draws = [looped_hr(family, times, theta_hat + L @ np.random.default_rng(child)
+                           .standard_normal(6))
+                 for child in np.random.SeedSequence(13).spawn(300)]
+        np.testing.assert_allclose(curve.hr, looped_hr(family, times, theta_hat),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(curve.lower, np.percentile(draws, 2.5, axis=0),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(curve.upper, np.percentile(draws, 97.5, axis=0),
+                                   rtol=1e-12, atol=0)
 
     def test_bounds_contain_point_estimate_mostly(self):
         f = synthetic_fit([0.5, -0.3, 0.1], [0.2, 0.4, -0.1], cov=np.eye(6) * 0.01)
