@@ -369,7 +369,9 @@ def build_parser():
     p_sim.add_argument("--structure", default="BVNF", choices=list(STRUCTURES))
     p_sim.add_argument("--replicates", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=os.cpu_count())
+    # serial by default: on small replicates, threads were measured no faster
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker threads for the replicates (default 1)")
     p_sim.add_argument("--out", default=".")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -374,6 +374,18 @@ class ModelDesign:
         self.q = len(self.cluster_labels)
         self.n = len(self.time)
         self.cluster_sizes = np.bincount(self.cluster_index, minlength=self.q)
+        self._cluster_bins = {}
+
+    def cluster_bins(self, m):
+        """Bin of every cell of an n x m record array, raveled: cluster * m + column.
+
+        Built once per column count m.
+        """
+        bins = self._cluster_bins.get(m)
+        if bins is None:
+            bins = (self.cluster_index[:, None] * m + np.arange(m)).ravel()
+            self._cluster_bins[m] = bins
+        return bins
 
     @property
     def m_beta(self):

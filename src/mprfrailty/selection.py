@@ -12,7 +12,7 @@ chi-square distributions with 0 and 1 degrees of freedom.
 
 from dataclasses import dataclass
 
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .data import IF, NF, SCF, SHF
 from .errors import MPRFrailtyError
@@ -67,7 +67,8 @@ def frailty_lrt(fit_null, fit_alt):
             f"{-statistic:.4g}; at least one fit has not converged"
         )
     statistic = max(statistic, 0.0)
-    p_value = 0.5 if statistic == 0.0 else 0.5 * float(chi2.sf(statistic, df=1))
+    # chdtrc(1, x) is the chi2(1) survival function, the one chi2.sf calls
+    p_value = 0.5 if statistic == 0.0 else 0.5 * float(chdtrc(1, statistic))
     return LrtResult(
         statistic=statistic,
         critical_value=MIXTURE_CHI2_CRITICAL_5PCT,

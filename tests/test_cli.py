@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mprfrailty import ModelFit, bootstrap_hr_ci, frailty_estimates
-from mprfrailty.cli import main
+from mprfrailty.cli import build_parser, main
 
 from .conftest import small_weibull_dataset
 
@@ -134,6 +138,9 @@ class TestCmdSimulate:
         b2 = (out2 / "scenario_summary.csv").read_bytes()
         assert b1 == b2
 
+    def test_threads_default_to_one(self):
+        assert build_parser().parse_args(["simulate", "--scenario", "s.json"]).threads == 1
+
     def test_simulate_reports_failure_reasons(self, tmp_path, capsys):
         scen = self.scenario_file(tmp_path)
         assert main(["simulate", "--scenario", scen, "--structure", "ScF",
@@ -209,3 +216,14 @@ class TestCmdFrailties:
     def test_absent_component_exits_1(self, saved_fit, tmp_path):
         assert main(["frailties", "--fit", str(saved_fit),
                      "--component", "shape", "--out", str(tmp_path)]) == 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is the slowest import of scipy; the LRT needs only chdtrc
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mprfrailty.cli; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -126,6 +126,13 @@ class TestBuildDesign:
         assert design.cluster_index.tolist() == [0, 0, 1]
         assert design.cluster_sizes.tolist() == [2, 1]
 
+    def test_cluster_bins_built_once_per_width(self):
+        d = build_design(small_weibull_dataset(seed=1, q=4, n_i=3))
+        bins = d.cluster_bins(3)
+        assert np.array_equal(bins, (d.cluster_index[:, None] * 3 + np.arange(3)).ravel())
+        assert d.cluster_bins(3) is bins
+        assert len(d.cluster_bins(2)) == 2 * d.n
+
     def test_intercept_prepended(self):
         ds = small_weibull_dataset(p=2)
         design = build_design(ds)

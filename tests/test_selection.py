@@ -98,6 +98,13 @@ class TestFrailtyLrt:
         with pytest.raises(ValueError):
             frailty_lrt(stub_fit("NF", 500.0, 0), stub_fit("BVNF", 490.0, 3))
 
+    def test_p_value_is_half_chi2_sf(self):
+        from scipy.stats import chi2
+
+        for statistic in (1e-9, 0.3, 2.705543, 3.68, 43.88, 700.0):
+            res = frailty_lrt(stub_fit("NF", 500.0 + statistic, 0), stub_fit("ScF", 500.0, 1))
+            assert res.p_value == 0.5 * float(chi2.sf(res.statistic, df=1))
+
     def test_critical_value_is_half_mixture_quantile(self):
         from scipy.stats import chi2
 
