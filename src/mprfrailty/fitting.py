@@ -42,7 +42,6 @@ from .hlik import (
     Curvature,
     Evaluator,
     _ell2_total,
-    _ell2_totals,
     _penalty_block,
     logdet_pd,
 )
@@ -170,11 +169,6 @@ class _DispersionObjective:
     L (phi under CF, where v_alpha = phi * v_beta).  The data part is
     therefore computed once per distinct value of L's parameters, and
     each trial point pays for one k x k penalty and one factorization.
-
-    :meth:`stencil` evaluates the points of one finite-difference
-    gradient together (the frailty log-densities as one array, the
-    dense-side factorizations as one stack); every value, ``n_eval`` and
-    ``best`` come out as if the points were evaluated one at a time.
     """
 
     def __init__(self, family, design, structure, x_fixed):
@@ -202,72 +196,29 @@ class _DispersionObjective:
             self._data = (key, ev.data_part(self.x))
         return self._data[1]
 
-    def _point(self, z):
-        """(ell1 sum, data curvature, sig, rho) at z, counted as one evaluation; None on failure."""
+    def profile(self, z):
+        """p at transformed dispersion z with (theta, u) fixed; None on failure."""
         self.n_eval += 1
         disp = {n: from_z(v) for (n, from_z), v in zip(self._from_z, z)}
         if not all(math.isfinite(v) for v in disp.values()):
             return None  # outside the domain of FrailtySpec
         try:
             ell1_sum, H_data = self._data_part(disp)
+            sig, rho = self._law.sigma(disp)
+            hval = ell1_sum + _ell2_total(sig, rho, self.design.q, self._u)
+            logdet = logdet_pd(H_data, _penalty_block(sig, rho))
+            p = hval - 0.5 * (logdet - H_data.dim * LOG_2PI)
         except (MPRFrailtyError, ValueError):
             return None
-        return (ell1_sum, H_data, *self._law.sigma(disp))
-
-    def _accept(self, z, hval, H_data, logdet):
-        """p from h and the penalized log-determinant; z becomes best if p beats it."""
-        p = hval - 0.5 * (logdet - H_data.dim * LOG_2PI)
         if self.best is None or p > self.best[0]:
             self.best = (p, np.array(z, dtype=float))
         return p
-
-    def profile(self, z):
-        """p at transformed dispersion z with (theta, u) fixed; None on failure."""
-        point = self._point(z)
-        if point is None:
-            return None
-        ell1_sum, H_data, sig, rho = point
-        hval = ell1_sum + _ell2_total(sig, rho, self.design.q, self._u)
-        try:
-            logdet = logdet_pd(H_data, _penalty_block(sig, rho))
-        except CurvatureError:
-            return None
-        return self._accept(z, hval, H_data, logdet)
 
     def __call__(self, z):
         p = self.profile(z)
         if p is None:
             return _OBJECTIVE_PENALTY
         return -p
-
-    def stencil(self, fun, points):
-        """The objective at every point of one finite-difference stencil.
-
-        A map-like callable for L-BFGS-B's ``workers`` option, which would
-        otherwise call ``fun`` -- this objective, wrapped -- once per point.
-        The points are prepared in order, their frailty log-densities and
-        penalized log-determinants computed together, and then accepted in
-        order, so values, ``n_eval`` and ``best`` equal those of calling
-        the objective at each point in turn.
-        """
-        points = list(points)
-        prepared = [self._point(z) for z in points]
-        live = [point for point in prepared if point is not None]
-        if live:
-            sigmas = [(sig, rho) for _, _, sig, rho in live]
-            ell2 = iter(_ell2_totals(sigmas, self.design.q, self._u))
-            logdets = iter(logdet_pd([H_data for _, H_data, _, _ in live],
-                                     [_penalty_block(sig, rho) for sig, rho in sigmas]))
-        values = []
-        for z, point in zip(points, prepared):
-            p = None
-            if point is not None:
-                ell1_sum, H_data, _, _ = point
-                hval, logdet = ell1_sum + next(ell2), next(logdets)
-                if logdet is not None:
-                    p = self._accept(z, hval, H_data, logdet)
-            values.append(_OBJECTIVE_PENALTY if p is None else -p)
-        return values
 
 
 @dataclass
@@ -310,8 +261,6 @@ def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
         options = {"gtol": 1e-5, "ftol": 1e-12, "maxiter": 15, "maxfun": 40}
     else:
         options = {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200}
-    # the 2k points of each 3-point gradient in one objective call
-    options["workers"] = obj.stencil
     gradient_converged = False
     try:
         result = scipy.optimize.minimize(

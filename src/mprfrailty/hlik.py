@@ -101,54 +101,19 @@ class ParamLayout:
 # see FrailtyLaw.sigma.
 
 
-def _ell2_quad(sig, rho, u):
-    """sum_i of the quadratic form in ell2_i, before its scaling.
-
-    The standard deviations and rho may be (N, 1) columns, one row per
-    dispersion point; the result then holds one sum per point.  With one
-    component the sum does not depend on the dispersion.
-    """
-    if len(sig) == 1:
-        return np.sum(u[0]**2, axis=-1)
-    sb, sa = sig
-    ub, ua = u[0] / sb, u[1] / sa
-    return (ub**2 + ua**2 - 2.0 * rho * ub * ua).sum(axis=-1)
-
-
-def _ell2_from_quad(sig, rho, q, quad):
-    """sum_i ell2_i at one (sig, rho) from its quadratic form ``quad``."""
-    if len(sig) == 1:
-        s = sig[0]
-        return float(-q * (0.5 * LOG_2PI + math.log(s)) - 0.5 * quad / s**2)
-    sb, sa = sig
-    omr = 1.0 - rho * rho
-    const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
-    return float(const - 0.5 * quad / omr)
-
-
 def _ell2_total(sig, rho, q, u):
     """sum_i ell2_i: total log-density of the free frailty components u (k x q)."""
     if not sig:
         return 0.0
-    return _ell2_from_quad(sig, rho, q, _ell2_quad(sig, rho, u))
-
-
-def _ell2_totals(sigmas, q, u):
-    """``_ell2_total`` at every (sig, rho) of ``sigmas``, the quadratic forms as one (N, q) array.
-
-    Every row of the array sums its q terms as the one-point version
-    does, so each value is the same to the bit.
-    """
-    k = len(sigmas[0][0])
-    if k == 0:
-        return [0.0] * len(sigmas)
-    if k == 1:
-        quads = [_ell2_quad(*sigmas[0], u)] * len(sigmas)
-    else:
-        sig_columns = np.array([sig for sig, _ in sigmas]).T[:, :, None]
-        rho_column = np.array([rho for _, rho in sigmas])[:, None]
-        quads = _ell2_quad(sig_columns, rho_column, u)
-    return [_ell2_from_quad(sig, rho, q, quad) for (sig, rho), quad in zip(sigmas, quads)]
+    if len(sig) == 1:
+        s = sig[0]
+        return float(-q * (0.5 * LOG_2PI + math.log(s)) - 0.5 * np.sum(u[0]**2) / s**2)
+    sb, sa = sig
+    omr = 1.0 - rho * rho
+    const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
+    ub, ua = u[0] / sb, u[1] / sa
+    quad = (ub**2 + ua**2 - 2.0 * rho * ub * ua).sum()
+    return float(const - 0.5 * quad / omr)
 
 
 def _penalty_block(sig, rho):
@@ -301,22 +266,18 @@ class Curvature:
         """
         if not self._dense_side:
             return (self if P is None else self.with_penalty(P))._logdet_schur()
-        dense, d_index = self._dense_parts()
-        H = dense.copy(order="F")
-        if P is not None:
-            H.reshape(-1, order="F")[d_index] += P[:, :, None]
-        c, _ = _cholesky(H, overwrite=True)
-        return _logdet_factor(c)
-
-    def _dense_parts(self):
-        """(to_dense() in Fortran order, flat Fortran index of each D_i entry), built once."""
         if self._dense is None:
             starts = np.array([sl.start for sl in self._v_slices()], dtype=np.intp)
             cells = np.arange(self.layout.q)
             rows = starts[:, None, None] + cells
             cols = starts[None, :, None] + cells
             self._dense = (np.asfortranarray(self.to_dense()), rows + cols * self.dim)
-        return self._dense
+        dense, d_index = self._dense
+        H = dense.copy(order="F")
+        if P is not None:
+            H.reshape(-1, order="F")[d_index] += P[:, :, None]
+        c, _ = _cholesky(H, overwrite=True)
+        return _logdet_factor(c)
 
     def solve(self, g):
         """H^-1 g."""
@@ -598,32 +559,6 @@ class Evaluator:
         return parts, g, H
 
 
-def _dense_logdets(curvatures, penalties):
-    """log det (H + P) for each dense-side H and k x k penalty P; None where not PD.
-
-    The matrices are copied into one (N, dim, dim) stack whose slices are
-    Fortran-contiguous, the N penalties added to their D_i entries by one
-    scatter, and every slice factored in place by one LAPACK call.  The
-    slices share no arithmetic, so each value is the one
-    :meth:`Curvature.logdet` gives; for a stencil of 2k points this costs
-    less than 2k of those calls, for one matrix more.
-    """
-    n, dim = len(curvatures), curvatures[0].dim
-    base = np.empty((n, dim, dim))
-    stack = base.transpose(0, 2, 1)  # stack[i] is base[i] read in Fortran order
-    for i, H in enumerate(curvatures):
-        dense, d_index = H._dense_parts()
-        stack[i] = dense
-    offsets = np.arange(n)[:, None, None, None] * (dim * dim)
-    base.reshape(-1)[offsets + d_index] += np.array(penalties)[:, :, :, None]
-    factored = [_POTRF(stack[i], lower=1, overwrite_a=1, clean=0)[1] == 0 for i in range(n)]
-    # _logdet_factor of every slice; a failed factorization may leave a
-    # non-positive diagonal, whose log is discarded
-    with np.errstate(invalid="ignore", divide="ignore"):
-        logdets = 2.0 * np.log(np.diagonal(stack, axis1=1, axis2=2)).sum(axis=-1)
-    return [float(v) if ok else None for v, ok in zip(logdets, factored)]
-
-
 def logdet_pd(H, P=None):
     """log det of the positive-definite information, a :class:`Curvature`.
 
@@ -631,22 +566,6 @@ def logdet_pd(H, P=None):
     (see :meth:`Curvature.logdet`).  Raises :class:`CurvatureError` when
     the factorization fails, rather than silently taking absolute values
     of pivots.
-
-    Batched: with ``H`` a sequence of curvatures of one layout and ``P``
-    the sequence of their precisions, returns the list of log-determinants
-    with None where a matrix is not positive definite.  Dense-side
-    matrices are factored as one stack, Schur-side ones one at a time;
-    every value equals that of the one-matrix call.
     """
-    if isinstance(H, Curvature):
-        return H.logdet(P)
-    if H[0]._dense_side:
-        return _dense_logdets(H, P)
-    values = []
-    for Hi, Pi in zip(H, P):
-        try:
-            values.append(Hi.logdet(Pi))
-        except CurvatureError:
-            values.append(None)
-    return values
+    return H.logdet(P)
 

@@ -440,77 +440,6 @@ class TestDispersionObjective:
         assert obj.best is None
         assert obj(z0) == _reference_objective(design, structure, x, z0)
 
-    @staticmethod
-    def _three_point(z, h=1e-4):
-        """The 2k points of one 3-point gradient stencil around z, in approx_derivative's order."""
-        points = []
-        for i in range(len(z)):
-            for step in (-h, h):
-                point = z.copy()
-                point[i] += step
-                points.append(point)
-        return points
-
-    @staticmethod
-    def _assert_stencil_matches_per_point_calls(design, structure, x, batches):
-        """Each batch through stencil() gives the values, n_eval and best of per-point calls."""
-        batched = _DispersionObjective("weibull", design, structure, x)
-        single = _DispersionObjective("weibull", design, structure, x)
-        for points in batches:
-            # scipy hands the points over as a generator
-            got = batched.stencil(None, (np.array(z) for z in points))
-            want = [single(z) for z in points]
-            assert got == want
-            assert batched.n_eval == single.n_eval
-            assert batched.best[0] == single.best[0]
-            assert np.array_equal(batched.best[1], single.best[1])
-
-    @pytest.mark.parametrize("structure, q", [("BVNF", 20), ("BVNF", 80), ("ScF", 80)])
-    def test_stencil_equals_per_point_calls(self, structure, q):
-        design, x, z0 = _objective_fixture(structure, q)
-        # q=20 is factored as one dense stack, q=80 through the Schur complement
-        assert (len(x) <= DENSE_MAX_DIM) == (q == 20)
-        batches = [self._three_point(z0 + d) for d in (0.0, 0.3, -0.2, 0.3)]
-        batches.append([z0 + 0.1, np.full(len(z0), np.nan), z0 - 0.1])
-        self._assert_stencil_matches_per_point_calls(design, structure, x, batches)
-
-    def test_cf_stencil_across_phi_equals_per_point_calls(self):
-        design, x, z0 = _objective_fixture("CF", 20)
-        # 1e6 overflows v_alpha = phi * v_beta: the data part raises there
-        raising = np.array([z0[0], 1e6])
-        batches = [
-            self._three_point(z0),
-            [z0 + [0.1, 0.0], raising, z0 + [0.0, 0.2], np.array([z0[0], np.nan]),
-             z0 + [0.1, 0.2], raising],
-            [z0 + [-0.1, 0.2], raising, z0 + [0.0, 0.2], z0],
-        ]
-        self._assert_stencil_matches_per_point_calls(design, "CF", x, batches)
-        obj = _DispersionObjective("weibull", design, "CF", x)
-        values = obj.stencil(None, batches[1])
-        assert values[1] == values[3] == values[5] == _OBJECTIVE_PENALTY
-        assert all(v < _OBJECTIVE_PENALTY for v in values[::2])
-
-    @pytest.mark.parametrize("structure", ["BVNF", "CF"])
-    def test_lbfgsb_search_is_unchanged_by_the_stencil(self, structure):
-        design, x, z0 = _objective_fixture(structure, 20)
-        runs = []
-        for batched in (False, True):
-            obj = _DispersionObjective("weibull", design, structure, x)
-            stencils = []
-            options = {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200}
-            if batched:
-                options["workers"] = lambda fun, points: stencils.append(1) or obj.stencil(
-                    fun, points)
-            res = scipy.optimize.minimize(obj, z0 + 0.3, method="L-BFGS-B", jac="3-point",
-                                          options=options)
-            runs.append((res, obj, len(stencils)))
-        (plain, plain_obj, _), (res, obj, n_stencils) = runs
-        assert n_stencils > 0
-        assert np.array_equal(res.x, plain.x)
-        assert res.fun == plain.fun
-        assert res.nfev == plain.nfev
-        assert obj.n_eval == plain_obj.n_eval
-
     def test_outer_dispersion_returns_spec_of_best_point(self, monkeypatch):
         design, x, z0 = _objective_fixture("BVNF", 5)
         trials = [np.full(3, np.nan), z0 + 0.05, z0 - 0.05, z0 + [0.0, np.nan, 0.0]]

@@ -483,27 +483,6 @@ class TestCurvature:
         with pytest.raises(CurvatureError):
             bad.logdet()
 
-    @pytest.mark.parametrize("structure", ["ScF", "CF", "BVNF"])
-    def test_batched_logdet_equals_one_at_a_time(self, block_design, structure):
-        # q10 is factored as one dense stack, q150 one matrix at a time via Schur
-        ev = Evaluator("weibull", block_design, spec_for(structure))
-        rng = np.random.default_rng(8)
-        H1, H2 = (ev.information(rng.uniform(-0.3, 0.3, ev.layout.dim), penalty=False)
-                  for _ in range(2))
-        k = ev.layout.k
-        good = [10.0 * np.eye(k), np.diag(np.arange(20.0, 20.0 + k)), 5.0 * np.eye(k)]
-        if k == 2:
-            good[2][0, 1] = good[2][1, 0] = 2.0
-        not_pd = -1e6 * np.eye(k)
-        Hs = [H1, H2, H1, H1, H2]
-        Ps = [good[0], good[1], not_pd, good[2], not_pd]
-        got = logdet_pd(Hs, Ps)
-        assert got[2] is None and got[4] is None
-        for i in (0, 1, 3):
-            assert got[i] == logdet_pd(Hs[i], Ps[i]) == Hs[i].logdet(Ps[i])
-        with pytest.raises(CurvatureError):
-            logdet_pd(H1, not_pd)
-
     def test_frailty_block_with_negative_determinant_raises(self, block_design):
         ev = Evaluator("weibull", block_design, spec_for("BVNF"))
         H = ev.information(np.zeros(ev.layout.dim))
