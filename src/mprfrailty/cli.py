@@ -23,7 +23,6 @@ import numpy as np
 from .data import STRUCTURES, Dataset
 from .errors import (
     CalibrationError,
-    DataError,
     DomainError,
     MPRFrailtyError,
     ScenarioError,
@@ -126,10 +125,9 @@ def _load_fit(path):
 
 
 def _settings_from_args(args):
-    kwargs = {}
-    if getattr(args, "max_outer", None):
-        kwargs["max_outer"] = args.max_outer
-    return FitSettings(**kwargs) if kwargs else None
+    if args.max_outer is None:
+        return None
+    return FitSettings(max_outer=args.max_outer)
 
 
 def cmd_fit(args):
@@ -143,7 +141,7 @@ def cmd_fit(args):
             shape_covariates=_split_list(args.shape_covariates),
             settings=_settings_from_args(args),
         )
-    except (DataError, DomainError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except MPRFrailtyError as exc:
@@ -167,8 +165,9 @@ def cmd_compare(args):
         print("error: compare needs at least 2 structures", file=sys.stderr)
         return EXIT_USER
     try:
+        settings = _settings_from_args(args)
         dataset = Dataset.read_csv(args.data)
-    except (DataError, OSError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
 
@@ -181,7 +180,7 @@ def cmd_compare(args):
                 family=args.family,
                 scale_covariates=_split_list(args.scale_covariates),
                 shape_covariates=_split_list(args.shape_covariates),
-                settings=_settings_from_args(args),
+                settings=settings,
             )
         except (MPRFrailtyError, ValueError) as exc:
             failures[structure] = f"{type(exc).__name__}: {exc}"
@@ -226,7 +225,7 @@ def cmd_compare(args):
 def cmd_simulate(args):
     try:
         scenario = ScenarioSpec.read_json(args.scenario)
-        if args.replicates:
+        if args.replicates is not None:
             scenario = ScenarioSpec.from_dict(
                 {**scenario.to_dict(), "replicates": args.replicates}
             )
@@ -264,14 +263,11 @@ def cmd_hr(args):
         if args.boot:
             curve = bootstrap_hr_ci(
                 model_fit, args.covariate, times,
-                n_boot=args.boot, seed=args.seed or 0,
+                n_boot=args.boot, seed=args.seed,
             )
         else:
             curve = hazard_ratio_curve(model_fit, args.covariate, times)
-    except (OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except MPRFrailtyError as exc:
+    except (OSError, KeyError, ValueError, MPRFrailtyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     os.makedirs(args.out, exist_ok=True)
@@ -299,10 +295,7 @@ def cmd_frailties(args):
     try:
         model_fit = _load_fit(args.fit)
         intervals = frailty_estimates(model_fit, args.component)
-    except (OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except MPRFrailtyError as exc:
+    except (OSError, KeyError, ValueError, MPRFrailtyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     os.makedirs(args.out, exist_ok=True)

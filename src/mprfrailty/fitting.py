@@ -51,6 +51,9 @@ SIGMA_BOUNDARY = 1e-6
 
 _OBJECTIVE_PENALTY = 1e12
 
+# relative step of the 3-point gradient of the dispersion objective
+_FD_STEP = np.finfo(float).eps ** (1 / 3)
+
 # starting value of every dispersion parameter of the alternating algorithm
 _START_DISPERSION = 0.1
 
@@ -220,6 +223,24 @@ class _DispersionObjective:
             return _OBJECTIVE_PENALTY
         return -p
 
+    def gradient(self, z):
+        """Central-difference gradient of ``self`` at z, as scipy's 3-point rule.
+
+        Step ``h_i = _FD_STEP * max(1, |z_i|)``, signed like z_i (positive
+        at 0); z - h_i e_i is evaluated before z + h_i e_i, one coordinate
+        at a time.
+        """
+        z = np.asarray(z, dtype=float)
+        h = np.where(z >= 0, 1.0, -1.0) * _FD_STEP * np.maximum(1.0, np.abs(z))
+        g = np.empty(len(z))
+        for i in range(len(z)):
+            lo, hi = z.copy(), z.copy()
+            lo[i] -= h[i]
+            hi[i] += h[i]
+            f_lo = self(lo)
+            g[i] = (self(hi) - f_lo) / (hi[i] - lo[i])
+        return g
+
 
 @dataclass
 class OuterResult:
@@ -257,17 +278,20 @@ def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
                 "adjusted profile likelihood not evaluable near the "
                 "starting dispersion"
             )
+    # budgets in objective evaluations; maxfun counts trial points, and
+    # each trial point also evaluates its 2k-point gradient stencil
+    per_trial = 1 + 2 * len(z0)
     if effort == "loose":
-        options = {"gtol": 1e-5, "ftol": 1e-12, "maxiter": 15, "maxfun": 40}
+        options = {"gtol": 1e-5, "ftol": 1e-12, "maxiter": 15, "maxfun": 40 // per_trial}
     else:
-        options = {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200}
+        options = {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200 // per_trial}
     gradient_converged = False
     try:
         result = scipy.optimize.minimize(
             obj,
             np.asarray(z0, dtype=float),
             method="L-BFGS-B",
-            jac="3-point",
+            jac=obj.gradient,
             options=options,
         )
         gradient_converged = bool(result.status == 0)

@@ -81,6 +81,13 @@ class TestCmdFit:
         record = json.loads((out / "fit_BVNF.json").read_text())
         assert record["converged"] is False
 
+    def test_zero_max_outer_exits_1(self, data_csv, tmp_path, capsys):
+        code = main(["fit", "--data", data_csv, "--structure", "NF",
+                     "--max-outer", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "iteration caps must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "fit_NF.json").exists()
+
     def test_collinear_design_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         rows = ["cluster,time,status,x1,x2"]
@@ -113,6 +120,14 @@ class TestCmdCompare:
     def test_single_structure_rejected(self, data_csv, tmp_path):
         assert main(["compare", "--data", data_csv, "--structures", "NF",
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("max_outer", ["0", "-3"])
+    def test_bad_max_outer_exits_1(self, data_csv, tmp_path, capsys, max_outer):
+        code = main(["compare", "--data", data_csv, "--structures", "NF,ScF",
+                     "--max-outer", max_outer, "--out", str(tmp_path)])
+        assert code == 1
+        assert "iteration caps must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "selection.csv").exists()
 
 
 class TestCmdSimulate:
@@ -152,6 +167,13 @@ class TestCmdSimulate:
         path.write_text("{\"q\": 1}")
         assert main(["simulate", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 1
+
+    def test_zero_replicates_exits_1(self, tmp_path, capsys):
+        scen = self.scenario_file(tmp_path)
+        assert main(["simulate", "--scenario", scen, "--replicates", "0",
+                     "--out", str(tmp_path)]) == 1
+        assert "replicates must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_summary.csv").exists()
 
     def test_unreachable_calibration_exits_4(self, tmp_path):
         scen = self.scenario_file(
@@ -198,6 +220,15 @@ class TestCmdHr:
         assert main(["hr", "--fit", str(saved_fit), "--covariate", "zzz",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("times", ["a:b:3", "1,x", "0.1:2:2.5"])
+    def test_unparsable_times_exit_1(self, saved_fit, tmp_path, times):
+        assert main(["hr", "--fit", str(saved_fit), "--covariate", "x1",
+                     "--times", times, "--out", str(tmp_path)]) == 1
+
+    def test_fit_file_not_json_exits_1(self, data_csv, tmp_path):
+        assert main(["hr", "--fit", data_csv, "--covariate", "x1",
+                     "--out", str(tmp_path)]) == 1
+
 
 class TestCmdFrailties:
     def test_round_trip_equals_in_process(self, saved_fit, tmp_path):
@@ -216,6 +247,10 @@ class TestCmdFrailties:
     def test_absent_component_exits_1(self, saved_fit, tmp_path):
         assert main(["frailties", "--fit", str(saved_fit),
                      "--component", "shape", "--out", str(tmp_path)]) == 1
+
+    def test_fit_file_not_json_exits_1(self, data_csv, tmp_path):
+        assert main(["frailties", "--fit", data_csv,
+                     "--component", "scale", "--out", str(tmp_path)]) == 1
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -23,6 +23,7 @@ from mprfrailty.errors import MPRFrailtyError
 from mprfrailty.fitting import (
     _OBJECTIVE_PENALTY,
     _DispersionObjective,
+    OuterResult,
     _dispersion_jacobian,
     _newton,
     _spec_with_z,
@@ -396,6 +397,26 @@ def _reference_objective(design, structure, x, z):
     return -(ev.h(x) - 0.5 * (ev.information(x).logdet() - dim * LOG_2PI))
 
 
+# Step 2's search budgets in objective evaluations, which is what maxfun
+# counts under scipy's own 3-point differences
+_UNSCALED_OPTIONS = {
+    "loose": {"gtol": 1e-5, "ftol": 1e-12, "maxiter": 15, "maxfun": 40},
+    "tight": {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200},
+}
+
+
+def _scipy_3_point_outer(design, structure, x, z0, effort):
+    """(OuterResult, L-BFGS-B message) of the search under jac="3-point"."""
+    obj = _DispersionObjective("weibull", design, structure, x)
+    obj.profile(z0)
+    res = scipy.optimize.minimize(obj, z0, method="L-BFGS-B", jac="3-point",
+                                  options=_UNSCALED_OPTIONS[effort])
+    p, z = obj.best
+    out = OuterResult(spec=_spec_with_z(structure, z), profile_loglik=p, z=z,
+                      n_eval=obj.n_eval, gradient_converged=bool(res.status == 0))
+    return out, res.message
+
+
 class TestDispersionObjective:
     @pytest.mark.parametrize("q", [5, 80])
     @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
@@ -439,6 +460,22 @@ class TestDispersionObjective:
         assert obj.n_eval == len(z0) + (structure == "CF")
         assert obj.best is None
         assert obj(z0) == _reference_objective(design, structure, x, z0)
+
+    @pytest.mark.parametrize("effort", ["loose", "tight"])
+    @pytest.mark.parametrize("q", [5, 80])
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
+    def test_own_gradient_repeats_scipy_3_point(self, structure, q, effort):
+        design, x, z0 = _objective_fixture(structure, q)
+        want, message = _scipy_3_point_outer(design, structure, x, z0, effort)
+        got = outer_dispersion("weibull", design, structure, z0, x, effort=effort)
+        assert np.array_equal(got.z, want.z)
+        assert got.profile_loglik == want.profile_loglik
+        assert got.spec == want.spec
+        assert got.n_eval == want.n_eval
+        assert got.gradient_converged == want.gradient_converged
+        if effort == "loose" and structure in ("CF", "BVNF"):
+            # these searches end on the rescaled maxfun cap
+            assert "EVALUATIONS EXCEEDS LIMIT" in message.upper()
 
     def test_outer_dispersion_returns_spec_of_best_point(self, monkeypatch):
         design, x, z0 = _objective_fixture("BVNF", 5)
