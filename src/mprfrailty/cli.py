@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .data import STRUCTURES, Dataset
+from .data import STRUCTURES, Dataset, normalize_structure
 from .errors import (
     CalibrationError,
     DomainError,
@@ -160,7 +160,13 @@ def cmd_fit(args):
 
 
 def cmd_compare(args):
-    structures = _split_list(args.structures) or list(STRUCTURES)
+    try:
+        # canonical names, each once, in the order given
+        structures = list(dict.fromkeys(
+            normalize_structure(s) for s in _split_list(args.structures) or STRUCTURES))
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
     if len(structures) < 2:
         print("error: compare needs at least 2 structures", file=sys.stderr)
         return EXIT_USER
@@ -243,6 +249,9 @@ def cmd_simulate(args):
     except (CalibrationError, ScenarioError) as exc:
         print(f"scenario failure: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scenario_summary.csv")
     with open(path, "w") as fh:

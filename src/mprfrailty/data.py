@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DataError, DomainError
 
@@ -332,7 +333,7 @@ class Dataset:
                     t = float(row[1])
                 except ValueError:
                     raise DataError(f"time {row[1]!r} is not a number", row=i) from None
-                if not (np.isfinite(t) and t > 0):
+                if not (math.isfinite(t) and t > 0):
                     raise DataError(f"time must be positive, got {row[1]!r}", row=i)
                 times.append(t)
                 status_text = row[2].strip()
@@ -374,18 +375,36 @@ class ModelDesign:
         self.q = len(self.cluster_labels)
         self.n = len(self.time)
         self.cluster_sizes = np.bincount(self.cluster_index, minlength=self.q)
-        self._cluster_bins = {}
 
-    def cluster_bins(self, m):
-        """Bin of every cell of an n x m record array, raveled: cluster * m + column.
+    @cached_property
+    def cluster_sums(self):
+        """(Z, S_beta, S_alpha): sparse matrices whose products with record weights are cluster sums.
 
-        Built once per column count m.
+        Row a*q + i of S_beta holds column a of X_beta on cluster i's
+        records, in record order, so that (S_beta @ w) reshaped to
+        (m_beta, q) is X_beta' diag(w) Z for the cluster incidence Z;
+        likewise S_alpha for X_alpha, and Z' itself, whose product holds the
+        cluster sums of w.  The intercept rows of S_beta and S_alpha are
+        Z' too.  scipy's CSR product adds every entry from 0.0 in stored
+        order, which gives each sum the bits of ``np.bincount`` over the
+        records.  Built once per design.
         """
-        bins = self._cluster_bins.get(m)
-        if bins is None:
-            bins = (self.cluster_index[:, None] * m + np.arange(m)).ravel()
-            self._cluster_bins[m] = bins
-        return bins
+        n, q = self.n, self.q
+        # 32-bit indices where they fit: half the memory of 64-bit ones
+        nnz = (1 + self.m_beta + self.m_alpha) * n
+        itype = np.int32 if nnz < 2**31 else np.intp
+        order = np.argsort(self.cluster_index, kind="stable").astype(itype)
+        starts = np.concatenate([[0], np.cumsum(self.cluster_sizes)[:-1]])
+
+        def rows(X):
+            m = X.shape[1]
+            indptr = np.empty(m * q + 1, dtype=itype)
+            indptr[:-1] = (np.arange(m)[:, None] * n + starts).ravel()
+            indptr[-1] = m * n
+            return scipy.sparse.csr_array((X[order].T.ravel(), np.tile(order, m), indptr),
+                                          shape=(m * q, n))
+
+        return rows(np.ones((n, 1))), rows(self.X_beta), rows(self.X_alpha)
 
     @property
     def m_beta(self):

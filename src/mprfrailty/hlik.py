@@ -12,8 +12,12 @@ likelihood p = h - 0.5*log det(H/2pi) with H the observed information of
 (theta, v).  This module evaluates all of those pieces analytically for
 every frailty structure and baseline family.
 
-Everything here is a pure function of its inputs; concurrent evaluation
-at different parameter points is safe.
+Apart from one cache, everything here is a pure function of its inputs:
+an :class:`Evaluator` keeps its last record pass (that of its last ``h``
+or ``h_score_info`` call), and ``h_score_info`` reuses it at an equal x (the accepted step of a Newton
+iteration) instead of evaluating that point again.  Each fit builds its
+own evaluators; the kept pass is replaced as one attribute and used only
+at an equal x, so concurrent evaluation stays safe.
 """
 
 import math
@@ -364,6 +368,12 @@ class Curvature:
         return self.dim - float(np.einsum("jli,lj->", blocks, self.P))
 
 
+# D_v's entries (0, 0), (0, 1) and (1, 1), Z'diag(w)Z for w_beta, w_ba and
+# w_alpha, as (component c, frailty r) of the cluster sums whose intercept
+# row they are, see Evaluator._assemble_information
+_D_ENTRIES = ((0, 0), (0, 1), (1, 1))
+
+
 class Evaluator:
     """Likelihood machinery bound to one (family, design, structure).
 
@@ -372,6 +382,11 @@ class Evaluator:
     live in ``spec`` and are fixed for the lifetime of the object; the
     frailties enter through the structure's law v = L u (see
     :class:`~mprfrailty.data.FrailtyLaw`).
+
+    The evaluator keeps its last record pass (predictors, Lambda0 and h
+    at a copy of x), which :meth:`h_score_info` reuses when called at an
+    equal x, as after :meth:`h` at an accepted Newton step.  Every cluster sum is a product of record weights with one
+    of ``design.cluster_sums``.
     """
 
     def __init__(self, family, design, spec):
@@ -389,7 +404,11 @@ class Evaluator:
         self._d_weights = [
             (i, j, (ci[0] * cj[0], ci[0] * cj[1] + ci[1] * cj[0], ci[1] * cj[1]))
             for j, cj in enumerate(self._cols) for i, ci in enumerate(self._cols[:j + 1])]
+        # the frailties (0: v_beta, 1: v_alpha) whose record weights enter
+        self._need = tuple(r for r in (0, 1) if any(col[r] != 0.0 for col in self._cols))
         self.layout = ParamLayout.for_spec(design, spec)
+        # the last record pass, see _pass
+        self._last = None
         # s = exp(glogt) must stay inside the family's domain and finite
         self._max_glogt = min(math.log(self._base.max_s), LINPRED_MAX)
 
@@ -465,23 +484,28 @@ class Evaluator:
 
     # -- cluster reductions ----------------------------------------------------
 
-    def _csum(self, w):
-        return np.bincount(self.design.cluster_index, weights=w, minlength=self.design.q)
+    def _cluster_sums(self, M, weights, m):
+        """{r: M @ weights[r] as m x q} for every frailty r whose weights enter.
 
-    def _csum_cols(self, w, X):
-        """Columns of X' W Z for one-hot Z: (m, q) array of cluster sums."""
-        q, m = self.design.q, X.shape[1]
-        # one bincount over (cluster, column) bins; every bin still sums its
-        # records in record order, as a per-column bincount would
-        sums = np.bincount(self.design.cluster_bins(m), weights=(w[:, None] * X).ravel(),
-                           minlength=q * m)
-        return sums.reshape(q, m).T
+        ``M`` is one of ``design.cluster_sums``.  One product per weight
+        vector: on a 2-CPU x86-64 box, scipy's product with an n x 2 stack
+        took 27 us against 2 x 8 us at n = 5000, and 297 us against
+        2 x 118 us at n = 100,000.
+        """
+        return {r: (M @ weights[r]).reshape(m, self.design.q) for r in self._need}
 
     # -- public evaluations ------------------------------------------------------
 
+    def _pass(self, x):
+        """(copy of x, (tau, s, glogt, Lambda0), HlikValue) at x, kept as the last pass."""
+        tau, gamma, s, glogt, u = self._predictors(x)
+        Lam0 = self._base.cumhaz(s)
+        self._last = last = (np.array(x), (tau, s, glogt, Lam0),
+                             self._value(tau, gamma, s, u, Lam0))
+        return last
+
     def h_parts(self, x):
-        tau, gamma, s, _, u = self._predictors(x)
-        return self._value(tau, gamma, s, u, self._base.cumhaz(s))
+        return self._pass(x)[2]
 
     def h(self, x):
         return self.h_parts(x).h
@@ -492,10 +516,10 @@ class Evaluator:
         g = np.empty(lay.dim)
         g[lay.sl_beta] = d.X_beta.T @ u_beta
         g[lay.sl_alpha] = d.X_alpha.T @ u_alpha
-        U = (u_beta, u_alpha)
+        zu = self._cluster_sums(d.cluster_sums[0], (u_beta, u_alpha), 1)
         pen = _penalty_score(*self._sigma, u)
         for j, col in enumerate(self._cols):
-            g[lay.block(j)] = combine(col, lambda r: self._csum(U[r])) - pen[j]
+            g[lay.block(j)] = combine(col, lambda r: zu[r][0]) - pen[j]
         if not np.all(np.isfinite(g)):
             raise EvaluationError("non-finite score entry")
         return g
@@ -534,14 +558,22 @@ class Evaluator:
         B = np.empty((k, lay.m, d.q))
         D = np.empty((k, k, d.q))
         P = _penalty_block(*self._sigma) if penalty else np.zeros((k, k))
-        # record weights between frailty r and the covariates of the scale
-        # (W_b[r]) and shape (W_a[r]) components, and of D_v's entries
-        W_b, W_a, W_d = (w_beta, w_ba), (w_ba, w_alpha), (w_beta, w_ba, w_alpha)
+        # sums[c][r]: the cluster sums of frailty r's record weights against
+        # the covariates of the scale (c = 0) and shape (c = 1) components
+        _, S_b, S_a = d.cluster_sums
+        sums = (self._cluster_sums(S_b, (w_beta, w_ba), m_b),
+                self._cluster_sums(S_a, (w_ba, w_alpha), lay.m_alpha))
         for j, col in enumerate(self._cols):
-            B[j, :m_b] = combine(col, lambda r: self._csum_cols(W_b[r], Xb))
-            B[j, m_b:] = combine(col, lambda r: self._csum_cols(W_a[r], Xa))
+            B[j, :m_b] = combine(col, sums[0].__getitem__)
+            B[j, m_b:] = combine(col, sums[1].__getitem__)
+
+        def z_sum(e):
+            # entry e of D_v is the intercept row of one of those sums
+            c, r = _D_ENTRIES[e]
+            return sums[c][r][0]
+
         for i, j, weights in self._d_weights:
-            D[i, j] = D[j, i] = combine(weights, lambda e: self._csum(W_d[e])) + P[i, j]
+            D[i, j] = D[j, i] = combine(weights, z_sum) + P[i, j]
 
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))
                 and np.all(np.isfinite(D))):
@@ -549,10 +581,16 @@ class Evaluator:
         return Curvature(lay, A, B, D, P)
 
     def h_score_info(self, x):
-        """One-pass (HlikValue, score, information) sharing the record terms."""
-        tau, gamma, s, glogt, u = self._predictors(x)
-        Lam0 = self._base.cumhaz(s)
-        parts = self._value(tau, gamma, s, u, Lam0)
+        """One-pass (HlikValue, score, information) sharing the record terms.
+
+        At an x equal to that of the last pass (the :meth:`h` call of an
+        accepted Newton step) its predictors, Lambda0 and h are reused.
+        """
+        last = self._last
+        if last is None or not np.array_equal(last[0], x):
+            last = self._pass(x)
+        (tau, s, glogt, Lam0), parts = last[1:]
+        u = self.layout.unpack(x)[2]
         u_beta, u_alpha, w_beta, w_alpha, w_ba = self._record_terms(tau, s, glogt, Lam0)
         g = self._assemble_score(u_beta, u_alpha, u)
         H = self._assemble_information(w_beta, w_alpha, w_ba, penalty=True)

@@ -323,7 +323,11 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
 
     Per-replicate fit failures are recorded rather than fatal, up to a
     20% failure fraction; beyond that the whole scenario errors out.
+    ``threads`` worker threads run the replicates (1: in this thread);
+    fewer than 1 raises :class:`DomainError`.
     """
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     structure = normalize_structure(structure)
     settings = settings or FitSettings()
     reps = scenario.replicates
@@ -354,7 +358,7 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
         )
         return ("ok", (names, est, see))
 
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(reps)))
     else:

@@ -121,6 +121,30 @@ class TestCmdCompare:
         assert main(["compare", "--data", data_csv, "--structures", "NF",
                      "--out", str(tmp_path)]) == 1
 
+    def test_structure_names_normalized(self, data_csv, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--data", data_csv, "--structures", "nf,scf",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("fit_*.json")) == ["fit_NF.json", "fit_ScF.json"]
+        assert "LRT NF vs ScF" in (out / "selection.txt").read_text()
+
+    def test_duplicate_structures_fitted_once(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--data", data_csv, "--structures", "NF,nf,ScF",
+                     "--out", str(out)]) == 0
+        rows = (out / "selection.csv").read_text().splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in rows) == ["NF", "ScF"]
+        capsys.readouterr()
+        assert main(["compare", "--data", data_csv, "--structures", "NF,nf",
+                     "--out", str(tmp_path / "one")]) == 1
+        assert "at least 2 structures" in capsys.readouterr().err
+
+    def test_unknown_structure_exits_1(self, data_csv, tmp_path, capsys):
+        assert main(["compare", "--data", data_csv, "--structures", "foo,bar",
+                     "--out", str(tmp_path)]) == 1
+        assert "unknown frailty structure 'foo'" in capsys.readouterr().err
+        assert not (tmp_path / "selection.csv").exists()
+
     @pytest.mark.parametrize("max_outer", ["0", "-3"])
     def test_bad_max_outer_exits_1(self, data_csv, tmp_path, capsys, max_outer):
         code = main(["compare", "--data", data_csv, "--structures", "NF,ScF",
@@ -155,6 +179,14 @@ class TestCmdSimulate:
 
     def test_threads_default_to_one(self):
         assert build_parser().parse_args(["simulate", "--scenario", "s.json"]).threads == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_1(self, tmp_path, capsys, threads):
+        scen = self.scenario_file(tmp_path)
+        assert main(["simulate", "--scenario", scen, "--threads", threads,
+                     "--out", str(tmp_path)]) == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_summary.csv").exists()
 
     def test_simulate_reports_failure_reasons(self, tmp_path, capsys):
         scen = self.scenario_file(tmp_path)

@@ -126,12 +126,20 @@ class TestBuildDesign:
         assert design.cluster_index.tolist() == [0, 0, 1]
         assert design.cluster_sizes.tolist() == [2, 1]
 
-    def test_cluster_bins_built_once_per_width(self):
-        d = build_design(small_weibull_dataset(seed=1, q=4, n_i=3))
-        bins = d.cluster_bins(3)
-        assert np.array_equal(bins, (d.cluster_index[:, None] * 3 + np.arange(3)).ravel())
-        assert d.cluster_bins(3) is bins
-        assert len(d.cluster_bins(2)) == 2 * d.n
+    def test_cluster_sums_built_once(self):
+        ds = small_weibull_dataset(seed=1, q=4, n_i=3, p=2)
+        clusters = np.random.default_rng(0).permutation(ds.clusters)  # interleaved
+        d = build_design(Dataset(clusters, ds.time, ds.status, ds.covariates,
+                                 ds.covariate_names), shape_covariates=["x2"])
+        assert np.any(np.diff(d.cluster_index) < 0)
+        sums = d.cluster_sums
+        assert d.cluster_sums is sums
+        Z, S_beta, S_alpha = sums
+        incidence = (d.cluster_index == np.arange(d.q)[:, None]).astype(float)  # q x n
+        assert np.array_equal(Z.toarray(), incidence)
+        for S, X in ((S_beta, d.X_beta), (S_alpha, d.X_alpha)):
+            assert S.shape == (X.shape[1] * d.q, d.n)
+            assert np.array_equal(S.toarray(), (X.T[:, None, :] * incidence).reshape(-1, d.n))
 
     def test_intercept_prepended(self):
         ds = small_weibull_dataset(p=2)

@@ -13,7 +13,9 @@ from mprfrailty import (
     fit,
     simulate_dataset,
 )
-from mprfrailty.hlik import Curvature, Evaluator, ParamLayout, logdet_pd
+from mprfrailty.data import combine
+from mprfrailty.fitting import FitSettings, _newton
+from mprfrailty.hlik import Curvature, Evaluator, ParamLayout, _penalty_score, logdet_pd
 
 from ._oracles import (
     bvn_logpdf,
@@ -495,3 +497,160 @@ class TestCurvature:
                 method()
         with pytest.raises(CurvatureError):
             bad._solve_schur(np.ones(ev.layout.dim))
+
+
+# -- cluster sums and the kept trial pass ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def interleaved_design():
+    """Clusters of sizes 1 to 12, interleaved in an unsorted record order.
+
+    First appearance differs from label order, and the scale and shape
+    components use different covariates (m_beta = 3, m_alpha = 2).
+    """
+    rng = np.random.default_rng(11)
+    sizes = {"k": 1, "c": 2, "a": 3, "f": 7, "b": 12, "z": 5}
+    clusters = rng.permutation([lab for lab, size in sizes.items() for _ in range(size)])
+    n = len(clusters)
+    ds = Dataset(clusters, rng.uniform(0.2, 3.0, n), rng.integers(0, 2, n),
+                 rng.standard_normal((n, 3)), ["x1", "x2", "x3"])
+    return build_design(ds, scale_covariates=["x3", "x1"], shape_covariates=["x2"])
+
+
+def wide_weights(n, seed):
+    """Record weights spanning 16 orders of magnitude: a sum's bits depend on its order."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+
+
+def sequential_sums(design, X, w):
+    """(m, q) sums of X[j, a] * w[j] over each cluster, added one record at a time from 0.0."""
+    out = np.zeros((X.shape[1], design.q))
+    for j, i in enumerate(design.cluster_index):
+        for a in range(X.shape[1]):
+            out[a, i] += X[j, a] * w[j]
+    return out
+
+
+def bincount_sums(design, X, w):
+    """The same sums as one np.bincount over (cluster, column) bins."""
+    q, m = design.q, X.shape[1]
+    bins = (design.cluster_index[:, None] * m + np.arange(m)).ravel()
+    return np.bincount(bins, weights=(w[:, None] * X).ravel(), minlength=q * m).reshape(q, m).T
+
+
+def reversed_within_clusters(M):
+    """A copy of the CSR matrix M that adds each cluster's records in reverse order."""
+    data, indices = M.data.copy(), M.indices.copy()
+    for r in range(M.shape[0]):
+        row = slice(M.indptr[r], M.indptr[r + 1])
+        data[row], indices[row] = data[row][::-1], indices[row][::-1]
+    return type(M)((data, indices, M.indptr.copy()), shape=M.shape)
+
+
+def bincount_score(ev, x):
+    """The score with the frailty blocks' cluster sums taken by np.bincount."""
+    tau, _, s, glogt, u = ev._predictors(x)
+    u_beta, u_alpha, *_ = ev._record_terms(tau, s, glogt, ev._base.cumhaz(s))
+    d, lay = ev.design, ev.layout
+    g = np.empty(lay.dim)
+    g[lay.sl_beta] = d.X_beta.T @ u_beta
+    g[lay.sl_alpha] = d.X_alpha.T @ u_alpha
+    U = [np.bincount(d.cluster_index, weights=w, minlength=d.q) for w in (u_beta, u_alpha)]
+    pen = _penalty_score(*ev._sigma, u)
+    for j, col in enumerate(ev._cols):
+        g[lay.block(j)] = combine(col, U.__getitem__) - pen[j]
+    return g
+
+
+class TestClusterSums:
+    def test_equal_to_sequential_and_bincount_sums(self, interleaved_design):
+        d = interleaved_design
+        Z, S_beta, S_alpha = d.cluster_sums
+        ones = np.ones((d.n, 1))
+        for seed in range(3):
+            w = wide_weights(d.n, seed)
+            for M, X in ((Z, ones), (S_beta, d.X_beta), (S_alpha, d.X_alpha)):
+                got = (M @ w).reshape(X.shape[1], d.q)
+                assert np.array_equal(got, sequential_sums(d, X, w))
+                assert np.array_equal(got, bincount_sums(d, X, w))
+            assert np.array_equal(Z @ w, np.bincount(d.cluster_index, weights=w, minlength=d.q))
+
+    def test_oracle_rejects_another_order_within_a_cluster(self, interleaved_design):
+        d = interleaved_design
+        S_beta = d.cluster_sums[1]
+        w = wide_weights(d.n, 0)
+        got = (reversed_within_clusters(S_beta) @ w).reshape(d.m_beta, d.q)
+        want = sequential_sums(d, d.X_beta, w)
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(w).max())
+        assert not np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_passes_equal_bincount_assembly(self, interleaved_design, structure, family):
+        ev = Evaluator(family, interleaved_design, spec_for(structure))
+        x = np.random.default_rng(5).uniform(-0.4, 0.4, ev.layout.dim)
+        ell1_sum, H0 = ev.data_part(x)
+        assert ell1_sum == ev.h_parts(x).ell1_sum
+        assert np.array_equal(H0.to_dense(), dense_information(ev, x, penalty=False))
+        _, g, H = ev.h_score_info(x)
+        assert np.array_equal(g, bincount_score(ev, x))
+        assert np.array_equal(H.to_dense(), dense_information(ev, x, penalty=True))
+
+
+def _same_pass(a, b):
+    (pa, ga, Ha), (pb, gb, Hb) = a, b
+    return (pa == pb and np.array_equal(ga, gb)
+            and all(np.array_equal(u, v) for u, v in ((Ha.A, Hb.A), (Ha.B, Hb.B), (Ha.D, Hb.D))))
+
+
+class TestKeptTrial:
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_h_then_h_score_info_reuses_the_pass(self, fixture_30x5, structure, monkeypatch):
+        _, design = fixture_30x5
+        spec = spec_for(structure)
+        ev = Evaluator("gompertz", design, spec)
+        x = np.random.default_rng(4).uniform(-0.4, 0.4, ev.layout.dim)
+        ev.h(x)
+        calls = []
+        predictors = ev._predictors
+        monkeypatch.setattr(ev, "_predictors", lambda y: calls.append(1) or predictors(y))
+        got = ev.h_score_info(x.copy())
+        assert calls == []
+        assert _same_pass(got, Evaluator("gompertz", design, spec).h_score_info(x))
+
+    def test_other_x_is_evaluated_afresh(self, fixture_30x5):
+        _, design = fixture_30x5
+        spec = spec_for("BVNF")
+        ev, fresh = Evaluator("weibull", design, spec), Evaluator("weibull", design, spec)
+        x1 = np.random.default_rng(6).uniform(-0.4, 0.4, ev.layout.dim)
+        x2 = x1.copy()
+        x2[-1] += 2.0**-40
+        ev.h(x1)
+        assert _same_pass(ev.h_score_info(x2), fresh.h_score_info(x2))
+        assert not _same_pass(fresh.h_score_info(x2), fresh.h_score_info(x1))
+        # an x changed in place after h is not the x h saw
+        x = x1.copy()
+        ev.h(x)
+        x[0] += 0.25
+        assert _same_pass(ev.h_score_info(x), fresh.h_score_info(x))
+
+    def test_newton_evaluates_each_accepted_step_once(self, fixture_30x5, monkeypatch):
+        _, design = fixture_30x5
+        ev = Evaluator("weibull", design, spec_for("BVNF"))
+        counts = {"predictors": 0, "h": 0}
+        predictors, h = ev._predictors, ev.h
+
+        def count(name, f):
+            def counted(x):
+                counts[name] += 1
+                return f(x)
+            return counted
+
+        monkeypatch.setattr(ev, "_predictors", count("predictors", predictors))
+        monkeypatch.setattr(ev, "h", count("h", h))
+        res = _newton(ev, np.zeros(ev.layout.dim), FitSettings())
+        assert res.iterations > 2 and res.monotone
+        # one pass for the start, one per trial step, none for an accepted step
+        assert counts["predictors"] == counts["h"] + 1

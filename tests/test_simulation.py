@@ -242,6 +242,14 @@ class TestRunScenario:
         s2 = run_scenario(spec, structure="ScF", threads=3)
         assert s1.to_csv_text() == s2.to_csv_text()
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads, monkeypatch):
+        spec = scenario(q=6, n_i=10, replicates=2, seed=77)
+        # rejected before any work: calibration is never reached
+        monkeypatch.setattr("mprfrailty.simulation.calibrate_censoring", None)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_scenario(spec, structure="ScF", threads=threads)
+
     def test_single_replicate_has_na_se(self):
         spec = scenario(q=6, n_i=10, replicates=1, seed=77)
         s = run_scenario(spec, structure="ScF")
