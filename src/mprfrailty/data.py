@@ -253,12 +253,13 @@ class Dataset:
     def __init__(self, clusters, time, status, covariates, covariate_names):
         self.clusters = np.asarray(clusters, dtype=object)
         self.time = np.asarray(time, dtype=float)
-        self.status = np.asarray(status, dtype=int)
+        self.status = np.asarray(status)  # cast after _validate: int() makes 0.7 a 0
         self.covariates = np.asarray(covariates, dtype=float)
         if self.covariates.ndim == 1:
             self.covariates = self.covariates.reshape(-1, 1)
         self.covariate_names = list(covariate_names)
         self._validate()
+        self.status = self.status.astype(int)
 
     def _validate(self):
         n = len(self.time)
@@ -275,7 +276,7 @@ class Dataset:
             raise DataError("time must be positive and finite", row=bad + 1)
         if not np.all(np.isin(self.status, (0, 1))):
             bad = int(np.argmax(~np.isin(self.status, (0, 1))))
-            raise DataError("status must be 0 or 1", row=bad + 1)
+            raise DataError(f"status must be 0 or 1, got {self.status[bad]!r}", row=bad + 1)
         if not np.all(np.isfinite(self.covariates)):
             bad = int(np.argmax(~np.all(np.isfinite(self.covariates), axis=1)))
             raise DataError("covariates must be finite", row=bad + 1)
@@ -375,6 +376,8 @@ class ModelDesign:
         self.q = len(self.cluster_labels)
         self.n = len(self.time)
         self.cluster_sizes = np.bincount(self.cluster_index, minlength=self.q)
+        # the last record pass of any evaluator on this design, see hlik.Evaluator._data
+        self.kept_pass = None
 
     @cached_property
     def cluster_sums(self):

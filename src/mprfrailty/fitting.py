@@ -14,6 +14,7 @@ rho -> 1 or sigma -> 0 are reachable as limits instead of domain errors.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ from .hlik import (
     Curvature,
     Evaluator,
     _ell2_total,
-    _penalty_block,
+    _penalty_blocks,
     logdet_pd,
 )
 
@@ -69,9 +70,14 @@ class FitSettings:
     step_halving_max: int = 20
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if min(self.max_outer, self.max_inner, self.step_halving_max) < 1:
+        if not all(math.isfinite(t) and t > 0 for t in (self.inner_tol, self.outer_tol)):
+            raise ValueError("tolerances must be finite and positive")
+        caps = (self.max_outer, self.max_inner, self.step_halving_max)
+        try:
+            caps = [operator.index(c) for c in caps]
+        except TypeError:
+            raise ValueError("iteration caps must be integers") from None
+        if min(caps) < 1:
             raise ValueError("iteration caps must be at least 1")
 
 
@@ -161,7 +167,7 @@ def _spec_with_z(structure, z):
 
 
 class _DispersionObjective:
-    """Negative adjusted profile likelihood over transformed dispersion.
+    """Adjusted profile likelihood over transformed dispersion, for batches of points.
 
     The current (theta, u) estimates stay fixed while the dispersion
     varies, exactly as in the alternating algorithm: Step 2 plugs the
@@ -170,8 +176,9 @@ class _DispersionObjective:
     frailty precision added to every D_i, and through the data part --
     the ell1 sum and the penalty-free information -- only via the loading
     L (phi under CF, where v_alpha = phi * v_beta).  The data part is
-    therefore computed once per distinct value of L's parameters, and
-    each trial point pays for one k x k penalty and one factorization.
+    therefore built once per distinct value of L's parameters, or taken
+    from Step 1's kept pass, and a trial point with its gradient stencil
+    is one batch: one ell2 expression and one stack of factorizations.
     """
 
     def __init__(self, family, design, structure, x_fixed):
@@ -182,64 +189,74 @@ class _DispersionObjective:
         self.best = None  # (p, z)
         self.n_eval = 0
         self._law = FRAILTY_LAWS[structure]
-        self._from_z = [(n, TRANSFORMS[n].from_z) for n in self._law.names]
+        self._from_z = [TRANSFORMS[n].from_z for n in self._law.names]
         self._u = list(self.x[design.m_beta + design.m_alpha:].reshape(self._law.k, design.q))
         self._data = None  # (values of L's parameters, data part at them)
+        self._loading = [self._law.names.index(n) for n in self._law.loading_names]
 
-    def _data_part(self, disp):
-        """(ell1 sum, penalty-free curvature) at x.
+    def _data_part(self, key, disp):
+        """(ell1 sum, penalty-free curvature) at x for the values ``key`` of L's parameters.
 
-        Kept for the last values of L's parameters evaluated; values whose
-        evaluation raises leave the kept ones in place.
+        Kept for the last key; a key whose evaluation raises leaves it in place.
         """
-        key = tuple([disp[n] for n in self._law.loading_names])
         if self._data is None or self._data[0] != key:
             ev = Evaluator(self.family, self.design,
                            FrailtySpec(structure=self.structure, **disp))
             self._data = (key, ev.data_part(self.x))
         return self._data[1]
 
-    def profile(self, z):
-        """p at transformed dispersion z with (theta, u) fixed; None on failure."""
-        self.n_eval += 1
-        disp = {n: from_z(v) for (n, from_z), v in zip(self._from_z, z)}
-        if not all(math.isfinite(v) for v in disp.values()):
-            return None  # outside the domain of FrailtySpec
-        try:
-            ell1_sum, H_data = self._data_part(disp)
-            sig, rho = self._law.sigma(disp)
-            hval = ell1_sum + _ell2_total(sig, rho, self.design.q, self._u)
-            logdet = logdet_pd(H_data, _penalty_block(sig, rho))
-            p = hval - 0.5 * (logdet - H_data.dim * LOG_2PI)
-        except (MPRFrailtyError, ValueError):
-            return None
-        if self.best is None or p > self.best[0]:
-            self.best = (p, np.array(z, dtype=float))
-        return p
+    def profiles(self, Z):
+        """p (None where not evaluable) at each row of the transformed points Z, in order.
 
-    def __call__(self, z):
-        p = self.profile(z)
-        if p is None:
-            return _OBJECTIVE_PENALTY
-        return -p
-
-    def gradient(self, z):
-        """Central-difference gradient of ``self`` at z, as scipy's 3-point rule.
-
-        Step ``h_i = _FD_STEP * max(1, |z_i|)``, signed like z_i (positive
-        at 0); z - h_i e_i is evaluated before z + h_i e_i, one coordinate
-        at a time.
+        Every row counts as an evaluation, and only a strictly better row
+        replaces ``best``.  Rows are grouped by the values of L's parameters;
+        a group takes one data part, ell2 and log-det call for all its rows.
         """
-        z = np.asarray(z, dtype=float)
-        h = np.where(z >= 0, 1.0, -1.0) * _FD_STEP * np.maximum(1.0, np.abs(z))
-        g = np.empty(len(z))
-        for i in range(len(z)):
-            lo, hi = z.copy(), z.copy()
-            lo[i] -= h[i]
-            hi[i] += h[i]
-            f_lo = self(lo)
-            g[i] = (self(hi) - f_lo) / (hi[i] - lo[i])
-        return g
+        Z = np.asarray(Z, dtype=float)
+        self.n_eval += len(Z)
+        cols = []
+        for from_z, col in zip(self._from_z, Z.T.tolist()):
+            memo = {}  # from_z once per distinct value
+            cols.append([memo[v] if v in memo else memo.setdefault(v, from_z(v)) for v in col])
+        groups = {}
+        for row, values in enumerate(zip(*cols)):
+            if all(map(math.isfinite, values)):  # else outside the domain of FrailtySpec
+                groups.setdefault(tuple([values[i] for i in self._loading]), []).append(row)
+        out = [None] * len(Z)
+        for key, rows in groups.items():
+            # the group's dispersion as columns, one entry per row
+            disp = {n: [col[r] for r in rows] for n, col in zip(self._law.names, cols)}
+            sigs, rhos = self._law.sigma(disp)
+            rhos = rhos if self._law.rho else [rhos] * len(rows)
+            try:
+                ell1_sum, H_data = self._data_part(key, {n: v[0] for n, v in disp.items()})
+                ell2 = _ell2_total(sigs, rhos, self.design.q, self._u)
+                logdets = logdet_pd(H_data, _penalty_blocks(sigs, rhos)).tolist()
+            except (MPRFrailtyError, ValueError):
+                continue
+            for row, e2, logdet in zip(rows, ell2, logdets):
+                if not math.isnan(logdet):
+                    out[row] = ell1_sum + e2 - 0.5 * (logdet - H_data.dim * LOG_2PI)
+        for z, p in zip(Z, out):
+            if p is not None and (self.best is None or p > self.best[0]):
+                self.best = (p, z.copy())
+        return out
+
+    def value_and_gradient(self, z):
+        """(f, g): f = -p at z, the penalty where p is None, and its 3-point gradient.
+
+        One :meth:`profiles` call on [z, z - h_0 e_0, z + h_0 e_0, ...] with
+        scipy's step ``h_i = _FD_STEP * max(1, |z_i|)``, signed like z_i.
+        """
+        z = np.asarray(z, dtype=float).tolist()
+        Z = [z]
+        for i, v in enumerate(z):
+            h = (1.0 if v >= 0 else -1.0) * _FD_STEP * max(1.0, abs(v))
+            Z += [z[:i] + [zi] + z[i + 1:] for zi in (v - h, v + h)]
+        f = [_OBJECTIVE_PENALTY if p is None else -p for p in self.profiles(Z)]
+        g = [(f[2 * i + 2] - f[2 * i + 1]) / (Z[2 * i + 2][i] - Z[2 * i + 1][i])
+             for i in range(len(z))]
+        return f[0], np.array(g)
 
 
 @dataclass
@@ -264,12 +281,12 @@ def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
     update that terminated on its gradient criterion.
     """
     obj = _DispersionObjective(family, design, structure, x_fixed)
-    p0 = obj.profile(z0)
+    p0 = obj.profiles([z0])[0]
     if p0 is None:
         # retry from deterministically perturbed dispersion
         for bump in (0.25, -0.25, 0.5, -0.5, 1.0):
             z_try = np.array(z0, dtype=float) + bump
-            p0 = obj.profile(z_try)
+            p0 = obj.profiles([z_try])[0]
             if p0 is not None:
                 z0 = z_try
                 break
@@ -288,10 +305,10 @@ def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
     gradient_converged = False
     try:
         result = scipy.optimize.minimize(
-            obj,
+            obj.value_and_gradient,
             np.asarray(z0, dtype=float),
             method="L-BFGS-B",
-            jac=obj.gradient,
+            jac=True,
             options=options,
         )
         gradient_converged = bool(result.status == 0)
@@ -444,21 +461,21 @@ def _empirical_modes(design):
 
 
 def _num_hessian(f, z, step=1e-4):
-    """Central-difference Hessian of a scalar function, symmetric by build."""
+    """Central-difference Hessian of a scalar function, symmetric by build.
+
+    ``f`` maps a stack of points to their values; the whole stencil is one call.
+    """
     k = len(z)
-    Hn = np.empty((k, k))
-    f0 = f(z)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = step
-        Hn[i, i] = (f(z + ei) - 2.0 * f0 + f(z - ei)) / step**2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = step
-            val = (
-                f(z + ei + ej) - f(z + ei - ej) - f(z - ei + ej) + f(z - ei - ej)
-            ) / (4.0 * step**2)
-            Hn[i, j] = Hn[j, i] = val
+    e = np.eye(k) * step
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    points = [z] + [p for i in range(k) for p in (z + e[i], z - e[i])] + [
+        p for i, j in pairs
+        for p in (z + e[i] + e[j], z + e[i] - e[j], z - e[i] + e[j], z - e[i] - e[j])]
+    f0, *vals = f(np.array(points))
+    Hn = np.diag([(vals[2 * i] - 2.0 * f0 + vals[2 * i + 1]) / step**2 for i in range(k)])
+    for n, (i, j) in enumerate(pairs):
+        a, b, c, d = vals[2 * k + 4 * n: 2 * k + 4 * n + 4]
+        Hn[i, j] = Hn[j, i] = (a - b - c + d) / (4.0 * step**2)
     return Hn
 
 
@@ -693,11 +710,11 @@ def _dispersion_se(family, design, spec, outer_state, fit_warnings):
     structure, z_hat, x_hat = outer_state
     obj = _DispersionObjective(family, design, structure, x_hat)
 
-    def neg_p(zz):
-        val = obj(zz)
-        if val >= _OBJECTIVE_PENALTY:
+    def neg_p(Z):
+        values = [_OBJECTIVE_PENALTY if p is None else -p for p in obj.profiles(Z)]
+        if any(v >= _OBJECTIVE_PENALTY for v in values):
             raise CurvatureError("profile likelihood not evaluable near optimum")
-        return val
+        return values
 
     try:
         info_z = _num_hessian(neg_p, np.asarray(z_hat, dtype=float), step=1e-4)

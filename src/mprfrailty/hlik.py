@@ -12,12 +12,13 @@ likelihood p = h - 0.5*log det(H/2pi) with H the observed information of
 (theta, v).  This module evaluates all of those pieces analytically for
 every frailty structure and baseline family.
 
-Apart from one cache, everything here is a pure function of its inputs:
-an :class:`Evaluator` keeps its last record pass (that of its last ``h``
-or ``h_score_info`` call), and ``h_score_info`` reuses it at an equal x (the accepted step of a Newton
-iteration) instead of evaluating that point again.  Each fit builds its
-own evaluators; the kept pass is replaced as one attribute and used only
-at an equal x, so concurrent evaluation stays safe.
+Apart from two caches, everything here is a pure function of its inputs.
+An :class:`Evaluator` keeps the predictors of its last pass, and
+the design keeps the part of the last record pass that Sigma does not
+enter, for its family, loading L and x: Step 2's batched profile, the
+next sweep's first Newton assembly and the final re-solve take it from
+there, with the same bits.  Each fit builds its own design; both caches
+are replaced as one attribute and used only at an equal key.
 """
 
 import math
@@ -105,31 +106,39 @@ class ParamLayout:
 # see FrailtyLaw.sigma.
 
 
-def _ell2_total(sig, rho, q, u):
-    """sum_i ell2_i: total log-density of the free frailty components u (k x q)."""
-    if not sig:
-        return 0.0
-    if len(sig) == 1:
-        s = sig[0]
-        return float(-q * (0.5 * LOG_2PI + math.log(s)) - 0.5 * np.sum(u[0]**2) / s**2)
-    sb, sa = sig
-    omr = 1.0 - rho * rho
-    const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
-    ub, ua = u[0] / sb, u[1] / sa
-    quad = (ub**2 + ua**2 - 2.0 * rho * ub * ua).sum()
-    return float(const - 0.5 * quad / omr)
+def _ell2_total(sigs, rhos, q, u):
+    """sum_i ell2_i, the log-density of the free components u (k x q), at each point.
+
+    ``sigs`` holds k columns of standard deviations and ``rhos`` the
+    correlations, one entry per point.  The quadratic forms are one
+    (npts, q) expression; each point's constant is built from scalars.
+    """
+    if not sigs:
+        return [0.0] * len(rhos)
+    if len(sigs) == 1:
+        half = 0.5 * np.sum(u[0]**2)
+        return [float(-q * (0.5 * LOG_2PI + math.log(s)) - half / s**2) for s in sigs[0]]
+    ub, ua = (u[j] / np.array(sigs[j])[:, None] for j in (0, 1))
+    quads = (ub**2 + ua**2 - 2.0 * np.array(rhos)[:, None] * ub * ua).sum(axis=1).tolist()
+    out = []
+    for sb, sa, rho, quad in zip(*sigs, rhos, quads):
+        omr = 1.0 - rho * rho
+        const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
+        out.append(const - 0.5 * quad / omr)
+    return out
 
 
-def _penalty_block(sig, rho):
-    """Frailty precision P = Sigma^-1: the k x k block that -ell2 adds to every D_i."""
-    if not sig:
-        return np.zeros((0, 0))
-    if len(sig) == 1:
-        return np.array([[1.0 / sig[0]**2]])
-    sb, sa = sig
-    c = 1.0 / (1.0 - rho * rho)
-    cross = -c * rho / (sb * sa)
-    return np.array([[c / sb**2, cross], [cross, c / sa**2]])
+def _penalty_blocks(sigs, rhos):
+    """(npts, k, k): at each point P = Sigma^-1, the block -ell2 adds to every D_i."""
+    k = len(sigs)
+    if k < 2:
+        return np.array([[1.0 / s**2 for s in col] for col in sigs]).T.reshape(len(rhos), k, k)
+    out = []
+    for sb, sa, rho in zip(*sigs, rhos):
+        c = 1.0 / (1.0 - rho * rho)
+        cross = -c * rho / (sb * sa)
+        out.append(((c / sb**2, cross), (cross, c / sa**2)))
+    return np.array(out)
 
 
 def _penalty_score(sig, rho, u):
@@ -154,40 +163,49 @@ DENSE_MAX_DIM = 60
 
 _RIDGES = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
+# points whose D + P and D^-1 the Schur side forms at once (a 3-parameter gradient stencil);
+# all 19 of a Hessian stencil at once raised a BVNF fit's peak memory at q = 20,000 by 40 MB
+_SCHUR_POINTS = 7
+
 
 # the LAPACK routine behind scipy.linalg.cho_factor, called without its checks
 _POTRF = scipy.linalg.lapack.dpotrf
 
 
-def _cholesky(H, overwrite=False):
+def _cholesky(H):
     """(c, lower) for ``cho_solve``: the lower Cholesky factor of H.
 
     The same factor, to the bit, as ``cho_factor(H, lower=True)``.
     """
-    c, info = _POTRF(H, lower=1, overwrite_a=overwrite, clean=0)
+    c, info = _POTRF(H, lower=1, clean=0)
     if info != 0:
         raise CurvatureError("information matrix is not positive definite")
     return c, True
 
 
-def _logdet_factor(c):
-    """log det H from the Cholesky factor c of H."""
-    return 2.0 * float(np.log(c.diagonal()).sum())
-
-
 def _block_inverse(D):
-    """(D_i^-1 stacked like D, sum_i log det D_i); every D_i must be PD."""
-    k = D.shape[0]
+    """(D_i^-1 stacked like D, sum_i log det D_i) for each point of a stack D (npts, k, k, q).
+
+    The log-det is nan at a point where some D_i is not positive definite,
+    and the inverse is None when no point is.
+    """
+    k = D.shape[1]
     if k == 0:
-        return D, 0.0
-    det = D[0, 0] if k == 1 else D[0, 0] * D[1, 1] - D[0, 1] * D[0, 1]
-    if not (np.all(D[0, 0] > 0) and np.all(det > 0)):
-        raise CurvatureError("a frailty block of the information is not positive definite")
+        return D, np.zeros(len(D))
+    det = D[:, 0, 0] if k == 1 else D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 0, 1]
+    ok = ((D[:, 0, 0] > 0) & (det > 0)).all(1)
+    if not ok.any():
+        return None, np.full(len(D), np.nan)
+    det = det if ok.all() else np.where(ok[:, None], det, 1.0)  # finite where unused
+    logdet = np.log(det).sum(axis=1)
+    logdet[~ok] = np.nan
     if k == 1:
-        inv = (1.0 / det)[None, None]
-    else:
-        inv = np.array([[D[1, 1], -D[0, 1]], [-D[0, 1], D[0, 0]]]) / det
-    return inv, float(np.sum(np.log(det)))
+        return 1.0 / det[:, None, None], logdet
+    inv = np.empty_like(D)
+    inv[:, 0, 0], inv[:, 1, 1] = D[:, 1, 1], D[:, 0, 0]
+    inv[:, 0, 1] = inv[:, 1, 0] = -D[:, 0, 1]
+    inv /= det[:, None, None]
+    return inv, logdet
 
 
 class Curvature:
@@ -207,7 +225,7 @@ class Curvature:
     + m^3) time and O(q m k) memory instead of O(dim^3) and dim^2.  Up to
     DENSE_MAX_DIM coordinates they factor ``to_dense()`` instead, which is
     faster there.  Every method raises :class:`CurvatureError` when H is
-    not positive definite.
+    not positive definite, except ``logdet`` of a penalty stack.
     """
 
     def __init__(self, layout, A, B, D, P):
@@ -264,24 +282,16 @@ class Curvature:
     def logdet(self, P=None):
         """log det H, or log det of H with the k x k precision P added to every D_i.
 
-        On the dense side the matrix and the positions of the D_i entries
-        are kept, so that a further penalty costs one copy, one k x k
-        scatter and one factorization.
+        For a stack P (npts, k, k), the array of the npts log-dets, nan where
+        the sum is not positive definite; a single P is the one-row case.
         """
-        if not self._dense_side:
-            return (self if P is None else self.with_penalty(P))._logdet_schur()
-        if self._dense is None:
-            starts = np.array([sl.start for sl in self._v_slices()], dtype=np.intp)
-            cells = np.arange(self.layout.q)
-            rows = starts[:, None, None] + cells
-            cols = starts[None, :, None] + cells
-            self._dense = (np.asfortranarray(self.to_dense()), rows + cols * self.dim)
-        dense, d_index = self._dense
-        H = dense.copy(order="F")
-        if P is not None:
-            H.reshape(-1, order="F")[d_index] += P[:, :, None]
-        c, _ = _cholesky(H, overwrite=True)
-        return _logdet_factor(c)
+        Ps = None if P is None else np.reshape(P, (-1,) + self.D.shape[:2])
+        out = self._logdet_dense(Ps) if self._dense_side else self._logdet_schur(Ps)
+        if Ps is not None and np.ndim(P) == 3:
+            return out
+        if np.isnan(out[0]):
+            raise CurvatureError("information matrix is not positive definite")
+        return float(out[0])
 
     def solve(self, g):
         """H^-1 g."""
@@ -318,6 +328,28 @@ class Curvature:
 
     # dense LAPACK on to_dense(), for small dim
 
+    def _logdet_dense(self, Ps=None):
+        # the log-dets of H + each P of the stack Ps (of H alone for None), nan where
+        # not PD; the matrix and the positions of its D_i entries are kept for the scatter
+        if self._dense is None:
+            starts = np.array([sl.start for sl in self._v_slices()], dtype=np.intp)
+            cells = np.arange(self.layout.q)
+            rows = starts[:, None, None] + cells
+            cols = starts[None, :, None] + cells
+            self._dense = (np.asfortranarray(self.to_dense()), rows + cols * self.dim)
+        dense, d_index = self._dense
+        # stack[i].T is a Fortran-order copy of the kept matrix, whose lower
+        # triangle the factorization reads, in place
+        stack = np.empty((1 if Ps is None else len(Ps), self.dim, self.dim))
+        stack[:] = dense.T
+        if Ps is not None:
+            stack.reshape(len(Ps), -1)[:, d_index] += Ps[..., None]
+        # positional (lower=1, clean=0, overwrite_a=1): keywords cost 0.7 us a call
+        ok = np.array([_POTRF(H.T, 1, 0, 1)[1] == 0 for H in stack])
+        out = np.full(len(stack), np.nan)
+        out[ok] = 2.0 * np.log(np.diagonal(stack, axis1=1, axis2=2)[ok]).sum(axis=1)
+        return out
+
     def _solve_dense(self, g):
         return scipy.linalg.cho_solve(_cholesky(self.to_dense()), g, check_finite=False)
 
@@ -333,19 +365,33 @@ class Curvature:
 
     # Schur complement of the frailty blocks, for large dim
 
-    def _schur(self):
-        """(D^-1, W = B D^-1, Cholesky factor of S, sum_i log det D_i)."""
-        Dinv, logdet_d = _block_inverse(self.D)
+    def _complement(self, Dinv):
+        """(W = B D^-1, S = A - B D^-1 B') for one point's D^-1."""
         W = np.einsum("lai,lji->jai", self.B, Dinv)
-        S = self.A - np.einsum("jai,jbi->ab", W, self.B)
-        return Dinv, W, _cholesky(S), logdet_d
+        return W, self.A - np.einsum("jai,jbi->ab", W, self.B)
 
-    def _logdet_schur(self):
-        _, _, (c, _), logdet_d = self._schur()
-        return logdet_d + _logdet_factor(c)
+    def _schur(self):
+        """(D^-1, W, Cholesky factor of S)."""
+        Dinv, _ = _block_inverse(self.D[None])
+        if Dinv is None:
+            raise CurvatureError("a frailty block of the information is not positive definite")
+        W, S = self._complement(Dinv[0])
+        return Dinv[0], W, _cholesky(S)
+
+    def _logdet_schur(self, Ps=None):
+        # as _logdet_dense; D + P and D^-1 for _SCHUR_POINTS points at a time, W and S per point
+        out = []
+        for lo in range(0, 1 if Ps is None else len(Ps), _SCHUR_POINTS):
+            D = self.D[None] if Ps is None else self.D + Ps[lo:lo + _SCHUR_POINTS, ..., None]
+            Dinv, logdet = _block_inverse(D)
+            for i in np.flatnonzero(~np.isnan(logdet)):
+                c, info = _POTRF(self._complement(Dinv[i])[1], lower=1, clean=0)
+                logdet[i] += 2.0 * float(np.log(c.diagonal()).sum()) if info == 0 else np.nan
+            out.append(logdet)
+        return np.concatenate(out)
 
     def _solve_schur(self, g):
-        Dinv, W, factor, _ = self._schur()
+        Dinv, W, factor = self._schur()
         m, k = self.A.shape[0], self.D.shape[0]
         dg = np.einsum("jli,li->ji", Dinv, g[m:].reshape(k, self.layout.q))
         x_t = scipy.linalg.cho_solve(
@@ -355,7 +401,7 @@ class Curvature:
 
     def _inverse_blocks_schur(self):
         # (H^-1)_vv = D^-1 + W' S^-1 W, of which only the D_i-sized blocks are formed
-        Dinv, W, factor, _ = self._schur()
+        Dinv, W, factor = self._schur()
         cov_theta = scipy.linalg.cho_solve(factor, np.eye(self.A.shape[0]), check_finite=False)
         sw = np.einsum("ab,lbi->lai", cov_theta, W)
         return cov_theta, Dinv + np.einsum("jai,lai->jli", W, sw)
@@ -383,10 +429,11 @@ class Evaluator:
     frailties enter through the structure's law v = L u (see
     :class:`~mprfrailty.data.FrailtyLaw`).
 
-    The evaluator keeps its last record pass (predictors, Lambda0 and h
-    at a copy of x), which :meth:`h_score_info` reuses when called at an
-    equal x, as after :meth:`h` at an accepted Newton step.  Every cluster sum is a product of record weights with one
-    of ``design.cluster_sums``.
+    The evaluator keeps the predictors and Lambda0 of its last pass, and
+    the design the ell1 sum, the score's record terms and the penalty-free
+    information of the last pass of any evaluator (:meth:`_data`); the
+    score itself is built only by :meth:`h_score_info`.  Every cluster sum
+    is a product of record weights with one of ``design.cluster_sums``.
     """
 
     def __init__(self, family, design, spec):
@@ -397,7 +444,8 @@ class Evaluator:
         self._law = spec.law
         disp = spec.dispersion()
         self._L = self._law.loading_at(disp)
-        self._sigma = self._law.sigma(disp)
+        self._sigma = sig, rho = self._law.sigma(disp)
+        self._sigma_cols = ([[s] for s in sig], [rho])
         # the columns of L and, for each entry (i, j) of L' D_v L, the weights
         # of the D_v entries (0, 0), (0, 1) and (1, 1) in it
         self._cols = [tuple(row[j] for row in self._L) for j in range(self._law.k)]
@@ -460,10 +508,9 @@ class Evaluator:
             raise EvaluationError("non-finite conditional log-likelihood", index=bad)
         return ell1_sum
 
-    def _value(self, tau, gamma, s, u, Lam0):
-        """h, ell1 and ell2 from the predictors and Lam0 = Lambda0(s)."""
-        ell1_sum = self._ell1_sum(tau, gamma, s, Lam0)
-        ell2_sum = _ell2_total(*self._sigma, self.design.q, u)
+    def _parts(self, ell1_sum, u):
+        """h, ell1 and ell2 from the ell1 sum and the free frailty components u."""
+        ell2_sum = _ell2_total(*self._sigma_cols, self.design.q, u)[0]
         return HlikValue(h=ell1_sum + ell2_sum, ell1_sum=ell1_sum, ell2_sum=ell2_sum)
 
     def _record_terms(self, tau, s, glogt, Lam0):
@@ -497,15 +544,35 @@ class Evaluator:
     # -- public evaluations ------------------------------------------------------
 
     def _pass(self, x):
-        """(copy of x, (tau, s, glogt, Lambda0), HlikValue) at x, kept as the last pass."""
-        tau, gamma, s, glogt, u = self._predictors(x)
+        """[copy of x, (tau, s, glogt, Lambda0), ell1 sum, HlikValue or None], the last pass."""
+        tau, gamma, s, glogt, _ = self._predictors(x)
         Lam0 = self._base.cumhaz(s)
-        self._last = last = (np.array(x), (tau, s, glogt, Lam0),
-                             self._value(tau, gamma, s, u, Lam0))
+        self._last = last = [np.array(x), (tau, s, glogt, Lam0),
+                             self._ell1_sum(tau, gamma, s, Lam0), None]
         return last
 
+    def _data(self, x):
+        """(copy of x, (ell1 sum, the score's record terms, penalty-free information)).
+
+        What Sigma does not enter at x, kept in ``design.kept_pass`` for (family,
+        L, x) and taken from there at an equal key, else built from the last
+        pass at x (sharing its x copy) or from a new one.
+        """
+        key = (self.family, self._L)
+        kept = self.design.kept_pass
+        if kept is None or kept[0] != key or not np.array_equal(kept[1], x):
+            if self._last is None or not np.array_equal(self._last[0], x):
+                self._pass(x)
+            x_copy, (tau, s, glogt, Lam0), ell1_sum, _ = self._last
+            u_beta, u_alpha, *weights = self._record_terms(tau, s, glogt, Lam0)
+            data = (ell1_sum, (u_beta, u_alpha), self._assemble_information(*weights))
+            self.design.kept_pass = kept = (key, x_copy, data)
+        return kept[1:]
+
     def h_parts(self, x):
-        return self._pass(x)[2]
+        last = self._pass(x)
+        last[3] = self._parts(last[2], self.layout.unpack(x)[2])
+        return last[3]
 
     def h(self, x):
         return self.h_parts(x).h
@@ -525,26 +592,23 @@ class Evaluator:
         return g
 
     def information(self, x, penalty=True):
-        tau, _, s, glogt, _ = self._predictors(x)
-        _, _, w_beta, w_alpha, w_ba = self._record_terms(tau, s, glogt, self._base.cumhaz(s))
-        return self._assemble_information(w_beta, w_alpha, w_ba, penalty)
+        H = self._data(x)[1][2]
+        return H.with_penalty(_penalty_blocks(*self._sigma_cols)[0]) if penalty else H
 
     def data_part(self, x):
-        """(ell1 sum, penalty-free information) at x from one pass over the records.
+        """(ell1 sum, penalty-free information) at x.
 
         Equal to ``(h_parts(x).ell1_sum, information(x, penalty=False))``:
         the part of the adjusted profile that the frailty law's Sigma does
-        not enter.
+        not enter.  The score is not built.
         """
-        tau, gamma, s, glogt, _ = self._predictors(x)
-        Lam0 = self._base.cumhaz(s)
-        ell1_sum = self._ell1_sum(tau, gamma, s, Lam0)
-        _, _, w_beta, w_alpha, w_ba = self._record_terms(tau, s, glogt, Lam0)
-        return ell1_sum, self._assemble_information(w_beta, w_alpha, w_ba, penalty=False)
+        ell1_sum, _, H = self._data(x)[1]
+        return ell1_sum, H
 
-    def _assemble_information(self, w_beta, w_alpha, w_ba, penalty):
+    def _assemble_information(self, w_beta, w_alpha, w_ba):
         # with the information of (theta, v) written [[A, B_v], [B_v', D_v]],
-        # that of (theta, u) has border B_v L and frailty blocks L' D_v L + P
+        # the penalty-free one of (theta, u) has border B_v L and frailty
+        # blocks L' D_v L; the penalty P is added by Curvature.with_penalty
         d, lay = self.design, self.layout
         Xb, Xa = d.X_beta, d.X_alpha
         m_b = lay.m_beta
@@ -557,7 +621,6 @@ class Evaluator:
         k = lay.k
         B = np.empty((k, lay.m, d.q))
         D = np.empty((k, k, d.q))
-        P = _penalty_block(*self._sigma) if penalty else np.zeros((k, k))
         # sums[c][r]: the cluster sums of frailty r's record weights against
         # the covariates of the scale (c = 0) and shape (c = 1) components
         _, S_b, S_a = d.cluster_sums
@@ -573,37 +636,34 @@ class Evaluator:
             return sums[c][r][0]
 
         for i, j, weights in self._d_weights:
-            D[i, j] = D[j, i] = combine(weights, z_sum) + P[i, j]
+            D[i, j] = D[j, i] = combine(weights, z_sum)
 
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))
                 and np.all(np.isfinite(D))):
             raise EvaluationError("non-finite information weight")
-        return Curvature(lay, A, B, D, P)
+        return Curvature(lay, A, B, D, np.zeros((k, k)))
 
     def h_score_info(self, x):
-        """One-pass (HlikValue, score, information) sharing the record terms.
+        """(HlikValue, score, information) at x from the record pass of :meth:`_data`.
 
-        At an x equal to that of the last pass (the :meth:`h` call of an
-        accepted Newton step) its predictors, Lambda0 and h are reused.
+        h is reused from the last :meth:`h` call when its pass made the data
+        part (the accepted step of a Newton iteration).
         """
-        last = self._last
-        if last is None or not np.array_equal(last[0], x):
-            last = self._pass(x)
-        (tau, s, glogt, Lam0), parts = last[1:]
-        u = self.layout.unpack(x)[2]
-        u_beta, u_alpha, w_beta, w_alpha, w_ba = self._record_terms(tau, s, glogt, Lam0)
+        x_kept, (ell1_sum, (u_beta, u_alpha), H) = self._data(x)
+        u, last = self.layout.unpack(x)[2], self._last
+        at_x = last is not None and last[0] is x_kept and last[3] is not None
+        parts = last[3] if at_x else self._parts(ell1_sum, u)
         g = self._assemble_score(u_beta, u_alpha, u)
-        H = self._assemble_information(w_beta, w_alpha, w_ba, penalty=True)
-        return parts, g, H
+        return parts, g, H.with_penalty(_penalty_blocks(*self._sigma_cols)[0])
 
 
 def logdet_pd(H, P=None):
     """log det of the positive-definite information, a :class:`Curvature`.
 
-    With ``P`` the k x k frailty precision is added to every D_i first
-    (see :meth:`Curvature.logdet`).  Raises :class:`CurvatureError` when
-    the factorization fails, rather than silently taking absolute values
-    of pivots.
+    With ``P`` the k x k frailty precision, or each of a stack of them,
+    is added to every D_i first (see :meth:`Curvature.logdet`).  Raises
+    :class:`CurvatureError` when the factorization fails, rather than
+    silently taking absolute values of pivots; a stack marks such a point nan.
     """
     return H.logdet(P)
 

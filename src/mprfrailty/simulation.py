@@ -64,8 +64,8 @@ class ScenarioSpec:
             raise DomainError("coefficient vectors must include an intercept")
         if not (0.0 < self.censor_rate < 1.0):
             raise DomainError("censor_rate must lie in (0, 1)")
-        if self.sigma_beta <= 0 or self.sigma_alpha <= 0:
-            raise DomainError("frailty standard deviations must be positive")
+        if not all(np.isfinite(s) and s > 0 for s in (self.sigma_beta, self.sigma_alpha)):
+            raise DomainError("frailty standard deviations must be finite and positive")
         if not (-1.0 < self.rho < 1.0):
             raise DomainError("rho must lie in (-1, 1)")
         if self.replicates < 1:
@@ -155,8 +155,8 @@ def gen_covariates(n, p, rng):
 
 def gen_frailties(q, sigma_beta, sigma_alpha, rho, rng):
     """q bivariate-normal frailty pairs (v_beta, v_alpha)."""
-    if sigma_beta <= 0 or sigma_alpha <= 0:
-        raise DomainError("frailty standard deviations must be positive")
+    if not all(np.isfinite(s) and s > 0 for s in (sigma_beta, sigma_alpha)):
+        raise DomainError("frailty standard deviations must be finite and positive")
     if not (-1.0 < rho < 1.0):
         raise DomainError("rho must lie in (-1, 1)")
     z1 = rng.standard_normal(q)

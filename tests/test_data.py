@@ -76,6 +76,19 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset([], [], [], np.zeros((0, 1)), ["x"])
 
+    @pytest.mark.parametrize("status, row", [([0.7, 1.0, 1.9], 1), ([1, 0, 0.5], 3),
+                                             ([1.0, np.nan, 0.0], 2), ([1, -1, 0], 2)])
+    def test_rejects_status_other_than_0_or_1_before_the_cast(self, status, row):
+        # an int cast first would read 0.7 as 0 and 1.9 as 1
+        with pytest.raises(DataError, match="status must be 0 or 1") as err:
+            Dataset(["a", "a", "b"], [1.0, 2.0, 3.0], status, [[0.1], [0.2], [0.3]], ["x"])
+        assert err.value.row == row
+
+    @pytest.mark.parametrize("status", [[True, False, True], [1.0, 0.0, 1.0], [1, 0, 1]])
+    def test_accepts_bool_float_and_int_status(self, status):
+        ds = Dataset(["a", "a", "b"], [1.0, 2.0, 3.0], status, [[0.1], [0.2], [0.3]], ["x"])
+        assert ds.status.dtype.kind == "i" and ds.status.tolist() == [1, 0, 1]
+
     def test_cluster_labels_first_appearance(self):
         ds = Dataset(["B", "A", "B"], [1, 1, 1], [1, 1, 1], np.zeros((3, 0)), [])
         assert ds.cluster_labels() == ["B", "A"]

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from mprfrailty import (
 )
 from mprfrailty.errors import MPRFrailtyError
 from mprfrailty.fitting import (
+    _FD_STEP,
     _OBJECTIVE_PENALTY,
     _DispersionObjective,
     OuterResult,
@@ -31,7 +34,8 @@ from mprfrailty.fitting import (
     outer_dispersion,
     transform_dispersion,
 )
-from mprfrailty.hlik import DENSE_MAX_DIM, LOG_2PI, Evaluator
+from mprfrailty.data import FRAILTY_LAWS, TRANSFORMS
+from mprfrailty.hlik import DENSE_MAX_DIM, LOG_2PI, Curvature, Evaluator
 
 from ._oracles import nf_negloglik, rel_err
 from .conftest import small_weibull_dataset
@@ -72,6 +76,24 @@ class TestFitSettings:
             FitSettings(inner_tol=0.0)
         with pytest.raises(ValueError):
             FitSettings(max_outer=0)
+
+    @pytest.mark.parametrize("bad", [{"inner_tol": float("nan")}, {"outer_tol": float("nan")},
+                                     {"outer_tol": float("inf")}, {"inner_tol": -float("inf")}])
+    def test_rejects_non_finite_tolerances(self, bad):
+        # a nan tolerance let every stopping test fail: all sweeps ran, or the
+        # inner loop raised NonConvergenceError at a converged score
+        with pytest.raises(ValueError, match="tolerances must be finite and positive"):
+            FitSettings(**bad)
+
+    @pytest.mark.parametrize("bad", [{"max_outer": 2.5}, {"max_inner": 50.0},
+                                     {"step_halving_max": "20"}])
+    def test_rejects_non_integral_caps(self, bad):
+        # fit would fail later with a TypeError from range()
+        with pytest.raises(ValueError, match="iteration caps must be integers"):
+            FitSettings(**bad)
+
+    def test_accepts_numpy_integer_caps(self):
+        assert FitSettings(max_outer=np.int64(7)).max_outer == 7
 
 
 class TestInnerNewton:
@@ -390,11 +412,135 @@ def _objective_fixture(structure, q):
     return design, res.x, z
 
 
+def _neg_profile(obj, z):
+    """-p at z from a one-row batch, the penalty where p is None."""
+    p = obj.profiles([z])[0]
+    return _OBJECTIVE_PENALTY if p is None else -p
+
+
 def _reference_objective(design, structure, x, z):
     """-p(z) from a fresh Evaluator and the full penalized information."""
     ev = Evaluator("weibull", design, _spec_with_z(structure, z))
     dim = ev.layout.dim
     return -(ev.h(x) - 0.5 * (ev.information(x).logdet() - dim * LOG_2PI))
+
+
+def _stencil(z):
+    """[z, z - h_0 e_0, z + h_0 e_0, ...]: scipy's 3-point rule, one coordinate at a time."""
+    z = np.asarray(z, dtype=float)
+    h = np.where(z >= 0, 1.0, -1.0) * _FD_STEP * np.maximum(1.0, np.abs(z))
+    points = [z]
+    for i in range(len(z)):
+        lo, hi = z.copy(), z.copy()
+        lo[i] -= h[i]
+        hi[i] += h[i]
+        points += [lo, hi]
+    return points
+
+
+def _ell2_one(sig, rho, q, u):
+    """sum_i ell2_i at one dispersion, as a loop over points would compute it."""
+    if len(sig) == 1:
+        s = sig[0]
+        return float(-q * (0.5 * LOG_2PI + math.log(s)) - 0.5 * np.sum(u[0]**2) / s**2)
+    sb, sa = sig
+    omr = 1.0 - rho * rho
+    const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
+    ub, ua = u[0] / sb, u[1] / sa
+    quad = (ub**2 + ua**2 - 2.0 * rho * ub * ua).sum()
+    return float(const - 0.5 * quad / omr)
+
+
+def _penalty_one(sig, rho):
+    if len(sig) == 1:
+        return np.array([[1.0 / sig[0]**2]])
+    sb, sa = sig
+    c = 1.0 / (1.0 - rho * rho)
+    cross = -c * rho / (sb * sa)
+    return np.array([[c / sb**2, cross], [cross, c / sa**2]])
+
+
+def _logdet_one(H):
+    """log det H by one Cholesky factorization, None when H is not PD.
+
+    Dense up to DENSE_MAX_DIM, else through the Schur complement of the
+    frailty blocks, each with the arithmetic of a single-point evaluation.
+    """
+    try:
+        if H.dim <= DENSE_MAX_DIM:
+            c = scipy.linalg.cho_factor(H.to_dense(), lower=True)[0]
+            return 2.0 * float(np.log(c.diagonal()).sum())
+        D = H.D
+        det = D[0, 0] if len(D) == 1 else D[0, 0] * D[1, 1] - D[0, 1] * D[0, 1]
+        if not (np.all(D[0, 0] > 0) and np.all(det > 0)):
+            return None
+        if len(D) == 1:
+            inv = (1.0 / det)[None, None]
+        else:
+            inv = np.array([[D[1, 1], -D[0, 1]], [-D[0, 1], D[0, 0]]]) / det
+        W = np.einsum("lai,lji->jai", H.B, inv)
+        c = scipy.linalg.cho_factor(H.A - np.einsum("jai,jbi->ab", W, H.B), lower=True)[0]
+        return float(np.sum(np.log(det))) + 2.0 * float(np.log(c.diagonal()).sum())
+    except scipy.linalg.LinAlgError:
+        return None
+
+
+def _negate_blocks(H):
+    """H with its frailty blocks negated: D_i + P is PD only for a large enough P."""
+    return Curvature(H.layout, H.A, H.B, -H.D, H.P)
+
+
+def _shift_fixed_block(H):
+    """H with 0.999 of A's smallest eigenvalue taken off A's diagonal.
+
+    The Schur complement A - B (D + P)^-1 B' then stays PD only while
+    (D + P)^-1 is tiny, that is at sigmas near their lower cap.
+    """
+    shift = 0.999 * np.linalg.eigvalsh(H.A)[0]
+    return Curvature(H.layout, H.A - shift * np.eye(len(H.A)), H.B, H.D, H.P)
+
+
+def _sequential_profiles(design, structure, x, Z, modify=None):
+    """(p at each row of Z, best (p, z)), one point at a time from a fresh data part.
+
+    ``modify`` maps each penalty-free curvature to the one used.
+    """
+    law = FRAILTY_LAWS[structure]
+    u = x[design.m_beta + design.m_alpha:].reshape(law.k, design.q)
+    ps, best = [], None
+    for z in Z:
+        disp = {n: TRANSFORMS[n].from_z(v) for n, v in zip(law.names, z)}
+        p = None
+        if all(math.isfinite(v) for v in disp.values()):
+            fresh = copy.copy(design)
+            fresh.kept_pass = None
+            spec = FrailtySpec(structure=structure, **disp)
+            try:
+                ell1_sum, H = Evaluator("weibull", fresh, spec).data_part(x)
+            except MPRFrailtyError:
+                H = None
+            if H is not None:
+                H = modify(H) if modify else H
+                sig, rho = law.sigma(disp)
+                logdet = _logdet_one(H.with_penalty(_penalty_one(sig, rho)))
+                if logdet is not None:
+                    hval = ell1_sum + _ell2_one(sig, rho, design.q, u)
+                    p = hval - 0.5 * (logdet - H.dim * LOG_2PI)
+        ps.append(p)
+        if p is not None and (best is None or p > best[0]):
+            best = (p, np.array(z, dtype=float))
+    return ps, best
+
+
+def _modify_data(obj, modify):
+    """Make obj's penalty-free curvatures modify(theirs)."""
+    data_part = obj._data_part
+
+    def modified(*args):
+        ell1_sum, H = data_part(*args)
+        return ell1_sum, modify(H)
+
+    obj._data_part = modified
 
 
 # Step 2's search budgets in objective evaluations, which is what maxfun
@@ -408,9 +554,9 @@ _UNSCALED_OPTIONS = {
 def _scipy_3_point_outer(design, structure, x, z0, effort):
     """(OuterResult, L-BFGS-B message) of the search under jac="3-point"."""
     obj = _DispersionObjective("weibull", design, structure, x)
-    obj.profile(z0)
-    res = scipy.optimize.minimize(obj, z0, method="L-BFGS-B", jac="3-point",
-                                  options=_UNSCALED_OPTIONS[effort])
+    obj.profiles([z0])
+    res = scipy.optimize.minimize(lambda z: _neg_profile(obj, z), z0, method="L-BFGS-B",
+                                  jac="3-point", options=_UNSCALED_OPTIONS[effort])
     p, z = obj.best
     out = OuterResult(spec=_spec_with_z(structure, z), profile_loglik=p, z=z,
                       n_eval=obj.n_eval, gradient_converged=bool(res.status == 0))
@@ -438,7 +584,7 @@ class TestDispersionObjective:
             except MPRFrailtyError:
                 want = _OBJECTIVE_PENALTY
                 n_raised += 1
-            assert obj(z) == want
+            assert _neg_profile(obj, z) == want
         assert obj.n_eval == len(zs)
         assert n_raised == (3 if structure == "CF" else 0)
         if q == 5:
@@ -454,12 +600,12 @@ class TestDispersionObjective:
         for i in range(len(z0)):
             z = z0.copy()
             z[i] = np.nan
-            assert obj(z) == _OBJECTIVE_PENALTY
+            assert _neg_profile(obj, z) == _OBJECTIVE_PENALTY
         if structure == "CF":
-            assert obj(np.array([z0[0], np.inf])) == _OBJECTIVE_PENALTY
+            assert _neg_profile(obj, np.array([z0[0], np.inf])) == _OBJECTIVE_PENALTY
         assert obj.n_eval == len(z0) + (structure == "CF")
         assert obj.best is None
-        assert obj(z0) == _reference_objective(design, structure, x, z0)
+        assert _neg_profile(obj, z0) == _reference_objective(design, structure, x, z0)
 
     @pytest.mark.parametrize("effort", ["loose", "tight"])
     @pytest.mark.parametrize("q", [5, 80])
@@ -482,20 +628,99 @@ class TestDispersionObjective:
         trials = [np.full(3, np.nan), z0 + 0.05, z0 - 0.05, z0 + [0.0, np.nan, 0.0]]
 
         def probing_minimize(fun, z_start, **kwargs):
-            values = [fun(z) for z in trials]
+            # one call per trial point returns its value and gradient
+            assert kwargs["jac"] is True
+            values = [fun(z)[0] for z in trials]
             assert values[0] == values[3] == _OBJECTIVE_PENALTY
             return SimpleNamespace(status=0)
 
         monkeypatch.setattr(scipy.optimize, "minimize", probing_minimize)
         out = outer_dispersion("weibull", design, "BVNF", z0, x)
-        assert out.n_eval == 1 + len(trials)
-        finite = [z0, trials[1], trials[2]]
+        # the probe, then each trial point with its 2k = 6-point stencil
+        assert out.n_eval == 1 + 7 * len(trials)
+        finite = [z0] + [pt for z in trials[1:3] for pt in _stencil(z)]
         values = [-_reference_objective(design, "BVNF", x, z) for z in finite]
         best = int(np.argmax(values))
         assert np.array_equal(out.z, finite[best])
         assert out.profile_loglik == values[best]
         assert isinstance(out.spec, FrailtySpec)
         assert out.spec == _spec_with_z("BVNF", finite[best])
+
+
+class TestBatchedProfiles:
+    @pytest.mark.parametrize("q", [5, 80])
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
+    def test_equals_sequential_formula(self, structure, q):
+        design, x, z0 = _objective_fixture(structure, q)
+        law = FRAILTY_LAWS[structure]
+        sig = np.array([n.startswith("sigma") for n in law.names], dtype=float)
+        Z = [z0, z0 - 3.0 * sig, z0 + 0.3, np.full(len(z0), np.nan), z0 - 3.0 * sig,
+             z0 - 2.0 * sig, z0 + 0.5 * sig, z0 - 0.2]
+        if structure == "CF":
+            # three phi groups, one of them revisited, and one that overflows
+            Z += [z0 + [0.0, 0.1], z0 + [0.1, 0.0], z0 + [0.0, -0.2], z0 + [0.2, 0.1],
+                  np.array([z0[0], 1e6])]
+        # rows that cannot be evaluated: the NaN row, CF's overflow, and
+        # with negated frailty blocks the rows whose sigmas are not small
+        patterns = {None: "...N....", _negate_blocks: "N.NN..NN"}
+        for modify, pattern in patterns.items():
+            obj = _DispersionObjective("weibull", design, structure, x)
+            if modify:
+                _modify_data(obj, modify)
+            want, best = _sequential_profiles(design, structure, x, Z, modify)
+            assert obj.profiles(Z) == want
+            assert obj.n_eval == len(Z)
+            assert obj.best[0] == best[0] and np.array_equal(obj.best[1], best[1])
+            if structure == "CF":
+                pattern += "NNNNN" if modify else "....N"
+            assert "".join("N" if p is None else "." for p in want) == pattern
+
+    @pytest.mark.parametrize("q", [5, 80])
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
+    @pytest.mark.parametrize("modify", [_negate_blocks, _shift_fixed_block])
+    def test_first_of_tied_points_is_best(self, structure, q, modify):
+        design, x, z0 = _objective_fixture(structure, q)
+        sig = np.array([n.startswith("sigma") for n in FRAILTY_LAWS[structure].names])
+        # every sigma below exp(-27.6) is capped at 1e-12, so the first two rows tie
+        Z = [np.where(sig, -45.0, z0), np.where(sig, -40.0, z0), z0 + 1.0 * sig]
+        obj = _DispersionObjective("weibull", design, structure, x)
+        _modify_data(obj, modify)
+        want, best = _sequential_profiles(design, structure, x, Z, modify)
+        got = obj.profiles(Z)
+        assert got == want and got[0] == got[1] and got[2] is None
+        assert np.array_equal(obj.best[1], Z[0])
+
+    @pytest.mark.parametrize("q", [5, 80])
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
+    def test_value_and_gradient_is_the_3_point_rule(self, structure, q):
+        design, x, z0 = _objective_fixture(structure, q)
+        zero = z0.copy()
+        zero[0] = 0.0
+        for z in (z0, -z0, zero):
+            obj = _DispersionObjective("weibull", design, structure, x)
+            f, g = obj.value_and_gradient(z)
+            points = _stencil(z)
+            values, best = _sequential_profiles(design, structure, x, points)
+            neg = [_OBJECTIVE_PENALTY if p is None else -p for p in values]
+            want = [(neg[2 * i + 2] - neg[2 * i + 1]) / (points[2 * i + 2][i] - points[2 * i + 1][i])
+                    for i in range(len(z))]
+            assert f == neg[0]
+            assert np.array_equal(g, want)
+            assert obj.n_eval == len(points)
+            assert obj.best[0] == best[0] and np.array_equal(obj.best[1], best[1])
+
+    def test_step_2_takes_step_1_data_part(self, monkeypatch):
+        # at the x and loading of Step 1's last pass, Step 2 makes no record pass
+        design, x, z0 = _objective_fixture("BVNF", 5)
+        res = newton_at(design, _spec_with_z("BVNF", z0), np.zeros(3), np.zeros(3))
+        calls = []
+        record_terms = Evaluator._record_terms
+        monkeypatch.setattr(Evaluator, "_record_terms",
+                            lambda self, *a: calls.append(1) or record_terms(self, *a))
+        outer_dispersion("weibull", design, "BVNF", z0, res.x, effort="loose")
+        assert calls == []
+        outer_dispersion("weibull", design, "BVNF", z0, res.x + 1e-3, effort="loose")
+        assert calls == [1]
 
 
 # each fit's to_dict() hashed, or the exception it raised; argv[1] holds the cases;

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -453,7 +454,7 @@ class TestCurvature:
         g = rng.standard_normal(ev.layout.dim)
 
         logdet = 2.0 * np.sum(np.log(np.diag(scipy.linalg.cholesky(Hd))))
-        for got in (H.logdet(), H._logdet_schur(), logdet_pd(H)):
+        for got in (H.logdet(), H._logdet_schur()[0], logdet_pd(H)):
             assert _rel(got, logdet) < 1e-10
         direction = scipy.linalg.solve(Hd, g, assume_a="pos")
         for got in (H.solve(g), H._solve_schur(g)):
@@ -480,8 +481,7 @@ class TestCurvature:
         d, ridge = bad.solve_ascent(g)
         assert ridge == want_ridge > 0.0
         assert rel_err(d, want) < 1e-10
-        with pytest.raises(CurvatureError):
-            bad._logdet_schur()
+        assert np.isnan(bad._logdet_schur()[0])
         with pytest.raises(CurvatureError):
             bad.logdet()
 
@@ -491,8 +491,8 @@ class TestCurvature:
         D = H.D.copy()
         D[0, 1, 3] = D[1, 0, 3] = 1.5 * np.sqrt(D[0, 0, 3] * D[1, 1, 3])
         bad = Curvature(H.layout, H.A, H.B, D, H.P)
-        for method in (bad._logdet_schur, bad.logdet, bad.inverse_blocks,
-                       bad._inverse_blocks_schur):
+        assert np.isnan(bad._logdet_schur()[0])
+        for method in (bad.logdet, bad.inverse_blocks, bad._inverse_blocks_schur):
             with pytest.raises(CurvatureError):
                 method()
         with pytest.raises(CurvatureError):
@@ -654,3 +654,94 @@ class TestKeptTrial:
         assert res.iterations > 2 and res.monotone
         # one pass for the start, one per trial step, none for an accepted step
         assert counts["predictors"] == counts["h"] + 1
+
+
+def _own_design(design):
+    """A copy of design with an empty kept pass, so that evaluations on it are fresh."""
+    own = copy.copy(design)
+    own.kept_pass = None
+    return own
+
+
+def _same_info(a, b):
+    (pa, ga, Ha), (pb, gb, Hb) = a, b
+    return _same_pass(a, b) and np.array_equal(Ha.P, Hb.P)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of the Evaluator method ``name`` on every evaluator."""
+    calls = []
+    method = getattr(Evaluator, name)
+    monkeypatch.setattr(Evaluator, name, lambda self, *a: calls.append(1) or method(self, *a))
+    return calls
+
+
+def _other_sigmas(spec):
+    return spec.with_dispersion([1.5 * v if n.startswith("sigma") else v
+                                 for n, v in spec.dispersion().items()])
+
+
+class TestKeptPass:
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_serves_another_sigma_at_the_same_x(self, fixture_30x5, structure, monkeypatch):
+        design = _own_design(fixture_30x5[1])
+        spec = spec_for(structure)
+        x = np.random.default_rng(8).uniform(-0.4, 0.4, ParamLayout.for_spec(design, spec).dim)
+        Evaluator("gompertz", design, spec).h_score_info(x)
+        record_terms = _count_calls(monkeypatch, "_record_terms")
+        other = _other_sigmas(spec)
+        got = Evaluator("gompertz", design, other).h_score_info(x.copy())
+        ell1_sum, H = Evaluator("gompertz", design, other).data_part(x)
+        assert record_terms == []
+        want = Evaluator("gompertz", _own_design(design), other).h_score_info(x)
+        assert _same_info(got, want)
+        assert ell1_sum == want[0].ell1_sum
+        assert np.array_equal(H.with_penalty(want[2].P).D, want[2].D)
+
+    @pytest.mark.parametrize("other", [("gompertz", spec_for("BVNF")),
+                                       ("weibull", FrailtySpec("CF", sigma_beta=0.8, phi=0.7)),
+                                       ("weibull", FrailtySpec("NF"))])
+    def test_other_family_or_loading_is_evaluated_afresh(self, fixture_30x5, other,
+                                                         monkeypatch):
+        design = _own_design(fixture_30x5[1])
+        family, spec = other
+        # kept: the same structure at the other family, CF at another phi, or a
+        # structure whose loading differs from NF's (the fit's Weibull initializer)
+        kept_spec = {"BVNF": spec, "CF": spec_for("CF"), "NF": spec_for("ScF")}[spec.structure]
+        kept_layout = ParamLayout.for_spec(design, kept_spec)
+        x_kept = np.random.default_rng(9).uniform(-0.4, 0.4, kept_layout.dim)
+        Evaluator("weibull", design, kept_spec).h_score_info(x_kept)
+        x = x_kept[:ParamLayout.for_spec(design, spec).dim]
+        record_terms = _count_calls(monkeypatch, "_record_terms")
+        got = Evaluator(family, design, spec).h_score_info(x)
+        assert record_terms == [1]
+        assert _same_info(got, Evaluator(family, _own_design(design), spec).h_score_info(x))
+
+    def test_other_x_is_evaluated_afresh(self, fixture_30x5, monkeypatch):
+        design = _own_design(fixture_30x5[1])
+        spec = spec_for("BVNF")
+        x = np.random.default_rng(10).uniform(-0.4, 0.4, ParamLayout.for_spec(design, spec).dim)
+        Evaluator("weibull", design, spec).h_score_info(x)
+        record_terms = _count_calls(monkeypatch, "_record_terms")
+        x2 = x.copy()
+        x2[-1] += 2.0**-40
+        got = Evaluator("weibull", design, spec).h_score_info(x2)
+        assert record_terms == [1]
+        assert _same_info(got, Evaluator("weibull", _own_design(design), spec).h_score_info(x2))
+        # the kept x is a copy: an x changed in place is not the x of the pass
+        Evaluator("weibull", design, spec).h_score_info(x)
+        x[0] += 0.25
+        del record_terms[:]
+        got = Evaluator("weibull", design, spec).h_score_info(x)
+        assert record_terms == [1]
+        assert _same_info(got, Evaluator("weibull", _own_design(design), spec).h_score_info(x))
+
+    def test_data_part_does_not_build_the_score(self, fixture_30x5, monkeypatch):
+        design = _own_design(fixture_30x5[1])
+        ev = Evaluator("weibull", design, spec_for("IF"))
+        x = np.random.default_rng(11).uniform(-0.4, 0.4, ev.layout.dim)
+        score = _count_calls(monkeypatch, "_assemble_score")
+        ev.data_part(x)
+        assert score == []
+        ev.h_score_info(x)
+        assert score == [1]

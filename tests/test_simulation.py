@@ -49,6 +49,13 @@ class TestScenarioSpec:
         with pytest.raises(DomainError):
             scenario(n_i=0)
 
+    @pytest.mark.parametrize("bad", [{"sigma_beta": float("nan")}, {"sigma_alpha": float("nan")},
+                                     {"sigma_beta": float("inf")}])
+    def test_rejects_non_finite_standard_deviations(self, bad):
+        # a nan sigma used to pass and fail later with "u must be finite"
+        with pytest.raises(DomainError, match="must be finite and positive"):
+            scenario(**bad)
+
     def test_cluster_sizes_scalar(self):
         assert scenario(n_i=5).cluster_sizes().tolist() == [5] * 10
 
