@@ -237,6 +237,13 @@ class FrailtySpec:
         return replace(self, **dict(zip(names, values)))
 
 
+def _no_repeats(names, what):
+    """DataError when a name occurs twice in ``names``: a lookup by name would see one column."""
+    repeated = sorted({str(n) for n in names if names.count(n) > 1})
+    if repeated:
+        raise DataError(f"{what} named more than once: {', '.join(repeated)}")
+
+
 class Dataset:
     """Clustered survival data held as column arrays.
 
@@ -271,6 +278,7 @@ class Dataset:
             raise DataError("covariate rows do not match record count")
         if self.covariates.shape[1] != len(self.covariate_names):
             raise DataError("covariate names do not match covariate columns")
+        _no_repeats(self.covariate_names, "covariate")
         if not np.all(np.isfinite(self.time)) or np.any(self.time <= 0):
             bad = int(np.argmax(~(np.isfinite(self.time) & (self.time > 0))))
             raise DataError("time must be positive and finite", row=bad + 1)
@@ -284,10 +292,6 @@ class Dataset:
     @property
     def n(self):
         return len(self.time)
-
-    @property
-    def n_covariates(self):
-        return self.covariates.shape[1]
 
     def cluster_labels(self):
         """Distinct cluster labels in first-appearance order."""
@@ -376,7 +380,7 @@ class ModelDesign:
         self.q = len(self.cluster_labels)
         self.n = len(self.time)
         self.cluster_sizes = np.bincount(self.cluster_index, minlength=self.q)
-        # the last record pass of any evaluator on this design, see hlik.Evaluator._data
+        # the last record pass of any evaluator on this design, see hlik.Evaluator._kept
         self.kept_pass = None
 
     @cached_property
@@ -432,6 +436,8 @@ def build_design(dataset, scale_covariates=None, shape_covariates=None):
         shape_covariates = list(dataset.covariate_names)
 
     name_to_col = {name: j for j, name in enumerate(dataset.covariate_names)}
+    _no_repeats(list(scale_covariates), "scale covariate")
+    _no_repeats(list(shape_covariates), "shape covariate")
     for name in list(scale_covariates) + list(shape_covariates):
         if name not in name_to_col:
             raise DataError(

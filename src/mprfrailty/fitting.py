@@ -92,8 +92,6 @@ class InnerResult:
     v_alpha: np.ndarray
     h: float
     ell1_sum: float
-    ell2_sum: float
-    score: np.ndarray
     H: Curvature
     iterations: int
     monotone: bool
@@ -102,16 +100,15 @@ class InnerResult:
 def _newton(evaluator, x0, settings):
     """Inner Newton-Raphson maximization of h at fixed dispersion."""
     x = np.array(x0, dtype=float)
-    parts, g, H = evaluator.h_score_info(x)
     monotone = True
     it = 0
     while True:
+        parts, g, H = evaluator.h_score_info(x)
         if float(np.max(np.abs(g))) < settings.inner_tol:
             beta, alpha, vb, va = evaluator.unpack(x)
             return InnerResult(
-                x=x, beta=beta, alpha=alpha, v_beta=vb, v_alpha=va,
-                h=parts.h, ell1_sum=parts.ell1_sum, ell2_sum=parts.ell2_sum,
-                score=g, H=H, iterations=it, monotone=monotone,
+                x=x, beta=beta, alpha=alpha, v_beta=vb, v_alpha=va, h=parts.h,
+                ell1_sum=parts.ell1_sum, H=H, iterations=it, monotone=monotone,
             )
         if it >= settings.max_inner:
             raise NonConvergenceError(
@@ -124,7 +121,6 @@ def _newton(evaluator, x0, settings):
         accept_floor = parts.h - 1e-10 * (1.0 + abs(parts.h))
         step = 1.0
         accepted = False
-        h_new = -np.inf
         for _ in range(settings.step_halving_max + 1):
             try:
                 h_new = evaluator.h(x + step * direction)
@@ -141,7 +137,6 @@ def _newton(evaluator, x0, settings):
                 )
             monotone = False  # accepted after exhausting halvings
         x = x + step * direction
-        parts, g, H = evaluator.h_score_info(x)
         it += 1
 
 
@@ -487,11 +482,8 @@ def _dispersion_jacobian(structure, values):
 
 def _initial_theta(design, settings):
     """Fixed-effects Weibull fit from 0.01 starts, seeding the main fit."""
-    nf = FrailtySpec(NF)
-    ev = Evaluator(WEIBULL, design, nf)
-    x0 = np.full(ev.layout.dim, 0.01)
-    res = _newton(ev, x0, settings)
-    return res
+    ev = Evaluator(WEIBULL, design, FrailtySpec(NF))
+    return _newton(ev, np.full(ev.layout.dim, 0.01), settings)
 
 
 def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
@@ -533,11 +525,9 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     if not names:
         # no frailty: one Newton solve, nothing to alternate with
         spec = FrailtySpec(structure)
-        ev = Evaluator(family, design, spec)
-        res = _newton(ev, theta0.copy(), settings)
+        res = _newton(Evaluator(family, design, spec), theta0.copy(), settings)
         inner_total += res.iterations
-        logdet = logdet_pd(res.H)
-        profile = res.h - 0.5 * (logdet - ev.layout.dim * LOG_2PI)
+        profile = res.h - 0.5 * (logdet_pd(res.H) - res.H.dim * LOG_2PI)
         return _assemble_fit(
             family, design, spec, res, profile, None,
             converged=True,

@@ -12,18 +12,18 @@ likelihood p = h - 0.5*log det(H/2pi) with H the observed information of
 (theta, v).  This module evaluates all of those pieces analytically for
 every frailty structure and baseline family.
 
-Apart from two caches, everything here is a pure function of its inputs.
-An :class:`Evaluator` keeps the predictors of its last pass, and
-the design keeps the part of the last record pass that Sigma does not
-enter, for its family, loading L and x: Step 2's batched profile, the
-next sweep's first Newton assembly and the final re-solve take it from
-there, with the same bits.  Each fit builds its own design; both caches
-are replaced as one attribute and used only at an equal key.
+Apart from one cache, everything here is a pure function of its inputs.
+The design keeps the last pass over the records for its family, loading
+L and x: the accepted step of a Newton iteration, Step 2's batched
+profile, the next sweep's first Newton assembly and the final re-solve
+take it from there, with the same bits.  Each fit builds its own design;
+the pass is replaced as one attribute and used only at an equal key.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -429,11 +429,10 @@ class Evaluator:
     frailties enter through the structure's law v = L u (see
     :class:`~mprfrailty.data.FrailtyLaw`).
 
-    The evaluator keeps the predictors and Lambda0 of its last pass, and
-    the design the ell1 sum, the score's record terms and the penalty-free
-    information of the last pass of any evaluator (:meth:`_data`); the
-    score itself is built only by :meth:`h_score_info`.  Every cluster sum
-    is a product of record weights with one of ``design.cluster_sums``.
+    The evaluator keeps nothing of a pass: the design keeps the last one of
+    any evaluator (:meth:`_kept`), and the score itself is built only by
+    :meth:`h_score_info`.  Every cluster sum is a product of record
+    weights with one of ``design.cluster_sums``.
     """
 
     def __init__(self, family, design, spec):
@@ -455,8 +454,6 @@ class Evaluator:
         # the frailties (0: v_beta, 1: v_alpha) whose record weights enter
         self._need = tuple(r for r in (0, 1) if any(col[r] != 0.0 for col in self._cols))
         self.layout = ParamLayout.for_spec(design, spec)
-        # the last record pass, see _pass
-        self._last = None
         # s = exp(glogt) must stay inside the family's domain and finite
         self._max_glogt = min(math.log(self._base.max_s), LINPRED_MAX)
 
@@ -543,36 +540,32 @@ class Evaluator:
 
     # -- public evaluations ------------------------------------------------------
 
-    def _pass(self, x):
-        """[copy of x, (tau, s, glogt, Lambda0), ell1 sum, HlikValue or None], the last pass."""
-        tau, gamma, s, glogt, _ = self._predictors(x)
-        Lam0 = self._base.cumhaz(s)
-        self._last = last = [np.array(x), (tau, s, glogt, Lam0),
-                             self._ell1_sum(tau, gamma, s, Lam0), None]
-        return last
+    def _kept(self, x, data=False):
+        """The pass over the records at x for this family and L, kept as ``design.kept_pass``.
 
-    def _data(self, x):
-        """(copy of x, (ell1 sum, the score's record terms, penalty-free information)).
-
-        What Sigma does not enter at x, kept in ``design.kept_pass`` for (family,
-        L, x) and taken from there at an equal key, else built from the last
-        pass at x (sharing its x copy) or from a new one.
+        Reused at an equal (family, L, x), else made anew with its ``key``, a
+        copy ``x``, ``predictors`` (tau, s, glogt, Lambda0) and ``ell1_sum``.
+        ``data`` holds the score's record terms and the penalty-free
+        information once asked for, and ``h`` the (spec, HlikValue) of the
+        last :meth:`h` call at x, (None, None) before one.
         """
         key = (self.family, self._L)
         kept = self.design.kept_pass
-        if kept is None or kept[0] != key or not np.array_equal(kept[1], x):
-            if self._last is None or not np.array_equal(self._last[0], x):
-                self._pass(x)
-            x_copy, (tau, s, glogt, Lam0), ell1_sum, _ = self._last
-            u_beta, u_alpha, *weights = self._record_terms(tau, s, glogt, Lam0)
-            data = (ell1_sum, (u_beta, u_alpha), self._assemble_information(*weights))
-            self.design.kept_pass = kept = (key, x_copy, data)
-        return kept[1:]
+        if kept is None or kept.key != key or not np.array_equal(kept.x, x):
+            tau, gamma, s, glogt, _ = self._predictors(x)
+            Lam0 = self._base.cumhaz(s)
+            self.design.kept_pass = kept = SimpleNamespace(
+                key=key, x=np.array(x), predictors=(tau, s, glogt, Lam0),
+                ell1_sum=self._ell1_sum(tau, gamma, s, Lam0), data=None, h=(None, None))
+        if data and kept.data is None:
+            u_beta, u_alpha, *weights = self._record_terms(*kept.predictors)
+            kept.data = (u_beta, u_alpha), self._assemble_information(*weights)
+        return kept
 
     def h_parts(self, x):
-        last = self._pass(x)
-        last[3] = self._parts(last[2], self.layout.unpack(x)[2])
-        return last[3]
+        kept = self._kept(x)
+        kept.h = (self.spec, self._parts(kept.ell1_sum, self.layout.unpack(x)[2]))
+        return kept.h[1]
 
     def h(self, x):
         return self.h_parts(x).h
@@ -592,7 +585,7 @@ class Evaluator:
         return g
 
     def information(self, x, penalty=True):
-        H = self._data(x)[1][2]
+        H = self.data_part(x)[1]
         return H.with_penalty(_penalty_blocks(*self._sigma_cols)[0]) if penalty else H
 
     def data_part(self, x):
@@ -602,8 +595,8 @@ class Evaluator:
         the part of the adjusted profile that the frailty law's Sigma does
         not enter.  The score is not built.
         """
-        ell1_sum, _, H = self._data(x)[1]
-        return ell1_sum, H
+        kept = self._kept(x, data=True)
+        return kept.ell1_sum, kept.data[1]
 
     def _assemble_information(self, w_beta, w_alpha, w_ba):
         # with the information of (theta, v) written [[A, B_v], [B_v', D_v]],
@@ -644,15 +637,15 @@ class Evaluator:
         return Curvature(lay, A, B, D, np.zeros((k, k)))
 
     def h_score_info(self, x):
-        """(HlikValue, score, information) at x from the record pass of :meth:`_data`.
+        """(HlikValue, score, information) at x from the kept pass of :meth:`_kept`.
 
-        h is reused from the last :meth:`h` call when its pass made the data
-        part (the accepted step of a Newton iteration).
+        h is the kept one when :meth:`h` made it at x under this spec (the
+        accepted step of a Newton iteration).
         """
-        x_kept, (ell1_sum, (u_beta, u_alpha), H) = self._data(x)
-        u, last = self.layout.unpack(x)[2], self._last
-        at_x = last is not None and last[0] is x_kept and last[3] is not None
-        parts = last[3] if at_x else self._parts(ell1_sum, u)
+        kept = self._kept(x, data=True)
+        (u_beta, u_alpha), H = kept.data
+        u = self.layout.unpack(x)[2]
+        parts = kept.h[1] if kept.h[0] == self.spec else self._parts(kept.ell1_sum, u)
         g = self._assemble_score(u_beta, u_alpha, u)
         return parts, g, H.with_penalty(_penalty_blocks(*self._sigma_cols)[0])
 

@@ -14,6 +14,7 @@ a fixed seed regardless of execution order or thread count.
 """
 
 import json
+import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +30,14 @@ AR1_COEFF = 0.5
 CENSOR_BOUNDS = (1e-3, 1e4)
 CALIBRATION_TOL = 0.005  # +-0.5 percentage points
 PILOT_DRAWS = 100_000
+
+
+def _integer(value, name):
+    """``value`` as an int; a float such as 5.0 or 6.7 is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,8 @@ class ScenarioSpec:
         object.__setattr__(self, "family", normalize_family(self.family))
         object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
         object.__setattr__(self, "alpha_true", tuple(float(a) for a in self.alpha_true))
+        for name in ("q", "replicates", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.q < 2:
             raise DomainError("q must be at least 2")
         if len(self.beta_true) != len(self.alpha_true):
@@ -79,12 +90,8 @@ class ScenarioSpec:
     def cluster_sizes(self):
         """Per-cluster sizes as an integer array of length q."""
         spec = self.n_i
-        if isinstance(spec, int):
-            if spec < 1:
-                raise DomainError("n_i must be at least 1")
-            return np.full(self.q, spec, dtype=int)
         if isinstance(spec, dict):
-            sizes = [int(s) for s in spec["sizes"]]
+            sizes = [_integer(s, "mixture size") for s in spec["sizes"]]
             weights = [float(w) for w in spec["weights"]]
             if len(sizes) != len(weights) or not sizes:
                 raise DomainError("mixture sizes and weights must align")
@@ -95,9 +102,11 @@ class ScenarioSpec:
             counts[-1] += self.q - sum(counts)
             if counts[-1] < 0:
                 raise DomainError("mixture weights produce a negative count")
-            out = np.repeat(sizes, counts)
-            return out.astype(int)
-        sizes = np.asarray(list(spec), dtype=int)
+            return np.repeat(sizes, counts)
+        if np.ndim(spec) == 0:
+            sizes = np.full(self.q, _integer(spec, "n_i"), dtype=int)
+        else:
+            sizes = np.array([_integer(s, "n_i entry") for s in spec], dtype=int)
         if sizes.shape != (self.q,):
             raise DomainError("explicit n_i list must have length q")
         if np.any(sizes < 1):
@@ -122,7 +131,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            q=int(d["q"]),
+            q=d["q"],
             n_i=d["n_i"],
             beta_true=tuple(d["beta_true"]),
             alpha_true=tuple(d["alpha_true"]),
@@ -130,8 +139,8 @@ class ScenarioSpec:
             sigma_alpha=float(d["sigma_alpha"]),
             rho=float(d["rho"]),
             censor_rate=float(d.get("censor_rate", 0.25)),
-            replicates=int(d.get("replicates", 100)),
-            seed=int(d.get("seed", 0)),
+            replicates=d.get("replicates", 100),
+            seed=d.get("seed", 0),
             family=d.get("family", "weibull"),
         )
 

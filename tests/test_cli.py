@@ -88,6 +88,22 @@ class TestCmdFit:
         assert "iteration caps must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "fit_NF.json").exists()
 
+    def test_repeated_covariate_column_exits_1(self, data_csv, tmp_path, capsys):
+        lines = Path(data_csv).read_text().splitlines()
+        lines[0] = "cluster,time,status,x1,x1"
+        path = tmp_path / "repeated.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--data", str(path), "--structure", "ScF", "--out", str(tmp_path)])
+        assert code == 1
+        assert "covariate named more than once: x1" in capsys.readouterr().err
+
+    def test_repeated_scale_covariate_exits_1(self, data_csv, tmp_path, capsys):
+        code = main(["fit", "--data", data_csv, "--structure", "ScF",
+                     "--scale-covariates", "x1,x1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "scale covariate named more than once: x1" in capsys.readouterr().err
+        assert not (tmp_path / "fit_ScF.json").exists()
+
     def test_collinear_design_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         rows = ["cluster,time,status,x1,x2"]
@@ -199,6 +215,11 @@ class TestCmdSimulate:
         path.write_text("{\"q\": 1}")
         assert main(["simulate", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 1
+
+    def test_float_cluster_size_exits_1(self, tmp_path, capsys):
+        scen = self.scenario_file(tmp_path, n_i=5.0)
+        assert main(["simulate", "--scenario", scen, "--out", str(tmp_path)]) == 1
+        assert "n_i must be an integer, got 5.0" in capsys.readouterr().err
 
     def test_zero_replicates_exits_1(self, tmp_path, capsys):
         scen = self.scenario_file(tmp_path)

@@ -89,6 +89,11 @@ class TestDataset:
         ds = Dataset(["a", "a", "b"], [1.0, 2.0, 3.0], status, [[0.1], [0.2], [0.3]], ["x"])
         assert ds.status.dtype.kind == "i" and ds.status.tolist() == [1, 0, 1]
 
+    def test_rejects_repeated_covariate_name(self):
+        # a lookup by name would see only the last of the two columns
+        with pytest.raises(DataError, match="covariate named more than once: x1"):
+            Dataset(["a", "b"], [1.0, 2.0], [1, 0], [[0.1, 0.5], [0.2, 0.7]], ["x1", "x1"])
+
     def test_cluster_labels_first_appearance(self):
         ds = Dataset(["B", "A", "B"], [1, 1, 1], [1, 1, 1], np.zeros((3, 0)), [])
         assert ds.cluster_labels() == ["B", "A"]
@@ -176,6 +181,13 @@ class TestBuildDesign:
     def test_unknown_covariate(self):
         with pytest.raises(DataError):
             build_design(toy_dataset(), scale_covariates=["weight"])
+
+    @pytest.mark.parametrize("lists", [{"scale_covariates": ["x1", "x2", "x1"]},
+                                       {"shape_covariates": ["x2", "x2"]}])
+    def test_repeated_covariate_in_a_list(self, lists):
+        ds = small_weibull_dataset(p=2)
+        with pytest.raises(DataError, match="covariate named more than once"):
+            build_design(ds, **lists)
 
     def test_single_cluster_warns(self):
         ds = Dataset(["A", "A"], [1.0, 2.0], [1, 0], np.zeros((2, 0)), [])

@@ -745,3 +745,17 @@ class TestKeptPass:
         assert score == []
         ev.h_score_info(x)
         assert score == [1]
+
+
+class TestKeptValue:
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_h_of_another_sigma_is_not_reused(self, fixture_30x5, structure):
+        design = _own_design(fixture_30x5[1])
+        spec = spec_for(structure)
+        x = np.random.default_rng(12).uniform(-0.4, 0.4, ParamLayout.for_spec(design, spec).dim)
+        Evaluator("gompertz", design, spec).h(x)
+        other = _other_sigmas(spec)
+        got = Evaluator("gompertz", design, other).h_score_info(x)
+        want = Evaluator("gompertz", _own_design(design), other).h_score_info(x)
+        assert got[0] == want[0]
+        assert _same_info(got, want)

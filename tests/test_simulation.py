@@ -56,6 +56,20 @@ class TestScenarioSpec:
         with pytest.raises(DomainError, match="must be finite and positive"):
             scenario(**bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", 6.7), ("replicates", 2.9), ("seed", 1.5), ("n_i", 5.0),
+        ("n_i", [5.0] * 10), ("n_i", {"sizes": [5.5, 20], "weights": [0.5, 0.5]})])
+    def test_integer_fields_reject_floats(self, field, value):
+        # int() used to truncate 6.7 to 6, and n_i = 5.0 raised a TypeError
+        d = {**scenario().to_dict(), field: value}
+        with pytest.raises(DomainError, match="must be an integer"):
+            ScenarioSpec.from_dict(d)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        spec = scenario(q=np.int64(10), n_i=np.full(10, 4), seed=np.int32(3))
+        assert type(spec.q) is int and type(spec.seed) is int
+        assert spec.cluster_sizes().tolist() == [4] * 10
+
     def test_cluster_sizes_scalar(self):
         assert scenario(n_i=5).cluster_sizes().tolist() == [5] * 10
 
