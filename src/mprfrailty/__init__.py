@@ -10,8 +10,6 @@ with dispersion parameters from the Laplace-adjusted profile likelihood.
 
 from .baselines import (
     FAMILIES,
-    cumulative_base,
-    hazard_base_derivs,
     inverse_cumulative_base,
     normalize_family,
 )
@@ -64,9 +62,7 @@ from .selection import (
     InconsistentFitsError,
     LrtResult,
     SelectionReport,
-    caic,
     frailty_lrt,
-    raic,
     selection_report,
 )
 from .simulation import (
@@ -105,15 +101,11 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioSummary",
     "MIXTURE_CHI2_CRITICAL_5PCT",
-    "cumulative_base",
-    "hazard_base_derivs",
     "inverse_cumulative_base",
     "normalize_family",
     "build_design",
     "fit",
     "outer_dispersion",
-    "raic",
-    "caic",
     "frailty_lrt",
     "selection_report",
     "hazard_ratio_curve",

@@ -7,10 +7,10 @@ applies these to the transformed time s = t**gamma, so the Weibull family
 is simply the identity cumulative hazard.
 
 :data:`BASELINES` holds one :class:`Baseline` row per family; the
-likelihood reads it directly and the public functions below add input
-validation.  Derivatives are hand-coded closed forms: they sit in the
-innermost loop of the information-matrix weights, and finite differences
-there would be both slow and noisy.
+likelihood reads it directly, and :func:`inverse_cumulative_base` adds
+input validation for simulation.  Derivatives are hand-coded closed
+forms: they sit in the innermost loop of the information-matrix weights,
+and finite differences there would be both slow and noisy.
 """
 
 import math
@@ -90,46 +90,15 @@ def normalize_family(name):
     return _ALIASES[key]
 
 
-def _checked(family, s, what, positive=False):
-    """(table row, s as a finite array in the family's domain)."""
+def _checked(family, s, what):
+    """(table row, s as a finite non-negative array)."""
     family = normalize_family(family)
     arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
-    if np.any(arr <= 0) if positive else np.any(arr < 0):
-        raise DomainError(f"{what} must be {'positive' if positive else 'non-negative'}")
+    if np.any(arr < 0):
+        raise DomainError(f"{what} must be non-negative")
     return BASELINES[family], arr
-
-
-def _overflow_guard(base, arr):
-    if np.any(arr > base.max_s):
-        raise DomainError(f"the baseline hazard overflows for s > {base.max_s}")
-
-
-def cumulative_base(family, s):
-    """Baseline cumulative hazard Lambda0(s) on the transformed scale.
-
-    Weibull: s; Gompertz: exp(s) - 1; log-logistic: log(1 + s).
-    """
-    base, arr = _checked(family, s, "s")
-    _overflow_guard(base, arr)
-    out = np.array(base.cumhaz(arr))
-    return out if np.ndim(s) else float(out)
-
-
-def hazard_base_derivs(family, s):
-    """Baseline hazard lambda0(s) and its first two derivatives.
-
-    Returns the triple (lambda0, lambda0', lambda0'') evaluated at s > 0:
-    Weibull (1, 0, 0); Gompertz (e**s, e**s, e**s);
-    log-logistic (1/(1+s), -1/(1+s)**2, 2/(1+s)**3).
-    """
-    base, arr = _checked(family, s, "s", positive=True)
-    _overflow_guard(base, arr)
-    terms = base.hazard(arr)
-    if np.ndim(s):
-        return terms
-    return tuple(float(t) for t in terms)
 
 
 def inverse_cumulative_base(family, u):

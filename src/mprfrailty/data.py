@@ -15,7 +15,7 @@ structures selected by :class:`FrailtySpec`.
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -188,7 +188,7 @@ class FrailtySpec:
     def __post_init__(self):
         object.__setattr__(self, "structure", normalize_structure(self.structure))
         s = self.structure
-        want = self.dispersion_names()
+        want = self.law.names
         for name in ("sigma_beta", "sigma_alpha", "rho", "phi"):
             val = getattr(self, name)
             if name in want:
@@ -214,27 +214,11 @@ class FrailtySpec:
     @property
     def df_r(self):
         """Number of dispersion parameters governing the frailty law."""
-        return len(self.dispersion_names())
-
-    def dispersion_names(self):
-        return self.law.names
-
-    def dispersion_values(self):
-        return tuple(getattr(self, n) for n in self.dispersion_names())
+        return len(self.law.names)
 
     def dispersion(self):
         """The carried dispersion as a name -> value mapping."""
-        return dict(zip(self.dispersion_names(), self.dispersion_values()))
-
-    def with_dispersion(self, values):
-        """Return a copy with the carried dispersion parameters replaced."""
-        names = self.dispersion_names()
-        if len(values) != len(names):
-            raise DomainError(
-                f"structure {self.structure} carries {len(names)} dispersion "
-                f"parameters, got {len(values)}"
-            )
-        return replace(self, **dict(zip(names, values)))
+        return {n: getattr(self, n) for n in self.law.names}
 
 
 def _no_repeats(names, what):

@@ -33,6 +33,7 @@ from .data import (
 )
 from .errors import (
     CurvatureError,
+    DataError,
     DivergedIterateError,
     EvaluationError,
     MPRFrailtyError,
@@ -58,27 +59,24 @@ _FD_STEP = np.finfo(float).eps ** (1 / 3)
 # starting value of every dispersion parameter of the alternating algorithm
 _START_DISPERSION = 0.1
 
+INNER_TOL = 1e-8       # the inner Newton stops when max |score| falls below this
+MAX_INNER = 50         # inner Newton iterations before NonConvergenceError
+STEP_HALVING_MAX = 20  # halvings of one inner Newton step
+OUTER_TOL = 1e-6       # the outer loop stops when no estimate moved more in a sweep
+
 
 @dataclass(frozen=True)
 class FitSettings:
-    """Tolerances and iteration caps for the alternating algorithm."""
+    """The outer-sweep cap, the one option of the alternating algorithm."""
 
-    inner_tol: float = 1e-8
-    outer_tol: float = 1e-6
     max_outer: int = 200
-    max_inner: int = 50
-    step_halving_max: int = 20
 
     def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.inner_tol, self.outer_tol)):
-            raise ValueError("tolerances must be finite and positive")
-        caps = (self.max_outer, self.max_inner, self.step_halving_max)
         try:
-            caps = [operator.index(c) for c in caps]
+            if operator.index(self.max_outer) < 1:
+                raise ValueError("iteration caps must be at least 1")
         except TypeError:
             raise ValueError("iteration caps must be integers") from None
-        if min(caps) < 1:
-            raise ValueError("iteration caps must be at least 1")
 
 
 @dataclass
@@ -97,22 +95,22 @@ class InnerResult:
     monotone: bool
 
 
-def _newton(evaluator, x0, settings):
+def _newton(evaluator, x0):
     """Inner Newton-Raphson maximization of h at fixed dispersion."""
     x = np.array(x0, dtype=float)
     monotone = True
     it = 0
     while True:
         parts, g, H = evaluator.h_score_info(x)
-        if float(np.max(np.abs(g))) < settings.inner_tol:
+        if float(np.max(np.abs(g))) < INNER_TOL:
             beta, alpha, vb, va = evaluator.unpack(x)
             return InnerResult(
                 x=x, beta=beta, alpha=alpha, v_beta=vb, v_alpha=va, h=parts.h,
                 ell1_sum=parts.ell1_sum, H=H, iterations=it, monotone=monotone,
             )
-        if it >= settings.max_inner:
+        if it >= MAX_INNER:
             raise NonConvergenceError(
-                f"inner Newton did not converge in {settings.max_inner} iterations "
+                f"inner Newton did not converge in {MAX_INNER} iterations "
                 f"(max |score| = {np.max(np.abs(g)):.3g})",
                 last=x,
             )
@@ -121,7 +119,7 @@ def _newton(evaluator, x0, settings):
         accept_floor = parts.h - 1e-10 * (1.0 + abs(parts.h))
         step = 1.0
         accepted = False
-        for _ in range(settings.step_halving_max + 1):
+        for _ in range(STEP_HALVING_MAX + 1):
             try:
                 h_new = evaluator.h(x + step * direction)
             except (DivergedIterateError, EvaluationError):
@@ -360,10 +358,12 @@ class ModelFit:
 
     @property
     def raic(self):
+        """Restricted AIC: -2 p(h) + 2 df_r, with df_r the number of dispersion parameters."""
         return self.deviance_profile + 2.0 * self.df_r
 
     @property
     def caic(self):
+        """Conditional AIC: -2 sum(ell1) + 2 df_c, with df_c = trace(H^-1 H*)."""
         return self.cond_deviance + 2.0 * self.df_c
 
     def coefficients(self):
@@ -410,38 +410,39 @@ class ModelFit:
 
     @classmethod
     def from_dict(cls, d):
-        def arr(a):
-            return None if a is None else np.asarray(a, dtype=float)
+        """Inverse of :meth:`to_dict`; DataError when a field has the wrong type.
 
-        return cls(
-            family=d["family"],
-            structure=d["structure"],
-            scale_names=list(d["scale_names"]),
-            shape_names=list(d["shape_names"]),
-            beta=arr(d["beta"]),
-            alpha=arr(d["alpha"]),
-            se_beta=arr(d["se_beta"]),
-            se_alpha=arr(d["se_alpha"]),
-            v_beta=arr(d["v_beta"]),
-            v_alpha=arr(d["v_alpha"]),
-            se_v_beta=arr(d.get("se_v_beta")),
-            se_v_alpha=arr(d.get("se_v_alpha")),
-            dispersion=dict(d["dispersion"]),
-            se_dispersion=dict(d["se_dispersion"]),
-            deviance_profile=float(d["deviance_profile"]),
-            cond_deviance=float(d["cond_deviance"]),
-            df_r=int(d["df_r"]),
-            df_c=float(d["df_c"]),
-            converged=bool(d["converged"]),
-            iterations=dict(d["iterations"]),
-            cluster_labels=list(d["cluster_labels"]),
-            cluster_sizes=np.asarray(d["cluster_sizes"], dtype=int),
-            cov_theta=arr(d["cov_theta"]),
-            modal_covariates=dict(d["modal_covariates"]),
-            binary_covariates=dict(d["binary_covariates"]),
-            warnings=list(d.get("warnings", [])),
-            H=None,
-        )
+        A null number reads as nan, the value written for a non-finite float.
+        """
+        def typed(name, kind):
+            if not isinstance(d[name], kind):
+                raise DataError(f"fit field {name!r} has the wrong type: {d[name]!r}")
+            return d[name]
+
+        def array(name, ndim=1, dtype=float):
+            try:
+                out = np.asarray(typed(name, list), dtype=dtype)
+            except (TypeError, ValueError):
+                out = None
+            if out is None or out.ndim != ndim:
+                raise DataError(f"fit field {name!r} is not a {ndim}-d numeric array")
+            return out
+
+        def number(name):
+            value = typed(name, (int, float, type(None)))
+            return math.nan if value is None else float(value)
+
+        kw = {n: typed(n, str) for n in ("family", "structure")}
+        kw |= {n: list(typed(n, list)) for n in ("scale_names", "shape_names", "cluster_labels")}
+        kw |= {n: dict(typed(n, dict)) for n in (
+            "dispersion", "se_dispersion", "iterations", "modal_covariates", "binary_covariates")}
+        kw |= {n: array(n) for n in ("beta", "alpha", "se_beta", "se_alpha", "v_beta", "v_alpha")}
+        kw |= {n: None if d.get(n) is None else array(n) for n in ("se_v_beta", "se_v_alpha")}
+        kw |= {n: number(n) for n in ("deviance_profile", "cond_deviance", "df_c")}
+        return cls(**kw, df_r=typed("df_r", int), converged=typed("converged", bool),
+                   cluster_sizes=array("cluster_sizes", dtype=int),
+                   cov_theta=array("cov_theta", ndim=2),
+                   warnings=list(typed("warnings", list)) if "warnings" in d else [])
 
 
 def _empirical_modes(design):
@@ -480,10 +481,10 @@ def _dispersion_jacobian(structure, values):
     return np.array([TRANSFORMS[n].jacobian(v) for n, v in zip(names, values)])
 
 
-def _initial_theta(design, settings):
+def _initial_theta(design):
     """Fixed-effects Weibull fit from 0.01 starts, seeding the main fit."""
     ev = Evaluator(WEIBULL, design, FrailtySpec(NF))
-    return _newton(ev, np.full(ev.layout.dim, 0.01), settings)
+    return _newton(ev, np.full(ev.layout.dim, 0.01))
 
 
 def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
@@ -517,7 +518,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         if theta0.shape != (design.m_beta + design.m_alpha,):
             raise ValueError("theta_init length does not match the design")
     else:
-        init_res = _initial_theta(design, settings)
+        init_res = _initial_theta(design)
         inner_total += init_res.iterations
         theta0 = np.concatenate([init_res.beta, init_res.alpha])
 
@@ -525,7 +526,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     if not names:
         # no frailty: one Newton solve, nothing to alternate with
         spec = FrailtySpec(structure)
-        res = _newton(Evaluator(family, design, spec), theta0.copy(), settings)
+        res = _newton(Evaluator(family, design, spec), theta0.copy())
         inner_total += res.iterations
         profile = res.h - 0.5 * (logdet_pd(res.H) - res.H.dim * LOG_2PI)
         return _assemble_fit(
@@ -550,7 +551,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     resid_hist = []  # (z_out, residual) of recent iterations
     for outer_it in range(1, settings.max_outer + 1):
         # Step 1: (theta, v) at fixed dispersion
-        res = _newton(Evaluator(family, design, spec), x, settings)
+        res = _newton(Evaluator(family, design, spec), x)
         inner_total += res.iterations
         monotone = monotone and res.monotone
         x = res.x
@@ -562,7 +563,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         estimates = np.concatenate([x, back_transform_dispersion(structure, z_out)])
         if prev_estimates is not None:
             last_change = float(np.max(np.abs(estimates - prev_estimates)))
-            if (last_change < settings.outer_tol and effort == "tight"
+            if (last_change < OUTER_TOL and effort == "tight"
                     and outer.gradient_converged):
                 z = z_out
                 spec = outer.spec
@@ -590,14 +591,14 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
 
     # final matched state: re-solve (theta, v) at the final dispersion and
     # evaluate the adjusted profile there
-    final = _newton(Evaluator(family, design, spec), x, settings)
+    final = _newton(Evaluator(family, design, spec), x)
     inner_total += final.iterations
     profile_loglik = final.h - 0.5 * (logdet_pd(final.H) - final.H.dim * LOG_2PI)
 
     if not converged:
         fit_warnings.append(
             f"outer loop stopped at max_outer={settings.max_outer} before the "
-            f"{settings.outer_tol} criterion was met"
+            f"{OUTER_TOL} criterion was met"
         )
     if not (monotone and final.monotone):
         fit_warnings.append("inner step-halving accepted a non-increasing step")
@@ -694,7 +695,7 @@ def _dispersion_se(family, design, spec, outer_state, fit_warnings):
     The curvature of the adjusted profile likelihood is measured on the
     transformed scale (central differences, step 1e-4) and mapped back.
     """
-    names = spec.dispersion_names()
+    names = spec.law.names
     if not names:
         return {}
     structure, z_hat, x_hat = outer_state
@@ -709,7 +710,7 @@ def _dispersion_se(family, design, spec, outer_state, fit_warnings):
     try:
         info_z = _num_hessian(neg_p, np.asarray(z_hat, dtype=float), step=1e-4)
         cov_z = np.linalg.inv(info_z)
-        jac = _dispersion_jacobian(structure, spec.dispersion_values())
+        jac = _dispersion_jacobian(structure, spec.dispersion().values())
         cov_nat = (jac[:, None] * cov_z) * jac[None, :]
         var = np.diag(cov_nat).copy()
         bad = var <= 0

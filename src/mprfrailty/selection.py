@@ -4,7 +4,8 @@ Two information criteria are used.  The restricted criterion penalizes
 the profile deviance by the number of dispersion parameters (df_r); the
 conditional criterion penalizes the conditional deviance by the
 effective degrees of freedom df_c = trace(H^-1 H*), where H* is the
-curvature of the conditional part alone.  Variance components sit on the
+curvature of the conditional part alone.  Both are properties of
+:class:`ModelFit` (``raic`` and ``caic``).  Variance components sit on the
 boundary of their parameter space under the null, so the likelihood
 ratio test for a single frailty variance uses the half-half mixture of
 chi-square distributions with 0 and 1 degrees of freedom.
@@ -27,16 +28,6 @@ _NESTED_PAIRS = {(NF, SCF), (NF, SHF), (SCF, IF), (SHF, IF)}
 
 class InconsistentFitsError(MPRFrailtyError, ValueError):
     """The null fit beats the alternative, which nesting forbids."""
-
-
-def raic(fit):
-    """Restricted AIC: -2 p(h) + 2 df_r."""
-    return fit.deviance_profile + 2.0 * fit.df_r
-
-
-def caic(fit):
-    """Conditional AIC: -2 sum(ell1) + 2 df_c."""
-    return fit.cond_deviance + 2.0 * fit.df_c
 
 
 @dataclass(frozen=True)
@@ -97,12 +88,6 @@ class SelectionReport:
     rows: list
     failures: dict
 
-    def best_raic(self):
-        return min((r for r in self.rows), key=lambda r: r.raic).model
-
-    def best_caic(self):
-        return min((r for r in self.rows), key=lambda r: r.caic).model
-
     def to_csv_rows(self):
         header = [
             "model", "deviance_r", "df_r", "raic", "delta_raic",
@@ -134,6 +119,8 @@ class SelectionReport:
                 mark += " <rAIC"
             if r.delta_caic == 0.0:
                 mark += " <cAIC"
+            if r.note:
+                mark += f" ({r.note})"
             lines.append(
                 f"{r.model:<6} {r.deviance_r:>10.2f} {r.df_r:>5d} "
                 f"{r.raic:>10.2f} {r.delta_raic:>8.2f} "
@@ -160,11 +147,11 @@ def selection_report(fits, failures=None):
                 model=f.structure,
                 deviance_r=f.deviance_profile,
                 df_r=f.df_r,
-                raic=raic(f),
+                raic=f.raic,
                 delta_raic=0.0,
                 deviance_c=f.cond_deviance,
                 df_c=f.df_c,
-                caic=caic(f),
+                caic=f.caic,
                 delta_caic=0.0,
                 converged=f.converged,
                 note="" if f.converged else "not converged",

@@ -14,6 +14,7 @@ a fixed seed regardless of execution order or thread count.
 """
 
 import json
+import numbers
 import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +41,13 @@ def _integer(value, name):
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(value, name):
+    """``value`` as a float; None, a string or a list is not a real number."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Truth and size settings for one simulation scenario.
@@ -63,8 +71,13 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", normalize_family(self.family))
-        object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
-        object.__setattr__(self, "alpha_true", tuple(float(a) for a in self.alpha_true))
+        for name in ("beta_true", "alpha_true"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise DomainError(f"{name} must be a list of numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(_real(v, name) for v in values))
+        for name in ("sigma_beta", "sigma_alpha", "rho", "censor_rate"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         for name in ("q", "replicates", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.q < 2:
@@ -92,7 +105,7 @@ class ScenarioSpec:
         spec = self.n_i
         if isinstance(spec, dict):
             sizes = [_integer(s, "mixture size") for s in spec["sizes"]]
-            weights = [float(w) for w in spec["weights"]]
+            weights = [_real(w, "mixture weight") for w in spec["weights"]]
             if len(sizes) != len(weights) or not sizes:
                 raise DomainError("mixture sizes and weights must align")
             if any(s < 1 for s in sizes) or any(w < 0 for w in weights):
@@ -133,12 +146,12 @@ class ScenarioSpec:
         return cls(
             q=d["q"],
             n_i=d["n_i"],
-            beta_true=tuple(d["beta_true"]),
-            alpha_true=tuple(d["alpha_true"]),
-            sigma_beta=float(d["sigma_beta"]),
-            sigma_alpha=float(d["sigma_alpha"]),
-            rho=float(d["rho"]),
-            censor_rate=float(d.get("censor_rate", 0.25)),
+            beta_true=d["beta_true"],
+            alpha_true=d["alpha_true"],
+            sigma_beta=d["sigma_beta"],
+            sigma_alpha=d["sigma_alpha"],
+            rho=d["rho"],
+            censor_rate=d.get("censor_rate", 0.25),
             replicates=d.get("replicates", 100),
             seed=d.get("seed", 0),
             family=d.get("family", "weibull"),
@@ -353,7 +366,7 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
             return ("error", (type(exc).__name__, f"{type(exc).__name__}: {exc}"))
         if not f.converged:
             return ("error", ("not converged", "fit did not converge"))
-        disp_names = list(f.spec.dispersion_names())
+        disp_names = list(f.spec.law.names)
         est = np.concatenate(
             [f.beta, f.alpha, [f.dispersion[k] for k in disp_names]]
         )

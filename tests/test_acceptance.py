@@ -21,7 +21,6 @@ from mprfrailty import (
     fit,
     frailty_lrt,
     hazard_ratio_curve,
-    raic,
     run_scenario,
 )
 from mprfrailty.cli import main
@@ -192,7 +191,7 @@ def test_criterion_07_model_selection_arithmetic():
     start = time.time()
     nf = stub_fit("NF", 1123.40, 0)
     shf = stub_fit("ShF", 1079.52, 1)
-    delta = raic(nf) - raic(shf)
+    delta = nf.raic - shf.raic
     assert abs(delta - 41.88) < 1e-9
     lrt = frailty_lrt(nf, shf)
     assert abs(lrt.statistic - 43.88) < 1e-9

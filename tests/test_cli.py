@@ -221,6 +221,16 @@ class TestCmdSimulate:
         assert main(["simulate", "--scenario", scen, "--out", str(tmp_path)]) == 1
         assert "n_i must be an integer, got 5.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma_beta", None, "sigma_beta must be a real number, got None"),
+        ("censor_rate", None, "censor_rate must be a real number, got None"),
+        ("beta_true", 0.8, "beta_true must be a list of numbers, got 0.8"),
+    ])
+    def test_wrongly_typed_field_exits_1(self, tmp_path, capsys, field, value, message):
+        scen = self.scenario_file(tmp_path, **{field: value})
+        assert main(["simulate", "--scenario", scen, "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_zero_replicates_exits_1(self, tmp_path, capsys):
         scen = self.scenario_file(tmp_path)
         assert main(["simulate", "--scenario", scen, "--replicates", "0",
@@ -243,6 +253,17 @@ def saved_fit(data_csv, tmp_path_factory):
                  "--out", str(out)])
     assert code == 0
     return out / "fit_ScF.json"
+
+
+def fit_file_with(saved_fit, tmp_path, **fields):
+    """A copy of the saved fit JSON with ``fields`` replaced."""
+    path = tmp_path / "edited_fit.json"
+    path.write_text(json.dumps({**json.loads(saved_fit.read_text()), **fields}))
+    return str(path)
+
+
+WRONGLY_TYPED_FIT_FIELDS = [{"cluster_sizes": None}, {"dispersion": None},
+                            {"beta": None}, {"cov_theta": [1.0, 2.0]}]
 
 
 class TestCmdHr:
@@ -282,6 +303,12 @@ class TestCmdHr:
         assert main(["hr", "--fit", data_csv, "--covariate", "x1",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("fields", WRONGLY_TYPED_FIT_FIELDS)
+    def test_wrongly_typed_fit_field_exits_1(self, saved_fit, tmp_path, capsys, fields):
+        path = fit_file_with(saved_fit, tmp_path, **fields)
+        assert main(["hr", "--fit", path, "--covariate", "x1", "--out", str(tmp_path)]) == 1
+        assert f"fit field {next(iter(fields))!r}" in capsys.readouterr().err
+
 
 class TestCmdFrailties:
     def test_round_trip_equals_in_process(self, saved_fit, tmp_path):
@@ -304,6 +331,13 @@ class TestCmdFrailties:
     def test_fit_file_not_json_exits_1(self, data_csv, tmp_path):
         assert main(["frailties", "--fit", data_csv,
                      "--component", "scale", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("fields", WRONGLY_TYPED_FIT_FIELDS)
+    def test_wrongly_typed_fit_field_exits_1(self, saved_fit, tmp_path, capsys, fields):
+        path = fit_file_with(saved_fit, tmp_path, **fields)
+        assert main(["frailties", "--fit", path, "--component", "scale",
+                     "--out", str(tmp_path)]) == 1
+        assert f"fit field {next(iter(fields))!r}" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_stats_out():

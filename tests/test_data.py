@@ -57,11 +57,6 @@ class TestFrailtySpec:
         with pytest.raises(DomainError):
             FrailtySpec("ScF", sigma_beta=0.0)
 
-    def test_with_dispersion(self):
-        spec = FrailtySpec("IF", sigma_beta=1.0, sigma_alpha=1.0)
-        spec2 = spec.with_dispersion((2.0, 0.5))
-        assert spec2.sigma_beta == 2.0 and spec2.sigma_alpha == 0.5
-
 
 class TestDataset:
     def test_rejects_zero_time(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from mprfrailty import (
     simulate_dataset,
 )
 from mprfrailty.data import combine
-from mprfrailty.fitting import FitSettings, _newton
+from mprfrailty.fitting import _newton
 from mprfrailty.hlik import Curvature, Evaluator, ParamLayout, _penalty_score, logdet_pd
 
 from ._oracles import (
@@ -650,7 +651,7 @@ class TestKeptTrial:
 
         monkeypatch.setattr(ev, "_predictors", count("predictors", predictors))
         monkeypatch.setattr(ev, "h", count("h", h))
-        res = _newton(ev, np.zeros(ev.layout.dim), FitSettings())
+        res = _newton(ev, np.zeros(ev.layout.dim))
         assert res.iterations > 2 and res.monotone
         # one pass for the start, one per trial step, none for an accepted step
         assert counts["predictors"] == counts["h"] + 1
@@ -677,8 +678,8 @@ def _count_calls(monkeypatch, name):
 
 
 def _other_sigmas(spec):
-    return spec.with_dispersion([1.5 * v if n.startswith("sigma") else v
-                                 for n, v in spec.dispersion().items()])
+    return dataclasses.replace(spec, **{n: 1.5 * v for n, v in spec.dispersion().items()
+                                        if n.startswith("sigma")})
 
 
 class TestKeptPass:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,8 @@ from mprfrailty import (
     MIXTURE_CHI2_CRITICAL_5PCT,
     InconsistentFitsError,
     ModelFit,
-    caic,
     fit,
     frailty_lrt,
-    raic,
     selection_report,
 )
 
@@ -37,14 +37,14 @@ class TestRaic:
     def test_lung_table_values(self):
         nf = stub_fit("NF", 1123.40, 0)
         shf = stub_fit("ShF", 1079.52, 1)
-        assert raic(nf) == pytest.approx(1123.40)
-        assert raic(shf) == pytest.approx(1081.52)
-        assert raic(nf) - raic(shf) == pytest.approx(41.88, abs=1e-9)
+        assert nf.raic == pytest.approx(1123.40)
+        assert shf.raic == pytest.approx(1081.52)
+        assert nf.raic - shf.raic == pytest.approx(41.88, abs=1e-9)
 
     def test_equal_deviance_ordered_by_df_r(self):
         a = stub_fit("ScF", 1000.0, 1)
         b = stub_fit("IF", 1000.0, 2)
-        assert raic(a) < raic(b)
+        assert a.raic < b.raic
 
 
 class TestCaic:
@@ -53,11 +53,11 @@ class TestCaic:
         f = fit(ds, structure="NF")
         m = len(f.beta) + len(f.alpha)
         assert f.df_c == pytest.approx(m, abs=1e-9)
-        assert caic(f) == pytest.approx(f.cond_deviance + 2 * m, abs=1e-9)
+        assert f.caic == pytest.approx(f.cond_deviance + 2 * m, abs=1e-9)
 
     def test_lung_shf_value(self):
         shf = stub_fit("ShF", 0.0, 1, cond_deviance=1000.0, df_c=30.89)
-        assert caic(shf) == pytest.approx(1061.78)
+        assert shf.caic == pytest.approx(1061.78)
 
     def test_df_c_bounds_on_fits(self):
         ds = small_weibull_dataset(seed=17, q=4, n_i=8)
@@ -122,7 +122,7 @@ class TestSelectionReport:
             stub_fit("ScF", 1121.35, 1, cond_deviance=1097.0, df_c=19.89),
         ]
         report = selection_report(fits)
-        assert report.best_raic() == "ShF"
+        assert [r.model for r in report.rows if r.delta_raic == 0.0] == ["ShF"]
         deltas = {r.model: r.delta_raic for r in report.rows}
         assert deltas["ShF"] == 0.0
         assert deltas["NF"] == pytest.approx(41.88, abs=1e-9)
@@ -148,6 +148,14 @@ class TestSelectionReport:
         text = report.to_text()
         assert "<rAIC" in text
         assert "BVNF" in text and "boom" in text
+
+    def test_text_notes_a_fit_that_did_not_converge(self):
+        stopped = dataclasses.replace(stub_fit("ScF", 90.0, 1), converged=False)
+        report = selection_report([stub_fit("NF", 100.0, 0), stopped])
+        nf_line, scf_line = report.to_text().splitlines()[2:]
+        assert scf_line.startswith("ScF") and scf_line.endswith(" (not converged)")
+        assert "not converged" not in nf_line
+        assert report.to_csv_rows()[2][0] == "ScF" and len(report.to_csv_rows()[2]) == 9
 
     def test_nested_deviance_ordering_on_real_fits(self):
         ds = small_weibull_dataset(seed=2, q=5, n_i=10)
