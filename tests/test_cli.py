@@ -216,6 +216,24 @@ class TestCmdSimulate:
         assert main(["simulate", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("scenario, message", [
+        ({"n_i": {"sizes": [5, 3], "weights": [0, 0]}}, "mixture weights must not all be zero"),
+        ({"n_i": {"sizes": 5, "weights": 1}}, "mixture sizes and weights must be lists"),
+        ([1, 2, 3], "a scenario must be a JSON object"),
+    ])
+    def test_malformed_scenario_exits_1_without_traceback(self, tmp_path, capsys,
+                                                          scenario, message):
+        # each used to end in a ZeroDivisionError or TypeError traceback
+        if isinstance(scenario, dict):
+            path = self.scenario_file(tmp_path, **scenario)
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(scenario))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: bad scenario file: {message}" in err
+        assert "Traceback" not in err
+
     def test_float_cluster_size_exits_1(self, tmp_path, capsys):
         scen = self.scenario_file(tmp_path, n_i=5.0)
         assert main(["simulate", "--scenario", scen, "--out", str(tmp_path)]) == 1

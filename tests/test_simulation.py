@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ from mprfrailty import (
     gen_survival_times,
     run_scenario,
     simulate_dataset,
+)
+from mprfrailty.baselines import inverse_cumulative_base
+from mprfrailty.simulation import (
+    AR1_COEFF,
+    CALIBRATION_TOL,
+    CENSOR_BOUNDS,
+    PILOT_DRAWS,
+    _marginal_pilot_times,
 )
 
 
@@ -218,6 +227,130 @@ class TestCalibrateCensoring:
                         censor_rate=0.01)
         with pytest.raises(CalibrationError):
             calibrate_censoring(spec, np.random.default_rng(13))
+
+
+# Out-of-place forms of the generators and the censoring pilot, kept as the
+# reference for the in-place code: the arithmetic is the same, so the results
+# must be bit-identical.
+def reference_covariates(n, p, rng):
+    x = np.empty((n, p))
+    x[:, 0] = rng.standard_normal(n)
+    innov_sd = np.sqrt(1.0 - AR1_COEFF**2)
+    for k in range(1, p):
+        x[:, k] = AR1_COEFF * x[:, k - 1] + innov_sd * rng.standard_normal(n)
+    return x
+
+
+def reference_frailties(q, sigma_beta, sigma_alpha, rho, rng):
+    z1 = rng.standard_normal(q)
+    z2 = rng.standard_normal(q)
+    return sigma_beta * z1, sigma_alpha * (rho * z1 + np.sqrt(1.0 - rho * rho) * z2)
+
+
+def reference_survival_times(family, tau, gamma, rng):
+    u = np.clip(rng.random(np.broadcast(tau, gamma).size), 1e-16, 1.0 - 1e-16)
+    s = inverse_cumulative_base(family, -np.log(u) / tau)
+    return np.maximum(s, 1e-300) ** (1.0 / gamma)
+
+
+def reference_event_times(spec, n, expand, rng):
+    p = spec.p
+    x = reference_covariates(n, p, rng) if p else np.empty((n, 0))
+    vb, va = reference_frailties(n if expand is None else spec.q, spec.sigma_beta,
+                                 spec.sigma_alpha, spec.rho, rng)
+    if expand is not None:
+        vb, va = vb[expand], va[expand]
+    beta, alpha = np.asarray(spec.beta_true), np.asarray(spec.alpha_true)
+    lp_b = beta[0] + (x @ beta[1:] if p else 0.0) + vb
+    lp_a = alpha[0] + (x @ alpha[1:] if p else 0.0) + va
+    return x, reference_survival_times(spec.family, np.exp(lp_b), np.exp(lp_a), rng)
+
+
+def reference_calibration(spec, rng):
+    _, t = reference_event_times(spec, PILOT_DRAWS, None, rng)
+    lo, hi = CENSOR_BOUNDS
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        f_mid = float(np.mean(np.minimum(t / mid, 1.0)))
+        if abs(f_mid - spec.censor_rate) <= CALIBRATION_TOL:
+            return float(mid)
+        lo, hi = (mid, hi) if f_mid > spec.censor_rate else (lo, mid)
+    raise AssertionError("reference calibration did not converge")
+
+
+# the mc-heavy-censor benchmark scenario, one Gompertz and one without covariates
+PILOT_SCENARIOS = [
+    dict(q=20, n_i=5, censor_rate=0.5, seed=20251),
+    dict(q=20, n_i=5, censor_rate=0.3, seed=3, family="gompertz", sigma_beta=0.8,
+         sigma_alpha=0.3),
+    dict(q=20, n_i=5, censor_rate=0.3, seed=4, family="loglogistic",
+         beta_true=(1.0,), alpha_true=(0.5,)),
+]
+
+
+class TestInPlaceMatchesReference:
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_covariates(self, p):
+        got = gen_covariates(1000, p, np.random.default_rng(20 + p))
+        assert np.array_equal(got, reference_covariates(1000, p, np.random.default_rng(20 + p)))
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.9])
+    def test_frailties(self, rho):
+        # standard deviations that are not powers of two, so rounding shows
+        got = gen_frailties(1000, 1.3, 0.7, rho, np.random.default_rng(21))
+        want = reference_frailties(1000, 1.3, 0.7, rho, np.random.default_rng(21))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("family", ["weibull", "gompertz", "loglogistic"])
+    @pytest.mark.parametrize("scalar_gamma", [False, True])
+    def test_survival_times_leave_arguments_unmodified(self, family, scalar_gamma):
+        rng = np.random.default_rng(22)
+        tau = np.exp(rng.standard_normal(1000))
+        gamma = np.float64(2.0) if scalar_gamma else np.exp(0.5 * rng.standard_normal(1000))
+        tau_before, gamma_before = tau.copy(), np.copy(gamma)
+        got = gen_survival_times(family, tau, gamma, np.random.default_rng(23))
+        want = reference_survival_times(family, tau, gamma, np.random.default_rng(23))
+        assert np.array_equal(got, want)
+        assert np.array_equal(tau, tau_before) and np.array_equal(gamma, gamma_before)
+
+    @pytest.mark.parametrize("overrides", PILOT_SCENARIOS)
+    def test_pilot_and_calibration(self, overrides):
+        spec = scenario(**overrides)
+        stream = np.random.SeedSequence(spec.seed).spawn(1)[0]
+        got = _marginal_pilot_times(spec, np.random.default_rng(stream))
+        _, want = reference_event_times(spec, PILOT_DRAWS, None, np.random.default_rng(stream))
+        assert np.array_equal(got, want)
+        c_max = calibrate_censoring(spec, np.random.default_rng(stream))
+        assert c_max == reference_calibration(spec, np.random.default_rng(stream))
+
+    @pytest.mark.parametrize("overrides", PILOT_SCENARIOS)
+    def test_simulate_dataset(self, overrides):
+        spec = scenario(**overrides)
+        ds = simulate_dataset(spec, 1.5, np.random.default_rng(24))
+        rng = np.random.default_rng(24)
+        sizes = spec.cluster_sizes()
+        x, t_event = reference_event_times(
+            spec, int(sizes.sum()), np.repeat(np.arange(spec.q), sizes), rng)
+        c = 1.5 * rng.random(len(t_event))
+        assert np.array_equal(ds.covariates, x)
+        assert np.array_equal(ds.time, np.minimum(t_event, c))
+        assert np.array_equal(ds.status, (t_event <= c).astype(int))
+
+    def test_pilot_traced_peak_below_five_mib(self):
+        # the out-of-place pilot held 10.7 MiB at 100,000 draws and p = 2
+        spec = scenario(q=20, n_i=5, censor_rate=0.5, seed=20251)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            calibrate_censoring(spec, np.random.default_rng(25))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestSimulateDataset:
