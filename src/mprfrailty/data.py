@@ -290,9 +290,11 @@ class Dataset:
         """Read the `cluster,time,status,<covariate>...` CSV schema.
 
         The header row is required.  Parse failures raise
-        :class:`DataError` carrying the 1-based data row number.
+        :class:`DataError` carrying the 1-based data row number.  The file
+        is read as UTF-8 whatever the locale, with or without the byte-order
+        mark that spreadsheet programs write.
         """
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

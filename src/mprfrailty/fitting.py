@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .baselines import WEIBULL, normalize_family
 from .data import (
@@ -295,6 +294,10 @@ def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
         options = {"gtol": 1e-5, "ftol": 1e-12, "maxiter": 15, "maxfun": 40 // per_trial}
     else:
         options = {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200 // per_trial}
+    # imported here, its only use, so that a process that never fits does not
+    # pay for scipy.optimize; the attribute is looked up at call time
+    import scipy.optimize
+
     gradient_converged = False
     try:
         result = scipy.optimize.minimize(
@@ -413,19 +416,27 @@ class ModelFit:
         """Inverse of :meth:`to_dict`; DataError when a field has the wrong type.
 
         A null number reads as nan, the value written for a non-finite float.
+        A written fit never holds a non-finite estimate, so a null or nan in
+        the estimates, the frailties, ``cov_theta`` or the dispersion is a
+        DataError too; standard errors and deviances may be nan.
         """
         def typed(name, kind):
             if not isinstance(d[name], kind):
                 raise DataError(f"fit field {name!r} has the wrong type: {d[name]!r}")
             return d[name]
 
-        def array(name, ndim=1, dtype=float):
+        def array(name, ndim=1, dtype=float, values=None):
             try:
-                out = np.asarray(typed(name, list), dtype=dtype)
+                out = np.asarray(typed(name, list) if values is None else values, dtype=dtype)
             except (TypeError, ValueError):
                 out = None
             if out is None or out.ndim != ndim:
                 raise DataError(f"fit field {name!r} is not a {ndim}-d numeric array")
+            return out
+
+        def finite(name, out):
+            if not np.all(np.isfinite(out)):
+                raise DataError(f"fit field {name!r} holds a non-finite value")
             return out
 
         def number(name):
@@ -436,12 +447,14 @@ class ModelFit:
         kw |= {n: list(typed(n, list)) for n in ("scale_names", "shape_names", "cluster_labels")}
         kw |= {n: dict(typed(n, dict)) for n in (
             "dispersion", "se_dispersion", "iterations", "modal_covariates", "binary_covariates")}
-        kw |= {n: array(n) for n in ("beta", "alpha", "se_beta", "se_alpha", "v_beta", "v_alpha")}
+        finite("dispersion", array("dispersion", values=list(kw["dispersion"].values())))
+        kw |= {n: finite(n, array(n)) for n in ("beta", "alpha", "v_beta", "v_alpha")}
+        kw |= {n: array(n) for n in ("se_beta", "se_alpha")}
         kw |= {n: None if d.get(n) is None else array(n) for n in ("se_v_beta", "se_v_alpha")}
         kw |= {n: number(n) for n in ("deviance_profile", "cond_deviance", "df_c")}
         return cls(**kw, df_r=typed("df_r", int), converged=typed("converged", bool),
                    cluster_sizes=array("cluster_sizes", dtype=int),
-                   cov_theta=array("cov_theta", ndim=2),
+                   cov_theta=finite("cov_theta", array("cov_theta", ndim=2)),
                    warnings=list(typed("warnings", list)) if "warnings" in d else [])
 
 

@@ -13,8 +13,6 @@ chi-square distributions with 0 and 1 degrees of freedom.
 
 from dataclasses import dataclass
 
-from scipy.special import chdtrc
-
 from .data import IF, NF, SCF, SHF
 from .errors import MPRFrailtyError
 
@@ -58,7 +56,10 @@ def frailty_lrt(fit_null, fit_alt):
             f"{-statistic:.4g}; at least one fit has not converged"
         )
     statistic = max(statistic, 0.0)
+    # imported on first use, so that the CLI's start-up does not load scipy.special;
     # chdtrc(1, x) is the chi2(1) survival function, the one chi2.sf calls
+    from scipy.special import chdtrc
+
     p_value = 0.5 if statistic == 0.0 else 0.5 * float(chdtrc(1, statistic))
     return LrtResult(
         statistic=statistic,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mprfrailty import ModelFit, bootstrap_hr_ci, frailty_estimates
+from mprfrailty import Dataset, ModelFit, bootstrap_hr_ci, fit, frailty_estimates
 from mprfrailty.cli import build_parser, main
 
 from .conftest import small_weibull_dataset
@@ -283,6 +283,25 @@ def fit_file_with(saved_fit, tmp_path, **fields):
 WRONGLY_TYPED_FIT_FIELDS = [{"cluster_sizes": None}, {"dispersion": None},
                             {"beta": None}, {"cov_theta": [1.0, 2.0]}]
 
+# fields that a written fit never holds a non-finite value in
+NON_FINITE_FIT_FIELDS = ["beta", "alpha", "v_beta", "v_alpha", "cov_theta", "dispersion"]
+
+
+def with_first_null(saved_fit, name):
+    """``{name: value}``: the saved fit's field with its first number null.
+
+    null is what the fit JSON holds for a non-finite float; for ``cov_theta``
+    the null is the first diagonal entry.
+    """
+    value = json.loads(saved_fit.read_text())[name]
+    if isinstance(value, dict):
+        value = dict(value, **{next(iter(value)): None})
+    elif isinstance(value[0], list):
+        value = [[None] + value[0][1:]] + value[1:]
+    else:
+        value = [None] + value[1:]
+    return {name: value}
+
 
 class TestCmdHr:
     def test_round_trip_equals_in_process(self, saved_fit, tmp_path):
@@ -327,6 +346,24 @@ class TestCmdHr:
         assert main(["hr", "--fit", path, "--covariate", "x1", "--out", str(tmp_path)]) == 1
         assert f"fit field {next(iter(fields))!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("boot", ["0", "150"])
+    @pytest.mark.parametrize("name", NON_FINITE_FIT_FIELDS)
+    def test_null_estimate_exits_1(self, saved_fit, tmp_path, capsys, name, boot):
+        path = fit_file_with(saved_fit, tmp_path, **with_first_null(saved_fit, name))
+        out = tmp_path / "hr"
+        assert main(["hr", "--fit", path, "--covariate", "x1", "--boot", boot,
+                     "--out", str(out)]) == 1
+        assert f"fit field {name!r} holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_standard_errors_and_deviances_read_as_nan(self, saved_fit, tmp_path):
+        path = fit_file_with(saved_fit, tmp_path, **with_first_null(saved_fit, "se_beta"),
+                             deviance_profile=None, cond_deviance=None)
+        reloaded = ModelFit.from_dict(json.loads(Path(path).read_text()))
+        assert np.isnan(reloaded.se_beta[0]) and np.isnan(reloaded.deviance_profile)
+        assert main(["hr", "--fit", path, "--covariate", "x1", "--times", "1,2",
+                     "--out", str(tmp_path / "hr")]) == 0
+
 
 class TestCmdFrailties:
     def test_round_trip_equals_in_process(self, saved_fit, tmp_path):
@@ -357,13 +394,77 @@ class TestCmdFrailties:
                      "--out", str(tmp_path)]) == 1
         assert f"fit field {next(iter(fields))!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", NON_FINITE_FIT_FIELDS)
+    def test_null_estimate_exits_1(self, saved_fit, tmp_path, capsys, name):
+        path = fit_file_with(saved_fit, tmp_path, **with_first_null(saved_fit, name))
+        out = tmp_path / "fr"
+        assert main(["frailties", "--fit", path, "--component", "scale",
+                     "--out", str(out)]) == 1
+        assert f"fit field {name!r} holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats is the slowest import of scipy; the LRT needs only chdtrc
+
+# Run in a fresh interpreter.  Prints which scipy subpackages that only fits
+# or the LRT use are loaded after `import mprfrailty.cli`, after `hr` and
+# `frailties` on a saved fit, and after the process's first fit; then that
+# fit's output.  The first fit is either `fit` or a run_scenario whose two
+# worker threads import scipy.optimize at once, followed by a serial rerun.
+START_UP_PROBE = """
+import contextlib, io, json, sys
+import mprfrailty.cli
+
+LAZY = ("scipy.stats", "scipy.optimize", "scipy.special")
+fit_path, data_csv, out, first_fit, scenario = sys.argv[1:]
+loaded = {"import": [m for m in LAZY if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [mprfrailty.cli.main(["hr", "--fit", fit_path, "--covariate", "x1",
+                                  "--boot", "150", "--out", out])]
+    loaded["hr"] = [m for m in LAZY if m in sys.modules]
+    codes.append(mprfrailty.cli.main(["frailties", "--fit", fit_path,
+                                      "--component", "scale", "--out", out]))
+    loaded["frailties"] = [m for m in LAZY if m in sys.modules]
+
+
+def summary_json(threads):
+    s = mprfrailty.run_scenario(mprfrailty.ScenarioSpec.from_dict(json.loads(scenario)),
+                                structure="ScF", threads=threads)
+    return json.dumps([s.to_csv_text(), s.estimates.tolist(), s.see_matrix.tolist(),
+                       s.c_max, s.n_failed, s.failure_reasons])
+
+
+if first_fit == "fit":
+    result = [json.dumps(mprfrailty.fit(mprfrailty.Dataset.read_csv(data_csv),
+                                        structure="ScF").to_dict(), sort_keys=True)]
+else:
+    result = [summary_json(2)]
+loaded["first fit"] = [m for m in LAZY if m in sys.modules]
+if first_fit != "fit":
+    result.append(summary_json(1))
+print(json.dumps({"codes": codes, "loaded": loaded, "result": result}))
+"""
+
+
+def test_scipy_optimize_and_special_load_on_first_fit(saved_fit, data_csv, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, mprfrailty.cli; print('scipy.stats' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    scenario = json.dumps(dict(
+        q=6, n_i=10, beta_true=[0.8, -0.4, 0.3], alpha_true=[0.3, 0.2, -0.2],
+        sigma_beta=0.6, sigma_alpha=0.3, rho=-0.3, censor_rate=0.25, replicates=2, seed=5))
+    probes = {}
+    for first_fit in ("fit", "scenario"):
+        out = subprocess.run(
+            [sys.executable, "-c", START_UP_PROBE, str(saved_fit), data_csv,
+             str(tmp_path / first_fit), first_fit, scenario],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        probes[first_fit] = json.loads(out.stdout.splitlines()[-1])
+    for probe in probes.values():
+        assert probe["codes"] == [0, 0]
+        # scipy.stats is scipy's slowest import; the LRT needs only chdtrc
+        assert probe["loaded"] == {"import": [], "hr": [], "frailties": [],
+                                   "first fit": ["scipy.optimize", "scipy.special"]}
+    want = fit(Dataset.read_csv(data_csv), structure="ScF")
+    assert probes["fit"]["result"] == [json.dumps(want.to_dict(), sort_keys=True)]
+    threads_2, threads_1 = probes["scenario"]["result"]
+    assert threads_2 == threads_1

@@ -132,6 +132,18 @@ class TestReadCsv(object):
         with pytest.raises(DataError):
             Dataset.read_csv(path)
 
+    def test_byte_order_mark_and_non_ascii_labels(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+        text = "cluster,time,status,age\nZürich,1.0,1,0.1\nZürich,2.0,0,0.2\nMálaga,0.5,1,-0.3\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = Dataset.read_csv(plain), Dataset.read_csv(bom)
+        assert got.covariate_names == want.covariate_names == ["age"]
+        assert got.cluster_labels() == want.cluster_labels() == ["Zürich", "Málaga"]
+        for name in ("clusters", "time", "status", "covariates"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
 
 class TestBuildDesign:
     def test_incidence_matrix(self):
