@@ -43,11 +43,6 @@ from .fitting import (
     FitSettings,
     ModelFit,
     fit,
-    outer_dispersion,
-)
-from .hlik import (
-    HlikValue,
-    ParamLayout,
 )
 from .inference import (
     FrailtyInterval,
@@ -92,8 +87,6 @@ __all__ = [
     "ModelDesign",
     "ModelFit",
     "FitSettings",
-    "HlikValue",
-    "ParamLayout",
     "HazardRatioCurve",
     "FrailtyInterval",
     "LrtResult",
@@ -105,7 +98,6 @@ __all__ = [
     "normalize_family",
     "build_design",
     "fit",
-    "outer_dispersion",
     "frailty_lrt",
     "selection_report",
     "hazard_ratio_curve",

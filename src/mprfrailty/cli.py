@@ -13,6 +13,7 @@ is scriptable:
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -231,18 +232,14 @@ def cmd_compare(args):
 def cmd_simulate(args):
     try:
         scenario = ScenarioSpec.read_json(args.scenario)
-        if args.replicates is not None:
-            scenario = ScenarioSpec.from_dict(
-                {**scenario.to_dict(), "replicates": args.replicates}
-            )
-        if args.seed is not None:
-            scenario = ScenarioSpec.from_dict(
-                {**scenario.to_dict(), "seed": args.seed}
-            )
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: bad scenario file: {exc}", file=sys.stderr)
         return EXIT_USER
+    overrides = {"replicates": args.replicates, "seed": args.seed}
     try:
+        # a flag out of range is a DomainError, reported below without blaming the file
+        scenario = dataclasses.replace(
+            scenario, **{k: v for k, v in overrides.items() if v is not None})
         summary = run_scenario(
             scenario, structure=args.structure, threads=args.threads
         )

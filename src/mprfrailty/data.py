@@ -351,20 +351,17 @@ class ModelDesign:
     """
 
     def __init__(self, X_beta, X_alpha, cluster_index, cluster_labels,
-                 time, status, scale_names, shape_names, covariate_values):
+                 time, status, scale_names, shape_names):
         self.X_beta = np.ascontiguousarray(X_beta, dtype=float)
         self.X_alpha = np.ascontiguousarray(X_alpha, dtype=float)
         self.cluster_index = np.asarray(cluster_index, dtype=np.intp)
         self.cluster_labels = list(cluster_labels)
-        self.time = np.asarray(time, dtype=float)
         self.status = np.asarray(status, dtype=float)
-        self.log_time = np.log(self.time)
+        self.log_time = np.log(np.asarray(time, dtype=float))
         self.scale_names = list(scale_names)
         self.shape_names = list(shape_names)
-        # raw covariate columns by name, for empirical modes in reporting
-        self.covariate_values = dict(covariate_values)
         self.q = len(self.cluster_labels)
-        self.n = len(self.time)
+        self.n = len(self.log_time)
         self.cluster_sizes = np.bincount(self.cluster_index, minlength=self.q)
         # the last record pass of any evaluator on this design, see hlik.Evaluator._kept
         self.kept_pass = None
@@ -446,9 +443,6 @@ def build_design(dataset, scale_covariates=None, shape_covariates=None):
         (index_of[c] for c in dataset.clusters), dtype=np.intp, count=dataset.n
     )
 
-    covariate_values = {
-        name: dataset.covariates[:, j].copy() for name, j in name_to_col.items()
-    }
     return ModelDesign(
         X_beta=with_intercept(scale_covariates),
         X_alpha=with_intercept(shape_covariates),
@@ -458,6 +452,5 @@ def build_design(dataset, scale_covariates=None, shape_covariates=None):
         status=dataset.status,
         scale_names=["(Intercept)"] + list(scale_covariates),
         shape_names=["(Intercept)"] + list(shape_covariates),
-        covariate_values=covariate_values,
     )
 

@@ -418,7 +418,11 @@ class ModelFit:
         A null number reads as nan, the value written for a non-finite float.
         A written fit never holds a non-finite estimate, so a null or nan in
         the estimates, the frailties, ``cov_theta`` or the dispersion is a
-        DataError too; standard errors and deviances may be nan.
+        DataError too; standard errors and deviances may be nan.  So is a
+        length that disagrees with the names: the coefficients and their
+        SEs with ``scale_names`` or ``shape_names``, the frailties, their
+        SEs and ``cluster_sizes`` with ``cluster_labels``, and ``cov_theta``
+        with both coefficient blocks (m x m).
         """
         def typed(name, kind):
             if not isinstance(d[name], kind):
@@ -452,17 +456,30 @@ class ModelFit:
         kw |= {n: array(n) for n in ("se_beta", "se_alpha")}
         kw |= {n: None if d.get(n) is None else array(n) for n in ("se_v_beta", "se_v_alpha")}
         kw |= {n: number(n) for n in ("deviance_profile", "cond_deviance", "df_c")}
+        kw["cluster_sizes"] = array("cluster_sizes", dtype=int)
+        for names, fields in (("scale_names", ("beta", "se_beta")),
+                              ("shape_names", ("alpha", "se_alpha")),
+                              ("cluster_labels", ("v_beta", "v_alpha", "se_v_beta",
+                                                  "se_v_alpha", "cluster_sizes"))):
+            for n in fields:
+                if kw[n] is not None and len(kw[n]) != len(kw[names]):
+                    raise DataError(f"fit field {n!r} has length {len(kw[n])}, "
+                                    f"but {names!r} has {len(kw[names])}")
+        m = len(kw["scale_names"]) + len(kw["shape_names"])
+        cov_theta = finite("cov_theta", array("cov_theta", ndim=2))
+        if cov_theta.shape != (m, m):
+            raise DataError(f"fit field 'cov_theta' is {cov_theta.shape[0]} x "
+                            f"{cov_theta.shape[1]}, not {m} x {m}")
         return cls(**kw, df_r=typed("df_r", int), converged=typed("converged", bool),
-                   cluster_sizes=array("cluster_sizes", dtype=int),
-                   cov_theta=finite("cov_theta", array("cov_theta", ndim=2)),
+                   cov_theta=cov_theta,
                    warnings=list(typed("warnings", list)) if "warnings" in d else [])
 
 
-def _empirical_modes(design):
+def _empirical_modes(dataset):
     """Most frequent value per covariate column; ties go to the smaller value."""
     modes = {}
     binary = {}
-    for name, col in design.covariate_values.items():
+    for name, col in zip(dataset.covariate_names, dataset.covariates.T):
         values, counts = np.unique(col, return_counts=True)
         modes[name] = float(values[np.argmax(counts)])  # first max = smallest value
         binary[name] = bool(np.all(np.isin(values, (0.0, 1.0))))
@@ -501,7 +518,7 @@ def _initial_theta(design):
 
 
 def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
-        shape_covariates=None, settings=None, theta_init=None):
+        shape_covariates=None, settings=None):
     """Fit an MPR frailty model by alternating h and profile maximization.
 
     Parameters
@@ -514,9 +531,9 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     scale_covariates, shape_covariates : list of str or None
         Covariates entering each component (default: all, both).
     settings : FitSettings or None
-    theta_init : array or None
-        Override for the fixed-effect starting values; when None, the
-        initializer fits a fixed-effects Weibull model from 0.01 starts.
+
+    The fixed effects start from a fixed-effects Weibull fit from 0.01
+    starts, and every dispersion parameter from 0.1.
     """
     family = normalize_family(family)
     structure = normalize_structure(structure)
@@ -524,16 +541,9 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     design = build_design(dataset, scale_covariates, shape_covariates)
 
     fit_warnings = []
-    inner_total = 0
-
-    if theta_init is not None:
-        theta0 = np.asarray(theta_init, dtype=float)
-        if theta0.shape != (design.m_beta + design.m_alpha,):
-            raise ValueError("theta_init length does not match the design")
-    else:
-        init_res = _initial_theta(design)
-        inner_total += init_res.iterations
-        theta0 = np.concatenate([init_res.beta, init_res.alpha])
+    init_res = _initial_theta(design)
+    inner_total = init_res.iterations
+    theta0 = np.concatenate([init_res.beta, init_res.alpha])
 
     names = FRAILTY_LAWS[structure].names
     if not names:
@@ -543,7 +553,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         inner_total += res.iterations
         profile = res.h - 0.5 * (logdet_pd(res.H) - res.H.dim * LOG_2PI)
         return _assemble_fit(
-            family, design, spec, res, profile, None,
+            family, design, dataset, spec, res, profile, None,
             converged=True,
             iterations={"outer": 0, "inner_total": inner_total},
             fit_warnings=fit_warnings,
@@ -629,14 +639,14 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
             )
 
     return _assemble_fit(
-        family, design, spec, final, profile_loglik, (structure, z, final.x),
+        family, design, dataset, spec, final, profile_loglik, (structure, z, final.x),
         converged=converged,
         iterations={"outer": outer_it, "inner_total": inner_total},
         fit_warnings=fit_warnings,
     )
 
 
-def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
+def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, outer_state,
                   converged, iterations, fit_warnings):
     H = inner.H
     lay = H.layout
@@ -670,7 +680,7 @@ def _assemble_fit(family, design, spec, inner, profile_loglik, outer_state,
 
     se_dispersion = _dispersion_se(family, design, spec, outer_state, fit_warnings)
 
-    modes, binary = _empirical_modes(design)
+    modes, binary = _empirical_modes(dataset)
     return ModelFit(
         family=family,
         structure=spec.structure,

@@ -153,8 +153,8 @@ def _penalty_score(sig, rho, u):
     return [c * (vb / sb**2 - rho * va / (sb * sa)), c * (va / sa**2 - rho * vb / (sb * sa))]
 
 
-# Up to this many (theta, v) coordinates a curvature is factored as one dense
-# matrix, above it through the Schur complement of its frailty blocks.  One
+# Up to this many (theta, v) coordinates a log-determinant and a Newton solve
+# factor one dense matrix, above it the Schur complement of the frailty blocks.  One
 # log-determinant including the dense assembly, single-threaded OpenBLAS on a
 # 2-CPU x86-64 box, dense vs Schur: BVNF 18 vs 21 us at dim 46, a tie at dim
 # 66, 102 vs 23 us at dim 206 and 793 vs 26 us at dim 406; ScF ties at dim 56.
@@ -223,9 +223,11 @@ class Curvature:
     The log-determinant, Newton solve and inverse blocks go through the
     Schur complement S = A - B D^-1 B' with closed-form D_i^-1: O(q m^2 k
     + m^3) time and O(q m k) memory instead of O(dim^3) and dim^2.  Up to
-    DENSE_MAX_DIM coordinates they factor ``to_dense()`` instead, which is
-    faster there.  Every method raises :class:`CurvatureError` when H is
-    not positive definite, except ``logdet`` of a penalty stack.
+    DENSE_MAX_DIM coordinates the log-determinant and the solve factor
+    ``to_dense()`` instead, which is faster there; the inverse blocks,
+    formed once per fit, always take the Schur path.  Every method raises
+    :class:`CurvatureError` when H is not positive definite, except
+    ``logdet`` of a penalty stack.
     """
 
     def __init__(self, layout, A, B, D, P):
@@ -280,14 +282,13 @@ class Curvature:
         return Curvature(self.layout, A, self.B, D, self.P)
 
     def logdet(self, P=None):
-        """log det H, or log det of H with the k x k precision P added to every D_i.
+        """log det H; for a stack P (npts, k, k) of frailty precisions, npts log-dets.
 
-        For a stack P (npts, k, k), the array of the npts log-dets, nan where
-        the sum is not positive definite; a single P is the one-row case.
+        Entry j is log det of H with P[j] added to every D_i, nan where that
+        sum is not positive definite.
         """
-        Ps = None if P is None else np.reshape(P, (-1,) + self.D.shape[:2])
-        out = self._logdet_dense(Ps) if self._dense_side else self._logdet_schur(Ps)
-        if Ps is not None and np.ndim(P) == 3:
+        out = self._logdet_dense(P) if self._dense_side else self._logdet_schur(P)
+        if P is not None:
             return out
         if np.isnan(out[0]):
             raise CurvatureError("information matrix is not positive definite")
@@ -301,11 +302,14 @@ class Curvature:
         """(S^-1, the q diagonal k x k blocks of H^-1 stacked like D).
 
         S^-1 is the theta block of H^-1, the covariance of the fixed
-        effects; block i of the second array is the covariance of v_i.
+        effects; block i of the second array is the covariance of v_i:
+        (H^-1)_vv = D^-1 + W' S^-1 W, of which only the D_i-sized blocks
+        are formed.
         """
-        if self._dense_side:
-            return self._inverse_blocks_dense()
-        return self._inverse_blocks_schur()
+        Dinv, W, factor = self._schur()
+        cov_theta = scipy.linalg.cho_solve(factor, np.eye(self.A.shape[0]), check_finite=False)
+        sw = np.einsum("ab,lbi->lai", cov_theta, W)
+        return cov_theta, Dinv + np.einsum("jai,lai->jli", W, sw)
 
     def solve_ascent(self, g):
         """Solve H d = g for a Newton ascent direction; returns (d, ridge).
@@ -326,7 +330,7 @@ class Curvature:
                 continue
         raise CurvatureError("observed information is singular beyond repair")
 
-    # dense LAPACK on to_dense(), for small dim
+    # dense LAPACK on to_dense(), for the log-det and solve at small dim
 
     def _logdet_dense(self, Ps=None):
         # the log-dets of H + each P of the stack Ps (of H alone for None), nan where
@@ -353,17 +357,7 @@ class Curvature:
     def _solve_dense(self, g):
         return scipy.linalg.cho_solve(_cholesky(self.to_dense()), g, check_finite=False)
 
-    def _inverse_blocks_dense(self):
-        m, k = self.A.shape[0], self.D.shape[0]
-        Hinv = scipy.linalg.cho_solve(_cholesky(self.to_dense()), np.eye(self.dim))
-        slices = self._v_slices()
-        blocks = np.empty((k, k, self.layout.q))
-        for j, sj in enumerate(slices):
-            for l, sl in enumerate(slices):
-                blocks[j, l] = np.diag(Hinv[sj, sl])
-        return Hinv[:m, :m].copy(), blocks
-
-    # Schur complement of the frailty blocks, for large dim
+    # Schur complement of the frailty blocks: the log-det and solve at large dim
 
     def _complement(self, Dinv):
         """(W = B D^-1, S = A - B D^-1 B') for one point's D^-1."""
@@ -398,13 +392,6 @@ class Curvature:
             factor, g[:m] - np.einsum("jai,ji->a", self.B, dg), check_finite=False)
         x_v = dg - np.einsum("jai,a->ji", W, x_t)
         return np.concatenate([x_t, x_v.ravel()])
-
-    def _inverse_blocks_schur(self):
-        # (H^-1)_vv = D^-1 + W' S^-1 W, of which only the D_i-sized blocks are formed
-        Dinv, W, factor = self._schur()
-        cov_theta = scipy.linalg.cho_solve(factor, np.eye(self.A.shape[0]), check_finite=False)
-        sw = np.einsum("ab,lbi->lai", cov_theta, W)
-        return cov_theta, Dinv + np.einsum("jai,lai->jli", W, sw)
 
     def df_c(self, blocks):
         """tr(H^-1 H*) = dim - sum_i tr((H^-1)_ii P), with H* = H - diag(P).
@@ -653,8 +640,8 @@ class Evaluator:
 def logdet_pd(H, P=None):
     """log det of the positive-definite information, a :class:`Curvature`.
 
-    With ``P`` the k x k frailty precision, or each of a stack of them,
-    is added to every D_i first (see :meth:`Curvature.logdet`).  Raises
+    With ``P`` a stack of k x k frailty precisions, each is added to
+    every D_i first (see :meth:`Curvature.logdet`).  Raises
     :class:`CurvatureError` when the factorization fails, rather than
     silently taking absolute values of pivots; a stack marks such a point nan.
     """

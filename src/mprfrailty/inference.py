@@ -142,13 +142,14 @@ def hazard_ratio_curve(fit, covariate, times):
     )
 
 
-def bootstrap_hr_ci(fit, covariate, times, n_boot=1000, seed=0, level=0.95):
-    """Hazard-ratio curve with pointwise parametric-bootstrap bands.
+def bootstrap_hr_ci(fit, covariate, times, n_boot=1000, seed=0):
+    """Hazard-ratio curve with pointwise 95% parametric-bootstrap bands.
 
     Fixed effects are redrawn from N(theta_hat, cov_theta); each draw
     yields a curve and the band is the pointwise empirical 2.5/97.5
-    percentile envelope (for the default level).  Draw b comes from RNG
-    substream b of ``seed``, and all draws are evaluated as one batch.
+    percentile envelope.  The standard normals come from one generator
+    seeded with ``seed`` as an (n_boot, dim) array whose row b is draw b,
+    and all draws are evaluated as one batch.
     """
     if n_boot < 100:
         raise DomainError("n_boot must be at least 100 for percentile bands")
@@ -163,15 +164,13 @@ def bootstrap_hr_ci(fit, covariate, times, n_boot=1000, seed=0, level=0.95):
             "fixed-effect covariance block is not positive definite"
         ) from None
 
-    Z = np.array([np.random.default_rng(child).standard_normal(len(theta_hat))
-                  for child in np.random.SeedSequence(seed).spawn(n_boot)])
+    Z = np.random.default_rng(seed).standard_normal((n_boot, len(theta_hat)))
     boot = curves(theta_hat + Z @ L.T)
 
-    tail = 100.0 * (1.0 - level) / 2.0
     return HazardRatioCurve(
         covariate=covariate, times=times, hr=curves(theta_hat[None])[0],
-        lower=np.percentile(boot, tail, axis=0),
-        upper=np.percentile(boot, 100.0 - tail, axis=0),
+        lower=np.percentile(boot, 2.5, axis=0),
+        upper=np.percentile(boot, 97.5, axis=0),
         reference_covariates=reference,
     )
 

@@ -94,6 +94,8 @@ class ScenarioSpec:
             raise DomainError("rho must lie in (-1, 1)")
         if self.replicates < 1:
             raise DomainError("replicates must be at least 1")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
         self.cluster_sizes()  # validate n_i early
 
     @property
@@ -236,18 +238,18 @@ def _intercept_plus(x, coef):
     return np.full(x.shape[0], coef[0])
 
 
-def _marginal_pilot_times(scenario, rng, draws=PILOT_DRAWS):
-    """Independent draws from the scenario's marginal event-time law.
+def _marginal_pilot_times(scenario, rng):
+    """PILOT_DRAWS independent draws from the scenario's marginal event-time law.
 
     The covariates are dropped once the two linear predictors are formed,
     and tau and gamma are built in the predictors' buffers.
     """
-    x = gen_covariates(draws, scenario.p, rng)
+    x = gen_covariates(PILOT_DRAWS, scenario.p, rng)
     lp_b = _intercept_plus(x, np.asarray(scenario.beta_true))
     lp_a = _intercept_plus(x, np.asarray(scenario.alpha_true))
     del x
     vb, va = gen_frailties(
-        draws, scenario.sigma_beta, scenario.sigma_alpha, scenario.rho, rng
+        PILOT_DRAWS, scenario.sigma_beta, scenario.sigma_alpha, scenario.rho, rng
     )
     lp_b += vb
     lp_a += va
@@ -257,20 +259,21 @@ def _marginal_pilot_times(scenario, rng, draws=PILOT_DRAWS):
     return gen_survival_times(scenario.family, tau, gamma, rng)
 
 
-def calibrate_censoring(scenario, rng, pilot_draws=PILOT_DRAWS):
+def calibrate_censoring(scenario, rng):
     """Upper bound c_max of the Uniform(0, c_max) censoring law.
 
     Bisection against the Monte Carlo censoring fraction of a pilot
-    sample; the same pilot is reused across bisection steps, which makes
-    the fraction a continuous monotone function of c_max.
+    sample of PILOT_DRAWS event times; the same pilot is reused across
+    bisection steps, which makes the fraction a continuous monotone
+    function of c_max.
 
-    Working set: at most max(5, p + 2) float arrays of ``pilot_draws``
-    values are alive at once: two linear predictors and three frailty
-    buffers while the frailties are drawn, or the p covariate columns and
-    the two predictors.  That is 3.8 MiB at the default 100,000 draws and
-    p <= 3.  The bisection holds the pilot times and one reused buffer.
+    Working set: at most max(5, p + 2) float arrays of PILOT_DRAWS values
+    are alive at once: two linear predictors and three frailty buffers
+    while the frailties are drawn, or the p covariate columns and the two
+    predictors.  That is 3.8 MiB at p <= 3.  The bisection holds the pilot
+    times and one reused buffer.
     """
-    t = _marginal_pilot_times(scenario, rng, pilot_draws)
+    t = _marginal_pilot_times(scenario, rng)
     ratio = np.empty_like(t)
     lo, hi = CENSOR_BOUNDS
     target = scenario.censor_rate

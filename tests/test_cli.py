@@ -253,7 +253,19 @@ class TestCmdSimulate:
         scen = self.scenario_file(tmp_path)
         assert main(["simulate", "--scenario", scen, "--replicates", "0",
                      "--out", str(tmp_path)]) == 1
-        assert "replicates must be at least 1" in capsys.readouterr().err
+        # the flag is out of range, not the file
+        assert "error: replicates must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_summary.csv").exists()
+
+    @pytest.mark.parametrize("flags, fields, message", [
+        (["--seed", "-3"], {}, "error: seed must be non-negative"),
+        ([], {"seed": -3}, "error: bad scenario file: seed must be non-negative"),
+    ])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, flags, fields, message):
+        # numpy's SeedSequence used to reject it with "expected non-negative integer"
+        scen = self.scenario_file(tmp_path, **fields)
+        assert main(["simulate", "--scenario", scen, *flags, "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "scenario_summary.csv").exists()
 
     def test_unreachable_calibration_exits_4(self, tmp_path):
@@ -301,6 +313,18 @@ def with_first_null(saved_fit, name):
     else:
         value = [None] + value[1:]
     return {name: value}
+
+
+# fields whose length must agree with scale_names, shape_names or cluster_labels;
+# cov_theta must be m x m.  se_v_alpha is null in the saved ScF fit.
+MISMATCHED_FIT_FIELDS = ["beta", "se_beta", "scale_names", "alpha", "se_alpha", "shape_names",
+                         "cov_theta", "v_beta", "v_alpha", "se_v_beta", "cluster_sizes",
+                         "cluster_labels"]
+
+
+def without_last(saved_fit, name):
+    """``{name: value}``: the saved fit's field without its last entry (cov_theta: row)."""
+    return {name: json.loads(saved_fit.read_text())[name][:-1]}
 
 
 class TestCmdHr:
@@ -356,6 +380,16 @@ class TestCmdHr:
         assert f"fit field {name!r} holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", MISMATCHED_FIT_FIELDS)
+    def test_mismatched_length_exits_1(self, saved_fit, tmp_path, capsys, name):
+        # a short beta used to give a curve from the wrong coefficients, and exit 0
+        path = fit_file_with(saved_fit, tmp_path, **without_last(saved_fit, name))
+        out = tmp_path / "hr"
+        assert main(["hr", "--fit", path, "--covariate", "x1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: fit field" in err and repr(name) in err
+        assert not out.exists()
+
     def test_null_standard_errors_and_deviances_read_as_nan(self, saved_fit, tmp_path):
         path = fit_file_with(saved_fit, tmp_path, **with_first_null(saved_fit, "se_beta"),
                              deviance_profile=None, cond_deviance=None)
@@ -401,6 +435,18 @@ class TestCmdFrailties:
         assert main(["frailties", "--fit", path, "--component", "scale",
                      "--out", str(out)]) == 1
         assert f"fit field {name!r} holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", MISMATCHED_FIT_FIELDS)
+    def test_mismatched_length_exits_1(self, saved_fit, tmp_path, capsys, name):
+        # a short cluster_sizes used to list fewer clusters and exit 0, and a short
+        # cluster_labels or se_v_beta ended in an IndexError traceback
+        path = fit_file_with(saved_fit, tmp_path, **without_last(saved_fit, name))
+        out = tmp_path / "fr"
+        assert main(["frailties", "--fit", path, "--component", "scale",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: fit field" in err and repr(name) in err
         assert not out.exists()
 
 

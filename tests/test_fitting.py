@@ -258,14 +258,17 @@ class TestFit:
         se = f.se_dispersion["sigma_beta"]
         assert abs(f.dispersion["sigma_beta"] - 1.0) < 3 * max(se, 0.08)
 
-    def test_init_insensitivity_table2_20x20(self):
+    def test_init_insensitivity_table2_20x20(self, monkeypatch):
         spec_sc = ScenarioSpec(
             q=20, n_i=20, beta_true=(1, -0.5, 0.5), alpha_true=(0.5, 0.5, -0.5),
             sigma_beta=1.0, sigma_alpha=0.5, rho=-0.5, seed=42,
         )
         ds = simulate_dataset(spec_sc, 2.17, np.random.default_rng(42))
         f_warm = fit(ds, structure="BVNF")
-        f_flat = fit(ds, structure="BVNF", theta_init=np.full(6, 0.01))
+        # the fixed effects start flat at 0.01 instead of from the no-frailty fit
+        monkeypatch.setattr("mprfrailty.fitting._initial_theta", lambda design: SimpleNamespace(
+            beta=np.full(design.m_beta, 0.01), alpha=np.full(design.m_alpha, 0.01), iterations=0))
+        f_flat = fit(ds, structure="BVNF")
         a = np.concatenate([f_warm.beta, f_warm.alpha,
                             list(f_warm.dispersion.values())])
         b = np.concatenate([f_flat.beta, f_flat.alpha,

@@ -57,6 +57,8 @@ class TestScenarioSpec:
             scenario(rho=1.0)
         with pytest.raises(DomainError):
             scenario(n_i=0)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            scenario(seed=-3)
 
     @pytest.mark.parametrize("bad", [{"sigma_beta": float("nan")}, {"sigma_alpha": float("nan")},
                                      {"sigma_beta": float("inf")}])
