@@ -110,13 +110,13 @@ class Transform:
     """A dispersion parameter's map to the unconstrained search scale z."""
 
     to_z: object      # natural value -> z
-    from_z: object    # z -> natural value, capped at the boundaries
+    from_z: object    # z -> natural value, capped at the boundaries; elementwise on an array
     jacobian: object  # d(natural)/dz at a natural value
 
 
 _SIGMA = Transform(
     to_z=math.log,
-    from_z=lambda z: max(float(np.exp(min(z, 50.0))), 1e-12),
+    from_z=lambda z: np.maximum(np.exp(np.minimum(z, 50.0)), 1e-12),
     jacobian=lambda v: v,
 )
 
@@ -125,10 +125,10 @@ TRANSFORMS = {
     "sigma_alpha": _SIGMA,
     "rho": Transform(
         to_z=lambda v: math.atanh(min(max(v, -RHO_CAP), RHO_CAP)),
-        from_z=lambda z: min(max(float(np.tanh(z)), -RHO_CAP), RHO_CAP),
+        from_z=lambda z: np.minimum(np.maximum(np.tanh(z), -RHO_CAP), RHO_CAP),
         jacobian=lambda v: 1.0 - v**2,
     ),
-    "phi": Transform(to_z=lambda v: v, from_z=float, jacobian=lambda v: 1.0),
+    "phi": Transform(to_z=lambda v: v, from_z=np.float64, jacobian=lambda v: 1.0),
 }
 
 

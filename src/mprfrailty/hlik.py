@@ -101,44 +101,62 @@ class ParamLayout:
         """(beta, alpha, u) with u the k x q free frailty blocks, as views of x."""
         return x[self.sl_beta], x[self.sl_alpha], x[self.m:].reshape(self.k, self.q)
 
+    # positions in the dim x dim matrix flattened in Fortran order, the layout
+    # LAPACK factors in place; see Curvature._dense
+
+    @cached_property
+    def d_index(self):
+        """(k, k, q): the position of entry (j, l) of every D_i."""
+        v = self.m + np.arange(self.k)[:, None] * self.q + np.arange(self.q)
+        return v[:, None] + v[None, :] * self.dim
+
+    @cached_property
+    def dense_index(self):
+        """The positions of A, B (k, m, q), B' and D, each flattened in C order, as one index."""
+        a = np.arange(self.m)[:, None]
+        v = (self.m + np.arange(self.k)[:, None] * self.q + np.arange(self.q))[:, None, :]
+        return np.concatenate([(a + a.T * self.dim).ravel(), (a + v * self.dim).ravel(),
+                               (v + a * self.dim).ravel(), self.d_index.ravel()])
+
 
 # The closed forms below take Sigma as (standard deviations, correlation),
-# see FrailtyLaw.sigma.
+# see FrailtyLaw.sigma: ``sig`` (k x npts) holds the standard deviations of
+# the components and ``rho`` (npts) their correlation at each of npts
+# points.  Only the quadratic forms of ell2 are numpy expressions, one
+# (npts, q) array for the whole stack; the rest is scalar arithmetic per
+# point, cheaper than a numpy call at a handful of points, with
+# logarithms from math.log and squares from Python's float power (numpy's
+# log and square differ from both in the last bit on about 0.1% of inputs).
 
 
-def _ell2_total(sigs, rhos, q, u):
-    """sum_i ell2_i, the log-density of the free components u (k x q), at each point.
-
-    ``sigs`` holds k columns of standard deviations and ``rhos`` the
-    correlations, one entry per point.  The quadratic forms are one
-    (npts, q) expression; each point's constant is built from scalars.
-    """
-    if not sigs:
-        return [0.0] * len(rhos)
-    if len(sigs) == 1:
-        half = 0.5 * np.sum(u[0]**2)
-        return [float(-q * (0.5 * LOG_2PI + math.log(s)) - half / s**2) for s in sigs[0]]
-    ub, ua = (u[j] / np.array(sigs[j])[:, None] for j in (0, 1))
-    quads = (ub**2 + ua**2 - 2.0 * np.array(rhos)[:, None] * ub * ua).sum(axis=1).tolist()
+def _ell2_total(sig, rho, q, u):
+    """sum_i ell2_i, the log-density of the free components u (k x q), at each point, as a list."""
+    if len(sig) == 0:
+        return [0.0] * len(rho)
+    if len(sig) == 1:
+        half = 0.5 * float(np.sum(u[0]**2))
+        return [-q * (0.5 * LOG_2PI + math.log(s)) - half / s**2 for s in sig[0].tolist()]
+    ub, ua = u[:, None, :] / sig[:, :, None]
+    quads = (ub**2 + ua**2 - 2.0 * rho[:, None] * ub * ua).sum(axis=1)
     out = []
-    for sb, sa, rho, quad in zip(*sigs, rhos, quads):
-        omr = 1.0 - rho * rho
-        const = -q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
-        out.append(const - 0.5 * quad / omr)
+    for sb, sa, r, quad in zip(*sig.tolist(), rho.tolist(), quads.tolist()):
+        omr = 1.0 - r * r
+        out.append(-q * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
+                   - 0.5 * quad / omr)
     return out
 
 
-def _penalty_blocks(sigs, rhos):
+def _penalty_blocks(sig, rho):
     """(npts, k, k): at each point P = Sigma^-1, the block -ell2 adds to every D_i."""
-    k = len(sigs)
+    k = len(sig)
     if k < 2:
-        return np.array([[1.0 / s**2 for s in col] for col in sigs]).T.reshape(len(rhos), k, k)
+        return np.array([1.0 / s**2 for col in sig.tolist() for s in col]).reshape(len(rho), k, k)
     out = []
-    for sb, sa, rho in zip(*sigs, rhos):
-        c = 1.0 / (1.0 - rho * rho)
-        cross = -c * rho / (sb * sa)
-        out.append(((c / sb**2, cross), (cross, c / sa**2)))
-    return np.array(out)
+    for sb, sa, r in zip(*sig.tolist(), rho.tolist()):
+        c = 1.0 / (1.0 - r * r)
+        cross = -c * r / (sb * sa)
+        out += (c / sb**2, cross, cross, c / sa**2)
+    return np.array(out).reshape(len(rho), 2, 2)
 
 
 def _penalty_score(sig, rho, u):
@@ -158,29 +176,36 @@ def _penalty_score(sig, rho, u):
 # log-determinant including the dense assembly, single-threaded OpenBLAS on a
 # 2-CPU x86-64 box, dense vs Schur: BVNF 18 vs 21 us at dim 46, a tie at dim
 # 66, 102 vs 23 us at dim 206 and 793 vs 26 us at dim 406; ScF ties at dim 56.
-# The Newton solve ties at dim 86 (BVNF).
+# The Newton solve ties at dim 86 (BVNF).  Measured with the block-by-block
+# dense fill; the scatter has since made the dense side cheaper, but moving
+# the bound would move the bits of every fit whose dim it crosses.
 DENSE_MAX_DIM = 60
 
-_RIDGES = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4)
+# the relative ridges solve_ascent tries, in order, once H itself is not PD
+_RIDGES = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
 # points whose D + P and D^-1 the Schur side forms at once (a 3-parameter gradient stencil);
 # all 19 of a Hessian stencil at once raised a BVNF fit's peak memory at q = 20,000 by 40 MB
 _SCHUR_POINTS = 7
 
 
-# the LAPACK routine behind scipy.linalg.cho_factor, called without its checks
+# the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
+# without their checks; positional (lower=1, clean=0, overwrite_a=1) and
+# (lower=1): keywords cost 0.7 us a call
 _POTRF = scipy.linalg.lapack.dpotrf
+_POTRS = scipy.linalg.lapack.dpotrs
 
 
 def _cholesky(H):
-    """(c, lower) for ``cho_solve``: the lower Cholesky factor of H.
+    """The lower Cholesky factor of H, the bits of ``cho_factor(H, lower=True)[0]``.
 
-    The same factor, to the bit, as ``cho_factor(H, lower=True)``.
+    Every caller passes a temporary: a Fortran-order H is factored in place,
+    any other is copied first.
     """
-    c, info = _POTRF(H, lower=1, clean=0)
+    c, info = _POTRF(H, 1, 0, 1)
     if info != 0:
         raise CurvatureError("information matrix is not positive definite")
-    return c, True
+    return c
 
 
 def _block_inverse(D):
@@ -228,12 +253,17 @@ class Curvature:
     formed once per fit, always take the Schur path.  Every method raises
     :class:`CurvatureError` when H is not positive definite, except
     ``logdet`` of a penalty stack.
+
+    The dense matrix is one scatter through ``layout.dense_index`` and the
+    dense side calls LAPACK directly: at dim 46 (BVNF, q = 20) ``to_dense``
+    took 24 us block by block and takes 9 us, ``solve_ascent`` 79 -> 28 us
+    (medians of interleaved rounds on a shared 2-CPU x86-64 box).
     """
 
     def __init__(self, layout, A, B, D, P):
         self.layout = layout
         self.A, self.B, self.D, self.P = A, B, D, P
-        self._dense = None  # (to_dense() in Fortran order, flat index of each D_i entry)
+        self._flat = None  # _dense(), kept by the first log-det
 
     @property
     def dim(self):
@@ -243,22 +273,20 @@ class Curvature:
     def _dense_side(self):
         return self.dim <= DENSE_MAX_DIM
 
-    def _v_slices(self):
-        return [self.layout.block(j) for j in range(self.layout.k)]
+    def _dense(self):
+        """The full matrix flattened in Fortran order, a new array.
+
+        One scatter through ``layout.dense_index``; A is copied as it is, so
+        the lower triangle that LAPACK reads holds A's lower triangle.
+        """
+        flat = np.zeros(self.dim * self.dim)
+        flat[self.layout.dense_index] = np.concatenate(
+            (self.A.ravel(), self.B.ravel(), self.B.ravel(), self.D.ravel()))
+        return flat
 
     def to_dense(self):
-        """The full symmetric matrix in :class:`ParamLayout` order."""
-        m = self.A.shape[0]
-        H = np.zeros((self.dim, self.dim))
-        H[:m, :m] = self.A
-        qr = np.arange(self.layout.q)
-        slices = self._v_slices()
-        for j, sj in enumerate(slices):
-            H[:m, sj] = self.B[j]
-            H[sj, :m] = self.B[j].T
-            for l, sl in enumerate(slices):
-                H[sj, sl][qr, qr] = self.D[j, l]
-        return H
+        """The full symmetric matrix in :class:`ParamLayout` order (Fortran-ordered)."""
+        return self._dense().reshape(self.dim, self.dim, order="F")
 
     def __array__(self, dtype=None, copy=None):
         # numpy functions given a Curvature see the dense matrix
@@ -307,7 +335,7 @@ class Curvature:
         are formed.
         """
         Dinv, W, factor = self._schur()
-        cov_theta = scipy.linalg.cho_solve(factor, np.eye(self.A.shape[0]), check_finite=False)
+        cov_theta = _POTRS(factor, np.eye(self.A.shape[0]), 1)[0]
         sw = np.einsum("ab,lbi->lai", cov_theta, W)
         return cov_theta, Dinv + np.einsum("jai,lai->jli", W, sw)
 
@@ -320,42 +348,43 @@ class Curvature:
         large shifts turn the step into scaled gradient ascent; the caller's
         step-halving still guards it.
         """
+        try:
+            return self.solve(g), 0.0
+        except CurvatureError:
+            pass
+        # the ridge's scale, formed only once H itself has failed
         diag = np.abs(self.diagonal())
         scale = np.where(diag > 0, diag, 1.0)
         for lam in _RIDGES:
-            H = self if lam == 0.0 else self._ridged(lam * scale)
             try:
-                return H.solve(g), lam
+                return self._ridged(lam * scale).solve(g), lam
             except CurvatureError:
                 continue
         raise CurvatureError("observed information is singular beyond repair")
 
-    # dense LAPACK on to_dense(), for the log-det and solve at small dim
+    # dense LAPACK on _dense(), for the log-det and solve at small dim
 
     def _logdet_dense(self, Ps=None):
         # the log-dets of H + each P of the stack Ps (of H alone for None), nan where
-        # not PD; the matrix and the positions of its D_i entries are kept for the scatter
-        if self._dense is None:
-            starts = np.array([sl.start for sl in self._v_slices()], dtype=np.intp)
-            cells = np.arange(self.layout.q)
-            rows = starts[:, None, None] + cells
-            cols = starts[None, :, None] + cells
-            self._dense = (np.asfortranarray(self.to_dense()), rows + cols * self.dim)
-        dense, d_index = self._dense
-        # stack[i].T is a Fortran-order copy of the kept matrix, whose lower
-        # triangle the factorization reads, in place
-        stack = np.empty((1 if Ps is None else len(Ps), self.dim, self.dim))
-        stack[:] = dense.T
+        # not PD; row i of the stack is a copy of the kept matrix with D + P[i] for
+        # its D_i entries, and row i viewed (dim, dim) and transposed is that matrix
+        # in Fortran order, which the factorization overwrites in place
+        if self._flat is None:
+            self._flat = self._dense()
+        n, dim = 1 if Ps is None else len(Ps), self.dim
+        stack = np.empty((n, dim * dim))
+        stack[:] = self._flat
         if Ps is not None:
-            stack.reshape(len(Ps), -1)[:, d_index] += Ps[..., None]
-        # positional (lower=1, clean=0, overwrite_a=1): keywords cost 0.7 us a call
-        ok = np.array([_POTRF(H.T, 1, 0, 1)[1] == 0 for H in stack])
-        out = np.full(len(stack), np.nan)
-        out[ok] = 2.0 * np.log(np.diagonal(stack, axis1=1, axis2=2)[ok]).sum(axis=1)
+            stack[:, self.layout.d_index] = self.D + Ps[..., None]
+        ok = np.array([_POTRF(H.T, 1, 0, 1)[1] == 0 for H in stack.reshape(n, dim, dim)])
+        out = np.full(n, np.nan)
+        # the selected diagonals are a C-ordered copy, so that each row's sum is
+        # pairwise, as for one point
+        out[ok] = 2.0 * np.log(stack[:, ::dim + 1][ok]).sum(axis=1)
         return out
 
     def _solve_dense(self, g):
-        return scipy.linalg.cho_solve(_cholesky(self.to_dense()), g, check_finite=False)
+        return _POTRS(_cholesky(self.to_dense()), g, 1)[0]
 
     # Schur complement of the frailty blocks: the log-det and solve at large dim
 
@@ -365,7 +394,7 @@ class Curvature:
         return W, self.A - np.einsum("jai,jbi->ab", W, self.B)
 
     def _schur(self):
-        """(D^-1, W, Cholesky factor of S)."""
+        """(D^-1, W, lower Cholesky factor of S)."""
         Dinv, _ = _block_inverse(self.D[None])
         if Dinv is None:
             raise CurvatureError("a frailty block of the information is not positive definite")
@@ -388,8 +417,7 @@ class Curvature:
         Dinv, W, factor = self._schur()
         m, k = self.A.shape[0], self.D.shape[0]
         dg = np.einsum("jli,li->ji", Dinv, g[m:].reshape(k, self.layout.q))
-        x_t = scipy.linalg.cho_solve(
-            factor, g[:m] - np.einsum("jai,ji->a", self.B, dg), check_finite=False)
+        x_t = _POTRS(factor, g[:m] - np.einsum("jai,ji->a", self.B, dg), 1)[0]
         x_v = dg - np.einsum("jai,a->ji", W, x_t)
         return np.concatenate([x_t, x_v.ravel()])
 
@@ -431,7 +459,8 @@ class Evaluator:
         disp = spec.dispersion()
         self._L = self._law.loading_at(disp)
         self._sigma = sig, rho = self._law.sigma(disp)
-        self._sigma_cols = ([[s] for s in sig], [rho])
+        # Sigma as the one-point stack the closed forms take
+        self._sigma_cols = (np.array(sig, dtype=float).reshape(-1, 1), np.array([rho], dtype=float))
         # the columns of L and, for each entry (i, j) of L' D_v L, the weights
         # of the D_v entries (0, 0), (0, 1) and (1, 1) in it
         self._cols = [tuple(row[j] for row in self._L) for j in range(self._law.k)]
@@ -468,11 +497,11 @@ class Evaluator:
             lp_b = lp_b + vb[idx]
         if va is not None:
             lp_a = lp_a + va[idx]
-        if np.any(np.abs(lp_b) > LINPRED_MAX) or np.any(np.abs(lp_a) > LINPRED_MAX):
+        if (np.abs(lp_b) > LINPRED_MAX).any() or (np.abs(lp_a) > LINPRED_MAX).any():
             raise DivergedIterateError("linear predictor overflow; damp the step")
         gamma = np.exp(lp_a)
         glogt = gamma * d.log_time
-        if np.any(glogt > self._max_glogt):
+        if (glogt > self._max_glogt).any():
             raise DivergedIterateError("transformed time overflow; damp the step")
         tau = np.exp(lp_b)
         s = np.exp(glogt)
@@ -486,8 +515,8 @@ class Evaluator:
         ell1 = (d.status * (np.log(tau) + np.log(gamma) + (gamma - 1.0) * d.log_time
                             + self._base.log_hazard(s))
                 - tau * Lam0)
-        ell1_sum = float(np.sum(ell1))
-        if not np.isfinite(ell1_sum):
+        ell1_sum = float(ell1.sum())
+        if not math.isfinite(ell1_sum):
             bad = int(np.argmax(~np.isfinite(ell1)))
             raise EvaluationError("non-finite conditional log-likelihood", index=bad)
         return ell1_sum
@@ -503,14 +532,16 @@ class Evaluator:
         delta = d.status
         lam0, dlam0, d2lam0 = self._base.hazard(s)
         a = dlam0 / lam0
-        s_lam0 = s * lam0
+        s_a = s * a
+        delta_1sa = delta * (1.0 + s_a)
+        tau_s_lam0 = tau * (s * lam0)
         tau_Lam0 = tau * Lam0
         u_beta = delta - tau_Lam0
-        u_alpha = delta + (delta * (1.0 + s * a) - tau * s_lam0) * glogt
+        u_alpha = delta + (delta_1sa - tau_s_lam0) * glogt
         w_beta = tau_Lam0
-        w_ba = tau * s_lam0 * glogt
-        inner = delta * (s * (d2lam0 / lam0) + a - s * a * a) - tau * (lam0 + s * dlam0)
-        w_alpha = -(delta * (1.0 + s * a) + glogt * s * inner - tau * s_lam0) * glogt
+        w_ba = tau_s_lam0 * glogt
+        inner = delta * (s * (d2lam0 / lam0) + a - s_a * a) - tau * (lam0 + s * dlam0)
+        w_alpha = -(delta_1sa + glogt * s * inner - tau_s_lam0) * glogt
         return u_beta, u_alpha, w_beta, w_alpha, w_ba
 
     # -- cluster reductions ----------------------------------------------------
@@ -567,13 +598,18 @@ class Evaluator:
         pen = _penalty_score(*self._sigma, u)
         for j, col in enumerate(self._cols):
             g[lay.block(j)] = combine(col, lambda r: zu[r][0]) - pen[j]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise EvaluationError("non-finite score entry")
         return g
 
+    @cached_property
+    def _penalty(self):
+        """P = Sigma^-1 (k x k), which the penalty adds to every D_i."""
+        return _penalty_blocks(*self._sigma_cols)[0]
+
     def information(self, x, penalty=True):
         H = self.data_part(x)[1]
-        return H.with_penalty(_penalty_blocks(*self._sigma_cols)[0]) if penalty else H
+        return H.with_penalty(self._penalty) if penalty else H
 
     def data_part(self, x):
         """(ell1 sum, penalty-free information) at x.
@@ -618,8 +654,7 @@ class Evaluator:
         for i, j, weights in self._d_weights:
             D[i, j] = D[j, i] = combine(weights, z_sum)
 
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))
-                and np.all(np.isfinite(D))):
+        if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(D).all()):
             raise EvaluationError("non-finite information weight")
         return Curvature(lay, A, B, D, np.zeros((k, k)))
 
@@ -634,7 +669,7 @@ class Evaluator:
         u = self.layout.unpack(x)[2]
         parts = kept.h[1] if kept.h[0] == self.spec else self._parts(kept.ell1_sum, u)
         g = self._assemble_score(u_beta, u_alpha, u)
-        return parts, g, H.with_penalty(_penalty_blocks(*self._sigma_cols)[0])
+        return parts, g, H.with_penalty(self._penalty)
 
 
 def logdet_pd(H, P=None):

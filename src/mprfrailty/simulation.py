@@ -34,16 +34,18 @@ PILOT_DRAWS = 100_000
 
 
 def _integer(value, name):
-    """``value`` as an int; a float such as 5.0 or 6.7 is not one."""
+    """``value`` as an int; a float such as 5.0 or 6.7 is not one, nor is a bool."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _real(value, name):
-    """``value`` as a float; None, a string or a list is not a real number."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a float; None, a bool, a string or a list is not a real number."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

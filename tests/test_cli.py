@@ -243,6 +243,11 @@ class TestCmdSimulate:
         ("sigma_beta", None, "sigma_beta must be a real number, got None"),
         ("censor_rate", None, "censor_rate must be a real number, got None"),
         ("beta_true", 0.8, "beta_true must be a list of numbers, got 0.8"),
+        # JSON true used to read as 1.0 and as 1
+        ("sigma_beta", True, "sigma_beta must be a real number, got True"),
+        ("beta_true", [1.0, False, 0.5], "beta_true must be a real number, got False"),
+        ("replicates", True, "replicates must be an integer, got True"),
+        ("n_i", [True] * 6, "n_i entry must be an integer, got True"),
     ])
     def test_wrongly_typed_field_exits_1(self, tmp_path, capsys, field, value, message):
         scen = self.scenario_file(tmp_path, **{field: value})

@@ -86,6 +86,12 @@ class TestFitSettings:
         with pytest.raises(ValueError, match="iteration caps must be integers"):
             FitSettings(**bad)
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True)])
+    def test_rejects_boolean_caps(self, bad):
+        # FitSettings(max_outer=True) used to mean one outer sweep
+        with pytest.raises(ValueError, match="iteration caps must be integers"):
+            FitSettings(max_outer=bad)
+
     def test_accepts_numpy_integer_caps(self):
         assert FitSettings(max_outer=np.int64(7)).max_outer == 7
 
@@ -630,7 +636,9 @@ class TestDispersionObjective:
         assert np.array_equal(got.z, want.z)
         assert got.profile_loglik == want.profile_loglik
         assert got.spec == want.spec
-        assert got.n_eval == want.n_eval
+        # the reference probes z0 and then evaluates it again as the first point of
+        # L-BFGS-B's first stencil; outer_dispersion evaluates that stencil once
+        assert got.n_eval == want.n_eval - 1
         assert got.gradient_converged == want.gradient_converged
         if effort == "loose" and structure in ("CF", "BVNF"):
             # these searches end on the rescaled maxfun cap
@@ -649,9 +657,9 @@ class TestDispersionObjective:
 
         monkeypatch.setattr(scipy.optimize, "minimize", probing_minimize)
         out = outer_dispersion("weibull", design, "BVNF", z0, x)
-        # the probe, then each trial point with its 2k = 6-point stencil
-        assert out.n_eval == 1 + 7 * len(trials)
-        finite = [z0] + [pt for z in trials[1:3] for pt in _stencil(z)]
+        # the start point's stencil, then each trial point with its 2k = 6-point stencil
+        assert out.n_eval == 7 + 7 * len(trials)
+        finite = [pt for z in [z0] + trials[1:3] for pt in _stencil(z)]
         values = [-_reference_objective(design, "BVNF", x, z) for z in finite]
         best = int(np.argmax(values))
         assert np.array_equal(out.z, finite[best])

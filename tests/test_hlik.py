@@ -19,9 +19,12 @@ from mprfrailty.data import combine
 from mprfrailty.fitting import _newton
 from mprfrailty.hlik import (
     DENSE_MAX_DIM,
+    LOG_2PI,
     Curvature,
     Evaluator,
     ParamLayout,
+    _ell2_total,
+    _penalty_blocks,
     _penalty_score,
     logdet_pd,
 )
@@ -508,6 +511,124 @@ class TestCurvature:
                 method()
         with pytest.raises(CurvatureError):
             bad._solve_schur(np.ones(ev.layout.dim))
+
+
+# -- the batched and scattered forms against their one-at-a-time references ----
+
+
+def _blockwise_dense(H):
+    """H written block by block: A, then each B[j] and its transpose, then every D_i entry."""
+    lay = H.layout
+    out = np.zeros((lay.dim, lay.dim))
+    out[:lay.m, :lay.m] = H.A
+    cells = np.arange(lay.q)
+    for j in range(lay.k):
+        out[:lay.m, lay.block(j)] = H.B[j]
+        out[lay.block(j), :lay.m] = H.B[j].T
+        for l in range(lay.k):
+            out[lay.block(j), lay.block(l)][cells, cells] = H.D[j, l]
+    return out
+
+
+def _dispersion_stack(k, npts, seed):
+    """(sig, rho): k x npts standard deviations over six decades and correlations near +-1."""
+    rng = np.random.default_rng(seed)
+    sig = np.exp(rng.uniform(-7.0, 7.0, (k, npts)))
+    rho = np.tanh(rng.uniform(-6.0, 6.0, npts)) if k == 2 else np.zeros(npts)
+    return sig, rho
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_to_dense_equals_blockwise_fill(self, fixture_30x5, structure):
+        _, design = fixture_30x5
+        ev = Evaluator("gompertz", design, spec_for(structure))
+        H = ev.information(np.random.default_rng(3).uniform(-0.4, 0.4, ev.layout.dim))
+        # A copied as it is, not symmetrized: LAPACK reads its lower triangle
+        lopsided = Curvature(H.layout, H.A + np.triu(np.ones_like(H.A), 1), H.B, H.D, H.P)
+        for curv in (H, lopsided):
+            assert np.array_equal(curv.to_dense(), _blockwise_dense(curv))
+
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "CF", "IF", "BVNF"])
+    def test_stacked_log_det_equals_one_point_log_det(self, block_design, structure):
+        # q10 factors densely, q150 through the Schur complement
+        ev = Evaluator("weibull", block_design, spec_for(structure))
+        H = ev.information(np.random.default_rng(4).uniform(-0.3, 0.3, ev.layout.dim),
+                           penalty=False)
+        assert (H.dim <= DENSE_MAX_DIM) == (block_design.q == 10)
+        sig, rho = _dispersion_stack(H.layout.k, 9, seed=block_design.q)
+        # the last precision leaves every D_i + P indefinite
+        Ps = np.concatenate([_penalty_blocks(sig, rho), -1e3 * np.eye(H.layout.k)[None]])
+        got = H.logdet(Ps)
+        assert np.isnan(got[-1]) and not np.isnan(got).all()
+        for P, logdet in zip(Ps, got):
+            if np.isnan(logdet):
+                with pytest.raises(CurvatureError):
+                    H.with_penalty(P).logdet()
+            else:
+                assert H.with_penalty(P).logdet() == logdet
+        # a stack where every point is positive definite
+        pd = ~np.isnan(got)
+        assert np.array_equal(H.logdet(Ps[pd]), got[pd])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_stacked_closed_forms_equal_one_point_calls(self, k):
+        sig, rho = _dispersion_stack(k, 11, seed=k)
+        u = np.random.default_rng(10 + k).standard_normal((k, 7))
+        ell2, P = _ell2_total(sig, rho, 7, u), _penalty_blocks(sig, rho)
+        assert len(ell2) == len(P) == 11
+        for i in range(11):
+            one = (sig[:, i:i + 1], rho[i:i + 1])
+            assert _ell2_total(*one, 7, u) == [ell2[i]]
+            assert np.array_equal(_penalty_blocks(*one), P[i:i + 1])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_closed_forms_keep_scalar_logs_and_squares(self, k):
+        # each point against the scalar formulas; numpy's square differs from
+        # Python's float power on about 0.1% of these inputs, so 20,000 points
+        # catch a switch to it
+        sig, rho = _dispersion_stack(k, 20_000, seed=20 + k)
+        u = np.random.default_rng(30 + k).standard_normal((k, 7))
+        ell2, P = _ell2_total(sig, rho, 7, u), _penalty_blocks(sig, rho)
+        for i, (s, r) in enumerate(zip(sig.T.tolist(), rho.tolist())):
+            if k == 1:
+                half = 0.5 * float(np.sum(u[0]**2))
+                want = -7 * (0.5 * LOG_2PI + math.log(s[0])) - half / s[0]**2
+                want_P = [[1.0 / s[0]**2]]
+            else:
+                sb, sa = s
+                omr = 1.0 - r * r
+                ub, ua = u[0] / sb, u[1] / sa
+                quad = float((ub**2 + ua**2 - 2.0 * r * ub * ua).sum())
+                want = (-7 * (LOG_2PI + math.log(sb) + math.log(sa) + 0.5 * math.log(omr))
+                        - 0.5 * quad / omr)
+                c = 1.0 / omr
+                cross = -c * r / (sb * sa)
+                want_P = [[c / sb**2, cross], [cross, c / sa**2]]
+            assert ell2[i] == want
+            assert P[i].tolist() == want_P
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_dense_solve_equals_cho_solve(self, fixture_30x5, structure):
+        _, design = fixture_30x5
+        ev = Evaluator("loglogistic", design, spec_for(structure))
+        rng = np.random.default_rng(5)
+        n_pd = 0
+        for x in (np.zeros(ev.layout.dim), rng.uniform(-0.3, 0.3, ev.layout.dim)):
+            H = ev.information(x)
+            g = rng.standard_normal(H.dim)
+            try:
+                factor = scipy.linalg.cho_factor(H.to_dense(), lower=True)
+            except scipy.linalg.LinAlgError:
+                with pytest.raises(CurvatureError):
+                    H._solve_dense(g)
+                continue
+            n_pd += 1
+            want = scipy.linalg.cho_solve(factor, g)
+            assert np.array_equal(H._solve_dense(g), want)
+            assert H.solve_ascent(g)[1] == 0.0
+            assert np.array_equal(H.solve_ascent(g)[0], want)
+        assert n_pd
 
 
 # -- cluster sums and the kept trial pass ---------------------------------------

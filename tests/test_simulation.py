@@ -76,6 +76,20 @@ class TestScenarioSpec:
         with pytest.raises(DomainError, match="must be an integer"):
             ScenarioSpec.from_dict(d)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("replicates", True, "replicates must be an integer, got True"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("q", True, "q must be an integer, got True"),
+        ("n_i", {"sizes": [True], "weights": [1.0]}, "mixture size must be an integer"),
+        ("sigma_beta", True, "sigma_beta must be a real number, got True"),
+        ("rho", False, "rho must be a real number, got False"),
+        ("alpha_true", (0.5, True, -0.5), "alpha_true must be a real number, got True"),
+        ("n_i", {"sizes": [5], "weights": [True]}, "mixture weight must be a real number")])
+    def test_booleans_are_not_numbers(self, field, value, message):
+        # ScenarioSpec(replicates=True, seed=False) used to run 1 replicate with seed 0
+        with pytest.raises(DomainError, match=message):
+            scenario(**{field: value})
+
     def test_integer_fields_accept_numpy_integers(self):
         spec = scenario(q=np.int64(10), n_i=np.full(10, 4), seed=np.int32(3))
         assert type(spec.q) is int and type(spec.seed) is int
