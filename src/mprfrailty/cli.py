@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .data import STRUCTURES, Dataset, normalize_structure
+from .data import STRUCTURES, Dataset, csv_number, normalize_structure, plain
 from .errors import (
     CalibrationError,
     DomainError,
@@ -57,12 +57,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _fmt(v):
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
-        return "NA"
-    return f"{v:.10g}"
-
-
 def _split_list(text):
     return [s.strip() for s in text.split(",") if s.strip()] if text else None
 
@@ -90,13 +84,11 @@ def fit_table_text(model_fit):
     lines.append(f"converged: {model_fit.converged}  "
                  f"outer iterations: {model_fit.iterations.get('outer')}")
     lines.append("")
-    lines.append("Scale")
-    for block, name, est, se in model_fit.coefficients():
-        if block == "scale":
-            lines.append(f"  {name:<20} {est:>10.4f} ({se:.4f})")
-    lines.append("Shape")
-    for block, name, est, se in model_fit.coefficients():
-        if block == "shape":
+    for title, names, estimates, ses in (
+            ("Scale", model_fit.scale_names, model_fit.beta, model_fit.se_beta),
+            ("Shape", model_fit.shape_names, model_fit.alpha, model_fit.se_alpha)):
+        lines.append(title)
+        for name, est, se in zip(names, estimates, ses):
             lines.append(f"  {name:<20} {est:>10.4f} ({se:.4f})")
     lines.append("Frailty parameters")
     if not model_fit.dispersion:
@@ -232,7 +224,7 @@ def cmd_compare(args):
 def cmd_simulate(args):
     try:
         scenario = ScenarioSpec.read_json(args.scenario)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad scenario file: {exc}", file=sys.stderr)
         return EXIT_USER
     overrides = {"replicates": args.replicates, "seed": args.seed}
@@ -280,19 +272,9 @@ def cmd_hr(args):
     stem = os.path.join(args.out, f"hr_{args.covariate}")
     with open(stem + ".csv", "w") as fh:
         fh.write("time,hr,lower,upper\n")
-        for t, hr, lo, hi in curve.to_rows():
-            fh.write(f"{_fmt(t)},{_fmt(hr)},{_fmt(lo)},{_fmt(hi)}\n")
-    _write_json(
-        stem + ".json",
-        {
-            "covariate": curve.covariate,
-            "reference_covariates": curve.reference_covariates,
-            "times": list(map(float, curve.times)),
-            "hr": list(map(float, curve.hr)),
-            "lower": None if curve.lower is None else list(map(float, curve.lower)),
-            "upper": None if curve.upper is None else list(map(float, curve.upper)),
-        },
-    )
+        for row in curve.to_rows():
+            fh.write(",".join(map(csv_number, row)) + "\n")
+    _write_json(stem + ".json", plain(dataclasses.asdict(curve)))
     print(f"wrote {stem}.csv")
     return EXIT_OK
 
@@ -310,8 +292,8 @@ def cmd_frailties(args):
         fh.write("cluster,size,estimate,lower,upper\n")
         for iv in intervals:
             fh.write(
-                f"{iv.cluster},{iv.cluster_size},{_fmt(iv.estimate)},"
-                f"{_fmt(iv.lower)},{_fmt(iv.upper)}\n"
+                f"{iv.cluster},{iv.cluster_size},{csv_number(iv.estimate)},"
+                f"{csv_number(iv.lower)},{csv_number(iv.upper)}\n"
             )
     _write_json(
         stem + ".json",

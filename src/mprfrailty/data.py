@@ -343,6 +343,22 @@ class Dataset:
         return cls(clusters, times, statuses, covs, covariate_names)
 
 
+def plain(value):
+    """``value`` with numpy arrays and scalars, also inside dicts, lists and tuples, as JSON types."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def csv_number(v):
+    """A CSV cell: ``NA`` for None or a non-finite number, else ``.10g``."""
+    return "NA" if v is None or not math.isfinite(v) else f"{v:.10g}"
+
+
 class ModelDesign:
     """Design matrices plus the response columns the likelihood needs.
 

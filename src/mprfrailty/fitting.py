@@ -15,7 +15,7 @@ rho -> 1 or sigma -> 0 are reachable as limits instead of domain errors.
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .data import (
     build_design,
     combine,
     normalize_structure,
+    plain,
 )
 from .errors import (
     CurvatureError,
@@ -430,47 +431,9 @@ class ModelFit:
         """Conditional AIC: -2 sum(ell1) + 2 df_c, with df_c = trace(H^-1 H*)."""
         return self.cond_deviance + 2.0 * self.df_c
 
-    def coefficients(self):
-        """(name, estimate, se) rows for the scale then shape blocks."""
-        rows = []
-        for name, b, se in zip(self.scale_names, self.beta, self.se_beta):
-            rows.append(("scale", name, float(b), float(se)))
-        for name, a, se in zip(self.shape_names, self.alpha, self.se_alpha):
-            rows.append(("shape", name, float(a), float(se)))
-        return rows
-
     def to_dict(self):
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-
-        return {
-            "family": self.family,
-            "structure": self.structure,
-            "scale_names": list(self.scale_names),
-            "shape_names": list(self.shape_names),
-            "beta": arr(self.beta),
-            "alpha": arr(self.alpha),
-            "se_beta": arr(self.se_beta),
-            "se_alpha": arr(self.se_alpha),
-            "v_beta": arr(self.v_beta),
-            "v_alpha": arr(self.v_alpha),
-            "se_v_beta": arr(self.se_v_beta),
-            "se_v_alpha": arr(self.se_v_alpha),
-            "dispersion": {k: float(v) for k, v in self.dispersion.items()},
-            "se_dispersion": {k: float(v) for k, v in self.se_dispersion.items()},
-            "deviance_profile": float(self.deviance_profile),
-            "cond_deviance": float(self.cond_deviance),
-            "df_r": int(self.df_r),
-            "df_c": float(self.df_c),
-            "converged": bool(self.converged),
-            "iterations": dict(self.iterations),
-            "cluster_labels": [str(c) for c in self.cluster_labels],
-            "cluster_sizes": arr(self.cluster_sizes),
-            "cov_theta": arr(self.cov_theta),
-            "modal_covariates": {k: float(v) for k, v in self.modal_covariates.items()},
-            "binary_covariates": {k: bool(v) for k, v in self.binary_covariates.items()},
-            "warnings": list(self.warnings),
-        }
+        """Every field but ``H``, as JSON types; a non-finite float stays nan."""
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self) if f.name != "H"}
 
     @classmethod
     def from_dict(cls, d):
@@ -483,7 +446,9 @@ class ModelFit:
         length that disagrees with the names: the coefficients and their
         SEs with ``scale_names`` or ``shape_names``, the frailties, their
         SEs and ``cluster_sizes`` with ``cluster_labels``, and ``cov_theta``
-        with both coefficient blocks (m x m).
+        with both coefficient blocks (m x m).  The names must be strings,
+        ``modal_covariates`` must map every covariate in them to a finite
+        number, and ``binary_covariates`` every one to true or false.
         """
         def typed(name, kind):
             if not isinstance(d[name], kind):
@@ -510,6 +475,9 @@ class ModelFit:
 
         kw = {n: typed(n, str) for n in ("family", "structure")}
         kw |= {n: list(typed(n, list)) for n in ("scale_names", "shape_names", "cluster_labels")}
+        for n in ("scale_names", "shape_names"):
+            if not all(isinstance(name, str) for name in kw[n]):
+                raise DataError(f"fit field {n!r} holds a name that is not a string")
         kw |= {n: dict(typed(n, dict)) for n in (
             "dispersion", "se_dispersion", "iterations", "modal_covariates", "binary_covariates")}
         finite("dispersion", array("dispersion", values=list(kw["dispersion"].values())))
@@ -518,11 +486,11 @@ class ModelFit:
         kw |= {n: None if d.get(n) is None else array(n) for n in ("se_v_beta", "se_v_alpha")}
         kw |= {n: number(n) for n in ("deviance_profile", "cond_deviance", "df_c")}
         kw["cluster_sizes"] = array("cluster_sizes", dtype=int)
-        for names, fields in (("scale_names", ("beta", "se_beta")),
-                              ("shape_names", ("alpha", "se_alpha")),
-                              ("cluster_labels", ("v_beta", "v_alpha", "se_v_beta",
-                                                  "se_v_alpha", "cluster_sizes"))):
-            for n in fields:
+        for names, members in (("scale_names", ("beta", "se_beta")),
+                               ("shape_names", ("alpha", "se_alpha")),
+                               ("cluster_labels", ("v_beta", "v_alpha", "se_v_beta",
+                                                   "se_v_alpha", "cluster_sizes"))):
+            for n in members:
                 if kw[n] is not None and len(kw[n]) != len(kw[names]):
                     raise DataError(f"fit field {n!r} has length {len(kw[n])}, "
                                     f"but {names!r} has {len(kw[names])}")
@@ -531,6 +499,17 @@ class ModelFit:
         if cov_theta.shape != (m, m):
             raise DataError(f"fit field 'cov_theta' is {cov_theta.shape[0]} x "
                             f"{cov_theta.shape[1]}, not {m} x {m}")
+        covariates = set(kw["scale_names"] + kw["shape_names"]) - {"(Intercept)"}
+        for n, what, ok in (
+                ("modal_covariates", "a finite number", lambda v: isinstance(
+                    v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)),
+                ("binary_covariates", "true or false", lambda v: isinstance(v, bool))):
+            missing = sorted(covariates - kw[n].keys())
+            if missing:
+                raise DataError(f"fit field {n!r} has no entry for {', '.join(missing)}")
+            for key, value in kw[n].items():
+                if not ok(value):
+                    raise DataError(f"fit field {n!r} holds {value!r} for {key!r}, not {what}")
         return cls(**kw, df_r=typed("df_r", int), converged=typed("converged", bool),
                    cov_theta=cov_theta,
                    warnings=list(typed("warnings", list)) if "warnings" in d else [])

@@ -30,12 +30,13 @@ class UnsupportedCovariateError(MPRFrailtyError, ValueError):
 
 @dataclass
 class HazardRatioCurve:
+    # the field order is the key order of the written JSON
     covariate: str
+    reference_covariates: dict
     times: np.ndarray
     hr: np.ndarray
     lower: np.ndarray | None
     upper: np.ndarray | None
-    reference_covariates: dict
 
     def to_rows(self):
         rows = []
@@ -83,9 +84,10 @@ def _reference_vectors(fit, covariate):
                 out[i] = fit.modal_covariates[name]
         return out
 
+    # in first-appearance order, so that the written curve does not depend on string hashing
     reference = {
         name: (0.0 if name == covariate else fit.modal_covariates[name])
-        for name in set(fit.scale_names + fit.shape_names) - {"(Intercept)"}
+        for name in fit.scale_names + fit.shape_names if name != "(Intercept)"
     }
     return vec(fit.scale_names), vec(fit.shape_names), reference
 

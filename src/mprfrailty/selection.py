@@ -84,37 +84,30 @@ class SelectionRow:
     note: str = ""
 
 
+# the table's columns after the model: (SelectionRow attribute and CSV heading,
+# text heading, text width); the text shows integers whole and floats to 2 places
+_COLUMNS = (("deviance_r", "-2p(h)", 10), ("df_r", "df_r", 5), ("raic", "rAIC", 10),
+            ("delta_raic", "drAIC", 8), ("deviance_c", "-2l_c", 10), ("df_c", "df_c", 7),
+            ("caic", "cAIC", 10), ("delta_caic", "dcAIC", 8))
+
+
 @dataclass
 class SelectionReport:
     rows: list
     failures: dict
 
     def to_csv_rows(self):
-        header = [
-            "model", "deviance_r", "df_r", "raic", "delta_raic",
-            "deviance_c", "df_c", "caic", "delta_caic",
-        ]
-        body = [
-            [
-                r.model,
-                f"{r.deviance_r:.10g}", f"{r.df_r:d}",
-                f"{r.raic:.10g}", f"{r.delta_raic:.10g}",
-                f"{r.deviance_c:.10g}", f"{r.df_c:.10g}",
-                f"{r.caic:.10g}", f"{r.delta_caic:.10g}",
-            ]
-            for r in self.rows
-        ]
-        return [header] + body
+        return [["model"] + [name for name, _, _ in _COLUMNS]] + [
+            [r.model] + [f"{getattr(r, name):.10g}" for name, _, _ in _COLUMNS]
+            for r in self.rows]
 
     def to_text(self):
-        lines = []
-        head = (
-            f"{'model':<6} {'-2p(h)':>10} {'df_r':>5} {'rAIC':>10} {'drAIC':>8} "
-            f"{'-2l_c':>10} {'df_c':>7} {'cAIC':>10} {'dcAIC':>8}"
-        )
-        lines.append(head)
-        lines.append("-" * len(head))
+        head = f"{'model':<6}" + "".join(f" {text:>{width}}" for _, text, width in _COLUMNS)
+        lines = [head, "-" * len(head)]
         for r in self.rows:
+            values = (getattr(r, name) for name, _, _ in _COLUMNS)
+            cells = "".join(f" {v:>{width}{'d' if isinstance(v, int) else '.2f'}}"
+                            for v, (_, _, width) in zip(values, _COLUMNS))
             mark = ""
             if r.delta_raic == 0.0:
                 mark += " <rAIC"
@@ -122,12 +115,7 @@ class SelectionReport:
                 mark += " <cAIC"
             if r.note:
                 mark += f" ({r.note})"
-            lines.append(
-                f"{r.model:<6} {r.deviance_r:>10.2f} {r.df_r:>5d} "
-                f"{r.raic:>10.2f} {r.delta_raic:>8.2f} "
-                f"{r.deviance_c:>10.2f} {r.df_c:>7.2f} "
-                f"{r.caic:>10.2f} {r.delta_caic:>8.2f}{mark}"
-            )
+            lines.append(f"{r.model:<6}{cells}{mark}")
         for model, reason in self.failures.items():
             lines.append(f"{model:<6} failed: {reason}")
         return "\n".join(lines)
@@ -141,26 +129,12 @@ def selection_report(fits, failures=None):
     """
     if not fits:
         raise ValueError("at least one completed fit is required")
-    rows = []
-    for f in fits:
-        rows.append(
-            SelectionRow(
-                model=f.structure,
-                deviance_r=f.deviance_profile,
-                df_r=f.df_r,
-                raic=f.raic,
-                delta_raic=0.0,
-                deviance_c=f.cond_deviance,
-                df_c=f.df_c,
-                caic=f.caic,
-                delta_caic=0.0,
-                converged=f.converged,
-                note="" if f.converged else "not converged",
-            )
-        )
-    raic_min = min(r.raic for r in rows)
-    caic_min = min(r.caic for r in rows)
-    for r in rows:
-        r.delta_raic = r.raic - raic_min
-        r.delta_caic = r.caic - caic_min
+    raic_min = min(f.raic for f in fits)
+    caic_min = min(f.caic for f in fits)
+    rows = [SelectionRow(model=f.structure, deviance_r=f.deviance_profile, df_r=f.df_r,
+                         raic=f.raic, delta_raic=f.raic - raic_min,
+                         deviance_c=f.cond_deviance, df_c=f.df_c,
+                         caic=f.caic, delta_caic=f.caic - caic_min,
+                         converged=f.converged, note="" if f.converged else "not converged")
+            for f in fits]
     return SelectionReport(rows=rows, failures=dict(failures or {}))

@@ -18,12 +18,12 @@ import numbers
 import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .baselines import inverse_cumulative_base, normalize_family
-from .data import BVNF, Dataset, normalize_structure
+from .data import BVNF, Dataset, csv_number, normalize_structure, plain
 from .errors import CalibrationError, DomainError, MPRFrailtyError, ScenarioError
 from .fitting import FitSettings, fit
 
@@ -136,37 +136,22 @@ class ScenarioSpec:
         return sizes
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "n_i": self.n_i,
-            "beta_true": list(self.beta_true),
-            "alpha_true": list(self.alpha_true),
-            "sigma_beta": self.sigma_beta,
-            "sigma_alpha": self.sigma_alpha,
-            "rho": self.rho,
-            "censor_rate": self.censor_rate,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "family": self.family,
-        }
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
+        """DomainError for a key that is not a field, or a missing field without a default."""
         if not isinstance(d, dict):
             raise DomainError(f"a scenario must be a JSON object, got {d!r}")
-        return cls(
-            q=d["q"],
-            n_i=d["n_i"],
-            beta_true=d["beta_true"],
-            alpha_true=d["alpha_true"],
-            sigma_beta=d["sigma_beta"],
-            sigma_alpha=d["sigma_alpha"],
-            rho=d["rho"],
-            censor_rate=d.get("censor_rate", 0.25),
-            replicates=d.get("replicates", 100),
-            seed=d.get("seed", 0),
-            family=d.get("family", "weibull"),
-        )
+        known = [f.name for f in fields(cls)]
+        unknown = [k for k in d if k not in known]
+        if unknown:
+            raise DomainError(f"unknown scenario key(s): {', '.join(map(str, unknown))}; "
+                              f"the keys are {', '.join(known)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise DomainError(f"missing scenario key(s): {', '.join(missing)}")
+        return cls(**d)
 
     @classmethod
     def read_json(cls, path):
@@ -352,23 +337,9 @@ class ScenarioSummary:
     failure_reasons: dict = field(default_factory=dict)
 
     def to_csv_text(self):
-        lines = ["parameter,truth,mean,se,see"]
-
-        def fmt(v):
-            return "NA" if v is None or not np.isfinite(v) else f"{v:.10g}"
-
-        for j, name in enumerate(self.param_names):
-            lines.append(
-                ",".join(
-                    [
-                        name,
-                        fmt(self.truth[j]),
-                        fmt(self.mean[j]),
-                        fmt(self.se[j]),
-                        fmt(self.see[j]),
-                    ]
-                )
-            )
+        rows = zip(self.param_names, self.truth, self.mean, self.se, self.see)
+        lines = ["parameter,truth,mean,se,see"] + [
+            ",".join([name, *map(csv_number, values)]) for name, *values in rows]
         return "\n".join(lines) + "\n"
 
 
@@ -376,24 +347,6 @@ def format_failure_reasons(reasons):
     """'NonConvergenceError x2, not converged x1': most frequent first."""
     ordered = sorted(reasons.items(), key=lambda kv: (-kv[1], kv[0]))
     return ", ".join(f"{reason} x{count}" for reason, count in ordered) or "none"
-
-
-def _truth_for(scenario, structure, names):
-    lookup = {
-        "sigma_beta": scenario.sigma_beta,
-        "sigma_alpha": scenario.sigma_alpha,
-        "rho": scenario.rho,
-    }
-    truth = []
-    m = len(scenario.beta_true)
-    for j, name in enumerate(names):
-        if j < m:
-            truth.append(scenario.beta_true[j])
-        elif j < 2 * m:
-            truth.append(scenario.alpha_true[j - m])
-        else:
-            truth.append(lookup.get(name))
-    return truth
 
 
 def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
@@ -453,6 +406,9 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
             "scenario aborted"
         )
     names = oks[0][0]
+    # the coefficients, then the dispersion, whose phi (CF) has no truth in a scenario
+    truth = [*scenario.beta_true, *scenario.alpha_true] + [
+        getattr(scenario, name, None) for name in names[2 * len(scenario.beta_true):]]
     est = np.vstack([e for _, e, _ in oks])
     see = np.vstack([s for _, _, s in oks])
     mean = est.mean(axis=0)
@@ -462,7 +418,7 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
     return ScenarioSummary(
         structure=structure,
         param_names=names,
-        truth=_truth_for(scenario, structure, names),
+        truth=truth,
         mean=mean,
         se=sd,
         see=see_mean,

@@ -28,6 +28,13 @@ def write_csv(path, dataset, binary=False):
     return path
 
 
+def source_env():
+    """The environment with this checkout's package first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     ds = small_weibull_dataset(seed=15, q=5, n_i=12, p=2)
@@ -273,6 +280,22 @@ class TestCmdSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "scenario_summary.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # read as 100 replicates at 25% censoring
+        ({"replicate": 5, "censor": 0.5}, "unknown scenario key(s): replicate, censor; "
+                                          "the keys are q, n_i, "),
+        # used to print only "error: bad scenario file: 'q'"
+        ({"q": None, "rho": None}, "missing scenario key(s): q, rho"),
+    ])
+    def test_unknown_or_missing_key_exits_1(self, tmp_path, capsys, edit, message):
+        cfg = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        cfg = {k: v for k, v in {**cfg, **edit}.items() if v is not None}
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        assert f"error: bad scenario file: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_summary.csv").exists()
+
     def test_unreachable_calibration_exits_4(self, tmp_path):
         scen = self.scenario_file(
             tmp_path, beta_true=[-8.0, 0.0, 0.0], alpha_true=[0.0, 0.0, 0.0],
@@ -298,7 +321,8 @@ def fit_file_with(saved_fit, tmp_path, **fields):
 
 
 WRONGLY_TYPED_FIT_FIELDS = [{"cluster_sizes": None}, {"dispersion": None},
-                            {"beta": None}, {"cov_theta": [1.0, 2.0]}]
+                            {"beta": None}, {"cov_theta": [1.0, 2.0]},
+                            {"scale_names": ["(Intercept)", ["x1"], "x2"]}]
 
 # fields that a written fit never holds a non-finite value in
 NON_FINITE_FIT_FIELDS = ["beta", "alpha", "v_beta", "v_alpha", "cov_theta", "dispersion"]
@@ -394,6 +418,40 @@ class TestCmdHr:
         err = capsys.readouterr().err
         assert "error: fit field" in err and repr(name) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("boot", ["0", "150"])
+    @pytest.mark.parametrize("fields, message", [
+        # a null mode used to give a curve of NA rows and exit 0
+        ({"modal_covariates": {"x1": 0.0, "x2": None}},
+         "fit field 'modal_covariates' holds None for 'x2', not a finite number"),
+        ({"binary_covariates": {"x1": True, "x2": "yes"}},
+         "fit field 'binary_covariates' holds 'yes' for 'x2', not true or false"),
+        # used to exit 1 with only "error: 'x2'"
+        ({"modal_covariates": {"x1": 0.0}}, "fit field 'modal_covariates' has no entry for x2"),
+        ({"binary_covariates": {"x1": True}},
+         "fit field 'binary_covariates' has no entry for x2"),
+    ])
+    def test_bad_covariate_map_exits_1(self, saved_fit, tmp_path, capsys, fields, message,
+                                       boot):
+        path = fit_file_with(saved_fit, tmp_path, **fields)
+        out = tmp_path / "hr"
+        assert main(["hr", "--fit", path, "--covariate", "x1", "--boot", boot,
+                     "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_does_not_depend_on_string_hashing(self, saved_fit, tmp_path):
+        # reference_covariates came from a set, so its key order followed the hash seed
+        written = []
+        for seed in ("0", "4"):
+            out = tmp_path / seed
+            run = subprocess.run(
+                [sys.executable, "-m", "mprfrailty.cli", "hr", "--fit", str(saved_fit),
+                 "--covariate", "x1", "--out", str(out)],
+                env=dict(source_env(), PYTHONHASHSEED=seed), capture_output=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            written.append([(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
+        assert written[0] == written[1]
 
     def test_null_standard_errors_and_deviances_read_as_nan(self, saved_fit, tmp_path):
         path = fit_file_with(saved_fit, tmp_path, **with_first_null(saved_fit, "se_beta"),
@@ -496,9 +554,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "result": result}))
 
 
 def test_scipy_optimize_and_special_load_on_first_fit(saved_fit, data_csv, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = source_env()
     scenario = json.dumps(dict(
         q=6, n_i=10, beta_true=[0.8, -0.4, 0.3], alpha_true=[0.3, 0.2, -0.2],
         sigma_beta=0.6, sigma_alpha=0.3, rho=-0.3, censor_rate=0.25, replicates=2, seed=5))

@@ -14,6 +14,7 @@ import scipy.linalg
 import scipy.optimize
 
 from mprfrailty import (
+    STRUCTURES,
     FitSettings,
     FrailtySpec,
     ModelFit,
@@ -325,6 +326,25 @@ class TestFit:
         assert back.cluster_labels == [str(c) for c in f.cluster_labels]
         assert np.array_equal(back.cov_theta, f.cov_theta)
         assert back.modal_covariates == f.modal_covariates
+
+    @pytest.mark.parametrize("structure, family, max_outer", [
+        *[(s, "weibull", None) for s in STRUCTURES], ("ScF", "weibull", 1), ("ScF", "gompertz", None)])
+    def test_to_dict_holds_json_types_in_field_order(self, structure, family, max_outer):
+        ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)
+        f = fit(ds, structure=structure, family=family,
+                settings=max_outer and FitSettings(max_outer=max_outer))
+        assert f.converged == (max_outer is None)
+
+        def json_types(value):
+            if type(value) is dict:
+                return all(type(k) is str and json_types(v) for k, v in value.items())
+            if type(value) is list:
+                return all(map(json_types, value))
+            return value is None or type(value) in (str, int, float, bool)
+
+        d = f.to_dict()
+        assert list(d) == [fl.name for fl in dataclasses.fields(ModelFit) if fl.name != "H"]
+        assert json_types(d)
 
     def test_gompertz_and_loglogistic_fit(self):
         ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)

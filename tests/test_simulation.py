@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -118,6 +119,27 @@ class TestScenarioSpec:
         path.write_text(json.dumps(spec.to_dict()))
         back = ScenarioSpec.read_json(path)
         assert back == spec
+
+    @pytest.mark.parametrize("n_i", [7, [1, 2, 3, 4, 5, 6],
+                                     {"sizes": [2, 5], "weights": [0.25, 0.75]}])
+    def test_dict_round_trip_at_non_default_values(self, n_i):
+        spec = ScenarioSpec(q=6, n_i=n_i, beta_true=(0.2, 0.3), alpha_true=(0.1, -0.4),
+                            sigma_beta=0.7, sigma_alpha=0.3, rho=0.2, censor_rate=0.4,
+                            replicates=9, seed=11, family="gompertz")
+        for f in dataclasses.fields(ScenarioSpec):
+            assert getattr(spec, f.name) != f.default
+        d = spec.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(ScenarioSpec)]
+        assert json.loads(json.dumps(d)) == d
+        assert ScenarioSpec.from_dict(d) == spec
+
+    def test_from_dict_names_unknown_and_missing_keys(self):
+        # a misspelt key used to be ignored, and a missing one raised a bare KeyError
+        d = scenario().to_dict()
+        with pytest.raises(DomainError, match="unknown scenario key.*: replicate, censor;"):
+            ScenarioSpec.from_dict({**d, "replicate": 5, "censor": 0.5})
+        with pytest.raises(DomainError, match=r"missing scenario key\(s\): q, rho$"):
+            ScenarioSpec.from_dict({k: v for k, v in d.items() if k not in ("q", "rho")})
 
 
 class TestGenCovariates:
