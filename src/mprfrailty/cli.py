@@ -13,6 +13,7 @@ is scriptable:
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -265,7 +266,7 @@ def cmd_hr(args):
             )
         else:
             curve = hazard_ratio_curve(model_fit, args.covariate, times)
-    except (OSError, KeyError, ValueError, MPRFrailtyError) as exc:
+    except (OSError, ValueError, MPRFrailtyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     os.makedirs(args.out, exist_ok=True)
@@ -283,18 +284,17 @@ def cmd_frailties(args):
     try:
         model_fit = _load_fit(args.fit)
         intervals = frailty_estimates(model_fit, args.component)
-    except (OSError, KeyError, ValueError, MPRFrailtyError) as exc:
+    except (OSError, ValueError, MPRFrailtyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"frailties_{args.component}")
-    with open(stem + ".csv", "w") as fh:
-        fh.write("cluster,size,estimate,lower,upper\n")
-        for iv in intervals:
-            fh.write(
-                f"{iv.cluster},{iv.cluster_size},{csv_number(iv.estimate)},"
-                f"{csv_number(iv.lower)},{csv_number(iv.upper)}\n"
-            )
+    with open(stem + ".csv", "w", newline="") as fh:
+        # quotes a label only where it holds a comma, a quote or a line break
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["cluster", "size", "estimate", "lower", "upper"])
+        writer.writerows([iv.cluster, iv.cluster_size, csv_number(iv.estimate),
+                          csv_number(iv.lower), csv_number(iv.upper)] for iv in intervals)
     _write_json(
         stem + ".json",
         [

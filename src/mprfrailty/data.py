@@ -37,6 +37,8 @@ STRUCTURES = (NF, SCF, SHF, IF, CF, BVNF)
 # |rho| is capped here so the correlated-frailty likelihood stays evaluable
 # while the common-frailty (CF) structure covers the exact boundary.
 RHO_CAP = 1.0 - 1e-6
+# Dispersion estimates below this are treated as boundary solutions.
+SIGMA_BOUNDARY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,9 @@ class FrailtyLaw:
     component and ``rho`` their correlation (None: 0).  Every column of L
     holds a 1, so component j is the frailty ``free[j]`` (0: v_beta,
     1: v_alpha), and every row at most one non-zero entry.
+
+    The fit searches the dispersion on the unconstrained scale z = (log sigma,
+    atanh rho, L's entries); the methods take values in the order of ``names``.
     """
 
     loading: tuple
@@ -93,6 +98,44 @@ class FrailtyLaw:
         return tuple(tuple(disp[e] if isinstance(e, str) else e for e in row)
                      for row in self.loading)
 
+    def _by_kind(self, values):
+        """``values`` as lists (standard deviations, correlation, L's entries)."""
+        values = list(values)
+        r = self.k + bool(self.rho)
+        return values[:self.k], values[self.k:r], values[r:]
+
+    def to_z(self, values):
+        """The values on the search scale, with rho first capped at +-RHO_CAP."""
+        sds, rho, entries = self._by_kind(values)
+        return np.array([math.log(v) for v in sds]
+                        + [math.atanh(min(max(v, -RHO_CAP), RHO_CAP)) for v in rho] + entries)
+
+    @cached_property
+    def _from_z(self):
+        """z -> value of each name, elementwise on a column of points, capped at the boundaries."""
+        return ([lambda z: np.maximum(np.exp(np.minimum(z, 50.0)), 1e-12)] * self.k
+                + [lambda z: np.minimum(np.maximum(np.tanh(z), -RHO_CAP), RHO_CAP)] * bool(self.rho)
+                + [np.float64] * len(self.loading_names))
+
+    def from_z(self, Z):
+        """The (names x points) values of a (points x names) batch Z of search-scale points."""
+        return (np.array([f(col) for f, col in zip(self._from_z, Z.T)]) if self.names
+                else np.empty((0, len(Z))))
+
+    def jacobian(self, values):
+        """d value / d z of each name at ``values``; the map is elementwise."""
+        sds, rho, entries = self._by_kind(values)
+        return np.array(sds + [1.0 - v**2 for v in rho] + [1.0] * len(entries))
+
+    def boundary_warnings(self, values):
+        """A warning for each standard deviation below SIGMA_BOUNDARY and for rho at its cap."""
+        sds, rho, _ = self._by_kind(values)
+        return [f"{name} collapsed to the boundary ({v:.2e}); consider the reduced "
+                "structure without this frailty component"
+                for name, v in zip(self.sigmas, sds) if v < SIGMA_BOUNDARY] + [
+            "rho reached the +-1 boundary cap; consider the CF structure"
+            for v in rho if abs(v) >= RHO_CAP]
+
 
 FRAILTY_LAWS = {
     NF: FrailtyLaw(loading=((), ()), sigmas=()),
@@ -102,33 +145,6 @@ FRAILTY_LAWS = {
     CF: FrailtyLaw(loading=((1.0,), ("phi",)), sigmas=("sigma_beta",)),
     BVNF: FrailtyLaw(loading=((1.0, 0.0), (0.0, 1.0)),
                      sigmas=("sigma_beta", "sigma_alpha"), rho="rho"),
-}
-
-
-@dataclass(frozen=True)
-class Transform:
-    """A dispersion parameter's map to the unconstrained search scale z."""
-
-    to_z: object      # natural value -> z
-    from_z: object    # z -> natural value, capped at the boundaries; elementwise on an array
-    jacobian: object  # d(natural)/dz at a natural value
-
-
-_SIGMA = Transform(
-    to_z=math.log,
-    from_z=lambda z: np.maximum(np.exp(np.minimum(z, 50.0)), 1e-12),
-    jacobian=lambda v: v,
-)
-
-TRANSFORMS = {
-    "sigma_beta": _SIGMA,
-    "sigma_alpha": _SIGMA,
-    "rho": Transform(
-        to_z=lambda v: math.atanh(min(max(v, -RHO_CAP), RHO_CAP)),
-        from_z=lambda z: np.minimum(np.maximum(np.tanh(z), -RHO_CAP), RHO_CAP),
-        jacobian=lambda v: 1.0 - v**2,
-    ),
-    "phi": Transform(to_z=lambda v: v, from_z=np.float64, jacobian=lambda v: 1.0),
 }
 
 

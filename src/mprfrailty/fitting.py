@@ -11,11 +11,14 @@ fixed-point iteration when its contraction is slow.
 Dispersion parameters are searched on an unconstrained scale
 (log sigma, atanh rho, phi as-is) so that boundary solutions such as
 rho -> 1 or sigma -> 0 are reachable as limits instead of domain errors.
+The structure's ``data.FrailtyLaw`` holds that scale, its caps and
+Jacobian, and the warnings for a fit that ends at a boundary.  Every
+structure takes the same path; NF, with no dispersion, runs no sweep.
 """
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -23,8 +26,6 @@ from .baselines import WEIBULL, normalize_family
 from .data import (
     FRAILTY_LAWS,
     NF,
-    RHO_CAP,
-    TRANSFORMS,
     FrailtySpec,
     build_design,
     combine,
@@ -47,9 +48,6 @@ from .hlik import (
     _penalty_blocks,
     logdet_pd,
 )
-
-# Dispersion estimates below this are treated as boundary solutions.
-SIGMA_BOUNDARY = 1e-6
 
 _OBJECTIVE_PENALTY = 1e12
 
@@ -140,25 +138,11 @@ def _newton(evaluator, x0):
         it += 1
 
 
-# -- dispersion transforms -----------------------------------------------------
-
-
-def transform_dispersion(structure, values):
-    """Map natural dispersion values to the unconstrained search scale."""
-    names = FRAILTY_LAWS[normalize_structure(structure)].names
-    return np.array([TRANSFORMS[n].to_z(v) for n, v in zip(names, values)])
-
-
-def back_transform_dispersion(structure, z):
-    """Inverse of :func:`transform_dispersion`, with boundary caps."""
-    names = FRAILTY_LAWS[normalize_structure(structure)].names
-    return tuple(float(TRANSFORMS[n].from_z(u)) for n, u in zip(names, np.asarray(z, dtype=float)))
-
-
 def _spec_with_z(structure, z):
-    values = back_transform_dispersion(structure, z)
-    return FrailtySpec(structure=structure,
-                       **dict(zip(FRAILTY_LAWS[structure].names, values)))
+    """The specification at the search-scale point z, capped at the boundaries."""
+    law = FRAILTY_LAWS[structure]
+    values = law.from_z(np.asarray(z, dtype=float)[None])[:, 0].tolist()
+    return FrailtySpec(structure, **dict(zip(law.names, values)))
 
 
 # the shifts of a start point tried, in order, when p is not evaluable there
@@ -196,7 +180,6 @@ class _DispersionObjective:
         self.best = None  # (p, z)
         self.n_eval = 0
         self._law = law = FRAILTY_LAWS[structure]
-        self._from_z = [TRANSFORMS[n].from_z for n in law.names]
         self._u = self.x[design.m_beta + design.m_alpha:].reshape(law.k, design.q)
         self._data = None  # (values of L's parameters, data part at them)
         # the rows of L's parameters among the dispersion values, whose first k
@@ -224,7 +207,7 @@ class _DispersionObjective:
         appearance; a group takes one data part, ell2 and log-det call for
         all its rows.  Neither counts evaluations nor keeps a best point.
         """
-        values = np.array([from_z(col) for from_z, col in zip(self._from_z, Z.T)])
+        values = self._law.from_z(Z)
         # a row with a non-finite value is outside the domain of FrailtySpec
         rows = list(range(len(Z)))
         if not np.isfinite(values).all():
@@ -437,7 +420,7 @@ class ModelFit:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of :meth:`to_dict`; DataError when a field has the wrong type.
+        """Inverse of :meth:`to_dict`; DataError when a field is missing or has the wrong type.
 
         A null number reads as nan, the value written for a non-finite float.
         A written fit never holds a non-finite estimate, so a null or nan in
@@ -448,8 +431,16 @@ class ModelFit:
         SEs and ``cluster_sizes`` with ``cluster_labels``, and ``cov_theta``
         with both coefficient blocks (m x m).  The names must be strings,
         ``modal_covariates`` must map every covariate in them to a finite
-        number, and ``binary_covariates`` every one to true or false.
+        number, and ``binary_covariates`` every one to true or false.  The
+        family and the structure must be known names; they read in canonical form.
         """
+        if not isinstance(d, dict):
+            raise DataError(f"a fit must be a JSON object, got {type(d).__name__}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING and f.name not in d]
+        if missing:
+            raise DataError(f"fit field(s) missing: {', '.join(missing)}")
+
         def typed(name, kind):
             if not isinstance(d[name], kind):
                 raise DataError(f"fit field {name!r} has the wrong type: {d[name]!r}")
@@ -473,7 +464,8 @@ class ModelFit:
             value = typed(name, (int, float, type(None)))
             return math.nan if value is None else float(value)
 
-        kw = {n: typed(n, str) for n in ("family", "structure")}
+        kw = {"family": normalize_family(typed("family", str)),
+              "structure": normalize_structure(typed("structure", str))}
         kw |= {n: list(typed(n, list)) for n in ("scale_names", "shape_names", "cluster_labels")}
         for n in ("scale_names", "shape_names"):
             if not all(isinstance(name, str) for name in kw[n]):
@@ -483,7 +475,7 @@ class ModelFit:
         finite("dispersion", array("dispersion", values=list(kw["dispersion"].values())))
         kw |= {n: finite(n, array(n)) for n in ("beta", "alpha", "v_beta", "v_alpha")}
         kw |= {n: array(n) for n in ("se_beta", "se_alpha")}
-        kw |= {n: None if d.get(n) is None else array(n) for n in ("se_v_beta", "se_v_alpha")}
+        kw |= {n: None if d[n] is None else array(n) for n in ("se_v_beta", "se_v_alpha")}
         kw |= {n: number(n) for n in ("deviance_profile", "cond_deviance", "df_c")}
         kw["cluster_sizes"] = array("cluster_sizes", dtype=int)
         for names, members in (("scale_names", ("beta", "se_beta")),
@@ -545,12 +537,6 @@ def _num_hessian(f, z, step=1e-4):
     return Hn
 
 
-def _dispersion_jacobian(structure, values):
-    """d(natural)/d(transformed), diagonal by construction."""
-    names = FRAILTY_LAWS[structure].names
-    return np.array([TRANSFORMS[n].jacobian(v) for n, v in zip(names, values)])
-
-
 def _initial_theta(design):
     """Fixed-effects Weibull fit from 0.01 starts, seeding the main fit."""
     ev = Evaluator(WEIBULL, design, FrailtySpec(NF))
@@ -585,34 +571,22 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     inner_total = init_res.iterations
     theta0 = np.concatenate([init_res.beta, init_res.alpha])
 
-    names = FRAILTY_LAWS[structure].names
-    if not names:
-        # no frailty: one Newton solve, nothing to alternate with
-        spec = FrailtySpec(structure)
-        res = _newton(Evaluator(family, design, spec), theta0.copy())
-        inner_total += res.iterations
-        profile = res.h - 0.5 * (logdet_pd(res.H) - res.H.dim * LOG_2PI)
-        return _assemble_fit(
-            family, design, dataset, spec, res, profile, None,
-            converged=True,
-            iterations={"outer": 0, "inner_total": inner_total},
-            fit_warnings=fit_warnings,
-        )
-
-    z = transform_dispersion(structure, [_START_DISPERSION] * len(names))
+    law = FRAILTY_LAWS[structure]
+    z = law.to_z([_START_DISPERSION] * len(law.names))
     spec = _spec_with_z(structure, z)
 
     ev = Evaluator(family, design, spec)
     start_v = np.full(design.q, 0.01)
     x = ev.layout.pack(theta0[: design.m_beta], theta0[design.m_beta:], start_v, start_v)
 
-    converged = False
+    # without dispersion parameters there is nothing to alternate with
+    converged = not law.names
     monotone = True
     outer_it = 0
     prev_estimates = None
     last_change = np.inf
-    resid_hist = []  # (z_out, residual) of recent iterations
-    for outer_it in range(1, settings.max_outer + 1):
+    prev = None  # (z_out, residual) of the previous sweep
+    for outer_it in range(1, (settings.max_outer if law.names else 0) + 1):
         # Step 1: (theta, v) at fixed dispersion
         res = _newton(Evaluator(family, design, spec), x)
         inner_total += res.iterations
@@ -623,7 +597,7 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         effort = "tight" if last_change < 1e-3 else "loose"
         outer = outer_dispersion(family, design, structure, z, x, effort=effort)
         z_out = outer.z
-        estimates = np.concatenate([x, back_transform_dispersion(structure, z_out)])
+        estimates = np.concatenate([x, list(outer.spec.dispersion().values())])
         if prev_estimates is not None:
             last_change = float(np.max(np.abs(estimates - prev_estimates)))
             if (last_change < OUTER_TOL and effort == "tight"
@@ -638,17 +612,15 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         # secant (Anderson depth-1) mix of the dispersion updates.
         resid = z_out - z
         z_next = z_out
-        if resid_hist and np.linalg.norm(resid) <= np.linalg.norm(resid_hist[-1][1]):
-            d_resid = resid - resid_hist[-1][1]
+        if prev is not None and np.linalg.norm(resid) <= np.linalg.norm(prev[1]):
+            d_resid = resid - prev[1]
             denom = float(d_resid @ d_resid)
             if denom > 1e-20:
                 gamma = float(resid @ d_resid) / denom
-                cand = z_out - gamma * (z_out - resid_hist[-1][0])
+                cand = z_out - gamma * (z_out - prev[0])
                 if np.all(np.isfinite(cand)) and np.max(np.abs(cand - z_out)) < 3.0:
                     z_next = cand
-        resid_hist.append((z_out, resid))
-        if len(resid_hist) > 1:
-            resid_hist.pop(0)
+        prev = (z_out, resid)
         z = z_next
         spec = _spec_with_z(structure, z)
 
@@ -665,28 +637,17 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         )
     if not (monotone and final.monotone):
         fit_warnings.append("inner step-halving accepted a non-increasing step")
-
-    values = back_transform_dispersion(structure, z)
-    for name, value in zip(names, values):
-        if name.startswith("sigma") and value < SIGMA_BOUNDARY:
-            fit_warnings.append(
-                f"{name} collapsed to the boundary ({value:.2e}); consider the "
-                "reduced structure without this frailty component"
-            )
-        if name == "rho" and abs(value) >= RHO_CAP:
-            fit_warnings.append(
-                "rho reached the +-1 boundary cap; consider the CF structure"
-            )
+    fit_warnings += law.boundary_warnings(spec.dispersion().values())
 
     return _assemble_fit(
-        family, design, dataset, spec, final, profile_loglik, (structure, z, final.x),
+        family, design, dataset, spec, final, profile_loglik, z,
         converged=converged,
         iterations={"outer": outer_it, "inner_total": inner_total},
         fit_warnings=fit_warnings,
     )
 
 
-def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, outer_state,
+def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, z,
                   converged, iterations, fit_warnings):
     H = inner.H
     lay = H.layout
@@ -718,7 +679,7 @@ def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, outer_st
     # conditional effective degrees of freedom: trace(H^-1 H*)
     df_c = H.df_c(v_blocks)
 
-    se_dispersion = _dispersion_se(family, design, spec, outer_state, fit_warnings)
+    se_dispersion = _dispersion_se(family, design, spec, z, inner.x, fit_warnings)
 
     modes, binary = _empirical_modes(dataset)
     return ModelFit(
@@ -752,8 +713,8 @@ def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, outer_st
     )
 
 
-def _dispersion_se(family, design, spec, outer_state, fit_warnings):
-    """Delta-method standard errors for the dispersion estimates.
+def _dispersion_se(family, design, spec, z_hat, x_hat, fit_warnings):
+    """Delta-method standard errors for the dispersion estimates at z_hat, x_hat.
 
     The curvature of the adjusted profile likelihood is measured on the
     transformed scale (central differences, step 1e-4) and mapped back.
@@ -761,8 +722,7 @@ def _dispersion_se(family, design, spec, outer_state, fit_warnings):
     names = spec.law.names
     if not names:
         return {}
-    structure, z_hat, x_hat = outer_state
-    obj = _DispersionObjective(family, design, structure, x_hat)
+    obj = _DispersionObjective(family, design, spec.structure, x_hat)
 
     def neg_p(Z):
         values = [_OBJECTIVE_PENALTY if p is None else -p for p in obj.profiles(Z)]
@@ -773,7 +733,7 @@ def _dispersion_se(family, design, spec, outer_state, fit_warnings):
     try:
         info_z = _num_hessian(neg_p, np.asarray(z_hat, dtype=float), step=1e-4)
         cov_z = np.linalg.inv(info_z)
-        jac = _dispersion_jacobian(structure, spec.dispersion().values())
+        jac = spec.law.jacobian(spec.dispersion().values())
         cov_nat = (jac[:, None] * cov_z) * jac[None, :]
         var = np.diag(cov_nat).copy()
         bad = var <= 0

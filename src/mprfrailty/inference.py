@@ -72,23 +72,15 @@ def _reference_vectors(fit, covariate):
         raise UnsupportedCovariateError(
             f"covariate {covariate!r} is not binary (0/1)"
         )
-
-    def vec(names):
-        out = np.empty(len(names))
-        for i, name in enumerate(names):
-            if name == "(Intercept)":
-                out[i] = 1.0
-            elif name == covariate:
-                out[i] = 0.0
-            else:
-                out[i] = fit.modal_covariates[name]
-        return out
-
     # in first-appearance order, so that the written curve does not depend on string hashing
     reference = {
         name: (0.0 if name == covariate else fit.modal_covariates[name])
         for name in fit.scale_names + fit.shape_names if name != "(Intercept)"
     }
+
+    def vec(names):
+        return np.array([1.0 if name == "(Intercept)" else reference[name] for name in names])
+
     return vec(fit.scale_names), vec(fit.shape_names), reference
 
 

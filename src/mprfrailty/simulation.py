@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .baselines import inverse_cumulative_base, normalize_family
-from .data import BVNF, Dataset, csv_number, normalize_structure, plain
+from .data import BVNF, FRAILTY_LAWS, Dataset, csv_number, normalize_structure, plain
 from .errors import CalibrationError, DomainError, MPRFrailtyError, ScenarioError
 from .fitting import FitSettings, fit
 
@@ -360,6 +360,7 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
     if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
     structure = normalize_structure(structure)
+    disp_names = FRAILTY_LAWS[structure].names
     settings = settings or FitSettings()
     reps = scenario.replicates
     children = np.random.SeedSequence(scenario.seed).spawn(reps + 1)
@@ -375,19 +376,9 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
             return ("error", (type(exc).__name__, f"{type(exc).__name__}: {exc}"))
         if not f.converged:
             return ("error", ("not converged", "fit did not converge"))
-        disp_names = list(f.spec.law.names)
-        est = np.concatenate(
-            [f.beta, f.alpha, [f.dispersion[k] for k in disp_names]]
-        )
-        see = np.concatenate(
-            [f.se_beta, f.se_alpha, [f.se_dispersion[k] for k in disp_names]]
-        )
-        names = (
-            [f"beta_{j}" for j in range(len(f.beta))]
-            + [f"alpha_{j}" for j in range(len(f.alpha))]
-            + disp_names
-        )
-        return ("ok", (names, est, see))
+        est = np.concatenate([f.beta, f.alpha, [f.dispersion[k] for k in disp_names]])
+        see = np.concatenate([f.se_beta, f.se_alpha, [f.se_dispersion[k] for k in disp_names]])
+        return ("ok", (est, see))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -405,12 +396,13 @@ def run_scenario(scenario, structure=BVNF, settings=None, threads=1):
             f"({format_failure_reasons(reasons)}; first: {errors[0][1]}); "
             "scenario aborted"
         )
-    names = oks[0][0]
+    names = ([f"beta_{j}" for j in range(len(scenario.beta_true))]
+             + [f"alpha_{j}" for j in range(len(scenario.alpha_true))] + list(disp_names))
     # the coefficients, then the dispersion, whose phi (CF) has no truth in a scenario
     truth = [*scenario.beta_true, *scenario.alpha_true] + [
-        getattr(scenario, name, None) for name in names[2 * len(scenario.beta_true):]]
-    est = np.vstack([e for _, e, _ in oks])
-    see = np.vstack([s for _, _, s in oks])
+        getattr(scenario, name, None) for name in disp_names]
+    est = np.vstack([e for e, _ in oks])
+    see = np.vstack([s for _, s in oks])
     mean = est.mean(axis=0)
     sd = est.std(axis=0, ddof=1) if len(oks) > 1 else np.full(est.shape[1], np.nan)
     with np.errstate(invalid="ignore"):

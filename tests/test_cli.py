@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -313,11 +314,26 @@ def saved_fit(data_csv, tmp_path_factory):
     return out / "fit_ScF.json"
 
 
+# a field value that fit_file_with drops
+DROP = object()
+
+
 def fit_file_with(saved_fit, tmp_path, **fields):
-    """A copy of the saved fit JSON with ``fields`` replaced."""
+    """A copy of the saved fit JSON with ``fields`` replaced, or dropped where DROP."""
     path = tmp_path / "edited_fit.json"
-    path.write_text(json.dumps({**json.loads(saved_fit.read_text()), **fields}))
+    edited = {**json.loads(saved_fit.read_text()), **fields}
+    path.write_text(json.dumps({k: v for k, v in edited.items() if v is not DROP}))
     return str(path)
+
+
+# a missing field or an unknown name: these exited 1 with only the text of a
+# KeyError ("error: 'beta'", "error: 'XYZ'"), and frailties took family "foo"
+UNREADABLE_FIT_FIELDS = [
+    ({"beta": DROP}, "fit field(s) missing: beta"),
+    ({"warnings": DROP, "cov_theta": DROP, "beta": DROP}, "fit field(s) missing: beta, cov_theta"),
+    ({"structure": "XYZ"}, "unknown frailty structure 'XYZ'"),
+    ({"family": "foo"}, "unknown baseline family 'foo'"),
+]
 
 
 WRONGLY_TYPED_FIT_FIELDS = [{"cluster_sizes": None}, {"dispersion": None},
@@ -440,6 +456,15 @@ class TestCmdHr:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, message", UNREADABLE_FIT_FIELDS)
+    def test_missing_field_or_unknown_name_exits_1(self, saved_fit, tmp_path, capsys, fields,
+                                                   message):
+        path = fit_file_with(saved_fit, tmp_path, **fields)
+        out = tmp_path / "hr"
+        assert main(["hr", "--fit", path, "--covariate", "x1", "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_does_not_depend_on_string_hashing(self, saved_fit, tmp_path):
         # reference_covariates came from a set, so its key order followed the hash seed
         written = []
@@ -499,6 +524,41 @@ class TestCmdFrailties:
                      "--out", str(out)]) == 1
         assert f"fit field {name!r} holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", UNREADABLE_FIT_FIELDS)
+    def test_missing_field_or_unknown_name_exits_1(self, saved_fit, tmp_path, capsys, fields,
+                                                   message):
+        path = fit_file_with(saved_fit, tmp_path, **fields)
+        out = tmp_path / "fr"
+        assert main(["frailties", "--fit", path, "--component", "scale",
+                     "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_labels_with_comma_quote_or_line_break_read_back(self, tmp_path):
+        # a label with a comma was written unquoted, giving a 6-field row under 5 names
+        ds = small_weibull_dataset(seed=15, q=5, n_i=12, p=2)
+        names = ["site 3, ward A", 'the "east" wing', "two\nlines", "plain", "B-7"]
+        labels = {c: names[i] for i, c in enumerate(ds.cluster_labels())}
+        data = tmp_path / "labels.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cluster", "time", "status", *ds.covariate_names])
+            writer.writerows([labels[c], repr(float(t)), int(s), *map(repr, map(float, x))]
+                             for c, t, s, x in zip(ds.clusters, ds.time, ds.status,
+                                                   ds.covariates))
+        assert main(["fit", "--data", str(data), "--structure", "ScF",
+                     "--out", str(tmp_path)]) == 0
+        out = tmp_path / "fr"
+        assert main(["frailties", "--fit", str(tmp_path / "fit_ScF.json"),
+                     "--component", "scale", "--out", str(out)]) == 0
+        with open(out / "frailties_scale.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["cluster", "size", "estimate", "lower", "upper"]
+        assert all(len(row) == 5 for row in rows)
+        assert sorted(row[0] for row in rows[1:]) == sorted(names)
+        # a plain label is written as it is
+        assert "\nplain,12," in (out / "frailties_scale.csv").read_text()
 
     @pytest.mark.parametrize("name", MISMATCHED_FIT_FIELDS)
     def test_mismatched_length_exits_1(self, saved_fit, tmp_path, capsys, name):

@@ -33,14 +33,12 @@ from mprfrailty.fitting import (
     _OBJECTIVE_PENALTY,
     _DispersionObjective,
     OuterResult,
-    _dispersion_jacobian,
     _newton,
     _spec_with_z,
-    back_transform_dispersion,
     outer_dispersion,
-    transform_dispersion,
 )
-from mprfrailty.data import FRAILTY_LAWS, TRANSFORMS
+from mprfrailty import fitting
+from mprfrailty.data import FRAILTY_LAWS, RHO_CAP, SIGMA_BOUNDARY
 from mprfrailty.hlik import DENSE_MAX_DIM, LOG_2PI, Curvature, Evaluator
 
 from ._oracles import nf_negloglik, rel_err
@@ -179,8 +177,8 @@ class TestOuterDispersion:
             ("CF", (0.8, -1.3)),
             ("BVNF", (0.9, 0.4, -0.55)),
         ]:
-            z = transform_dispersion(structure, values)
-            back = back_transform_dispersion(structure, z)
+            law = FRAILTY_LAWS[structure]
+            back = law.from_z(law.to_z(values)[None])[:, 0]
             assert back == pytest.approx(values, rel=1e-12)
 
     @pytest.mark.parametrize("structure, values", [
@@ -192,20 +190,59 @@ class TestOuterDispersion:
         ("BVNF", (0.9, 0.4, -0.9)),
     ])
     def test_jacobian_matches_central_differences(self, structure, values):
-        z = transform_dispersion(structure, values)
+        law = FRAILTY_LAWS[structure]
+        z = law.to_z(values)
         step = 1e-6
         fd = np.empty((len(z), len(z)))
         for i in range(len(z)):
             e = np.zeros(len(z))
             e[i] = step
-            fd[:, i] = (np.array(back_transform_dispersion(structure, z + e))
-                        - np.array(back_transform_dispersion(structure, z - e))) / (2 * step)
-        jac = _dispersion_jacobian(structure, values)
+            fd[:, i] = (law.from_z((z + e)[None]) - law.from_z((z - e)[None]))[:, 0] / (2 * step)
+        jac = law.jacobian(values)
         assert fd == pytest.approx(np.diag(jac), rel=1e-8, abs=1e-9)
 
     def test_rho_cap(self):
-        vals = back_transform_dispersion("BVNF", np.array([0.0, 0.0, 50.0]))
+        vals = FRAILTY_LAWS["BVNF"].from_z(np.array([[0.0, 0.0, 50.0]]))[:, 0]
         assert vals[2] == pytest.approx(1.0 - 1e-6)
+
+    def test_boundary_warnings(self):
+        def collapsed(name, value):
+            return (f"{name} collapsed to the boundary ({value}); consider the reduced "
+                    "structure without this frailty component")
+
+        cap = "rho reached the +-1 boundary cap; consider the CF structure"
+        low = SIGMA_BOUNDARY / 2
+        for structure, values, want in [
+            ("ScF", (low,), [collapsed("sigma_beta", "5.00e-07")]),
+            ("ShF", (low,), [collapsed("sigma_alpha", "5.00e-07")]),
+            ("IF", (low, 1e-12), [collapsed("sigma_beta", "5.00e-07"),
+                                  collapsed("sigma_alpha", "1.00e-12")]),
+            ("IF", (0.5, low), [collapsed("sigma_alpha", "5.00e-07")]),
+            ("CF", (low, -3.0), [collapsed("sigma_beta", "5.00e-07")]),
+            ("BVNF", (low, low, RHO_CAP), [collapsed("sigma_beta", "5.00e-07"),
+                                           collapsed("sigma_alpha", "5.00e-07"), cap]),
+            ("BVNF", (0.5, 0.4, -RHO_CAP), [cap]),
+            # inside the bounds, the bounds themselves included
+            ("NF", (), []),
+            ("ScF", (SIGMA_BOUNDARY,), []),
+            ("IF", (SIGMA_BOUNDARY, 2.0), []),
+            ("CF", (0.5, 0.0), []),
+            ("BVNF", (SIGMA_BOUNDARY, 0.5, 0.999), []),
+            ("BVNF", (0.5, 0.5, -0.999), []),
+        ]:
+            assert FRAILTY_LAWS[structure].boundary_warnings(values) == want
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_from_z_batch_equals_one_row_calls(self, structure):
+        law = FRAILTY_LAWS[structure]
+        k = len(law.names)
+        rows = [np.full(k, v) for v in (0.0, -0.7, 1.3, 60.0, -60.0, np.inf, -np.inf, np.nan)]
+        rows += [np.linspace(-2.0, 2.0, k), np.where(np.arange(k) == k - 1, np.nan, 0.4)]
+        Z = np.array(rows).reshape(len(rows), k)
+        values = law.from_z(Z)
+        assert values.shape == (k, len(Z))
+        for j in range(len(Z)):
+            assert np.array_equal(values[:, j], law.from_z(Z[j:j + 1])[:, 0], equal_nan=True)
 
     def test_start_point_invariance(self, small_dataset):
         # the maximizer should not depend on small start perturbations
@@ -213,7 +250,7 @@ class TestOuterDispersion:
         spec = FrailtySpec("ScF", sigma_beta=0.5)
         inner = newton_at(design, spec, np.full(2, 0.01), np.full(2, 0.01),
                           np.full(design.q, 0.01))
-        z0 = transform_dispersion("ScF", (0.5,))
+        z0 = FRAILTY_LAWS["ScF"].to_z((0.5,))
         r1 = outer_dispersion("weibull", design, "ScF", z0, inner.x)
         r2 = outer_dispersion("weibull", design, "ScF", z0 + 0.05, inner.x)
         assert r1.z == pytest.approx(r2.z, abs=1e-4)
@@ -359,6 +396,21 @@ class TestFit:
         assert f.iterations["outer"] >= 1
         assert f.iterations["inner_total"] >= 1
 
+    def test_nf_fit_warns_of_a_non_increasing_step(self, small_dataset, monkeypatch):
+        # NF shares the other structures' final solve and its warnings
+        newton = fitting._newton
+        monkeypatch.setattr(fitting, "_newton", lambda ev, x0: dataclasses.replace(
+            newton(ev, x0), monotone=False))
+        patched = fit(small_dataset, structure="NF", family="gompertz")
+        assert patched.warnings == ["inner step-halving accepted a non-increasing step"]
+        monkeypatch.undo()
+        f = fit(small_dataset, structure="NF", family="gompertz")
+        assert f.warnings == []
+        # the Gompertz solve takes Newton steps from the Weibull start
+        init = fitting._initial_theta(build_design(small_dataset))
+        assert f.iterations["outer"] == 0 and f.iterations["inner_total"] > init.iterations
+        assert np.array_equal(patched.beta, f.beta) and np.array_equal(patched.alpha, f.alpha)
+
     def test_outer_ascent_on_regular_fixture(self):
         # the alternation is not a joint ascent scheme in general, but on a
         # well-behaved problem the matched profile should climb steadily
@@ -368,7 +420,6 @@ class TestFit:
             _newton,
             _spec_with_z,
             outer_dispersion,
-            transform_dispersion,
         )
         from mprfrailty.hlik import LOG_2PI, logdet_pd
 
@@ -379,7 +430,7 @@ class TestFit:
         ds = simulate_dataset(spec_sc, 2.17, np.random.default_rng(3))
         design = build_design(ds)
         init = _initial_theta(design)
-        z = transform_dispersion("BVNF", (_START_DISPERSION,) * 3)
+        z = FRAILTY_LAWS["BVNF"].to_z((_START_DISPERSION,) * 3)
         spec = _spec_with_z("BVNF", z)
         ev = Evaluator("weibull", design, spec)
         x = ev.layout.pack(init.beta, init.alpha,
@@ -444,7 +495,7 @@ def _objective_fixture(structure, q):
                       alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0,
                       sigma_alpha=0.5, rho=-0.5, censor_rate=0.25, seed=q)
     design = build_design(simulate_dataset(sc, 2.0, np.random.default_rng(q)))
-    z = transform_dispersion(structure, {
+    z = FRAILTY_LAWS[structure].to_z({
         "ScF": (0.8,), "ShF": (0.6,), "IF": (0.8, 0.6), "CF": (0.8, 0.5),
         "BVNF": (0.8, 0.6, -0.4)}[structure])
     res = newton_at(design, _spec_with_z(structure, z), np.zeros(3), np.zeros(3))
@@ -548,7 +599,7 @@ def _sequential_profiles(design, structure, x, Z, modify=None):
     u = x[design.m_beta + design.m_alpha:].reshape(law.k, design.q)
     ps, best = [], None
     for z in Z:
-        disp = {n: TRANSFORMS[n].from_z(v) for n, v in zip(law.names, z)}
+        disp = dict(zip(law.names, law.from_z(np.asarray(z, dtype=float)[None])[:, 0]))
         p = None
         if all(math.isfinite(v) for v in disp.values()):
             fresh = copy.copy(design)
