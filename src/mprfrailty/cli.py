@@ -193,9 +193,8 @@ def cmd_compare(args):
     report = selection_report(list(fits.values()), failures)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "selection.csv")
-    with open(csv_path, "w") as fh:
-        for row in report.to_csv_rows():
-            fh.write(",".join(str(c) for c in row) + "\n")
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(report.to_csv_rows())
     text = report.to_text()
     lrt_lines = []
     if "NF" in fits:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DataError, DomainError
 
@@ -305,10 +304,11 @@ class Dataset:
     def read_csv(cls, path):
         """Read the `cluster,time,status,<covariate>...` CSV schema.
 
-        The header row is required.  Parse failures raise
-        :class:`DataError` carrying the 1-based data row number.  The file
-        is read as UTF-8 whatever the locale, with or without the byte-order
-        mark that spreadsheet programs write.
+        The header row is required, and no cluster label or covariate name
+        may be blank.  Parse failures raise :class:`DataError` carrying the
+        1-based data row number.  The file is read as UTF-8 whatever the
+        locale, with or without the byte-order mark that spreadsheet
+        programs write.
         """
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -327,6 +327,9 @@ class Dataset:
                     f"got {header[:3]}"
                 )
             covariate_names = header[3:]
+            for column, name in enumerate(covariate_names, start=4):
+                if not name:
+                    raise DataError(f"covariate name in column {column} is blank")
             clusters, times, statuses, rows = [], [], [], []
             for i, row in enumerate(reader, start=1):
                 if not row or all(not c.strip() for c in row):
@@ -335,7 +338,10 @@ class Dataset:
                     raise DataError(
                         f"expected {len(header)} fields, got {len(row)}", row=i
                     )
-                clusters.append(row[0].strip())
+                label = row[0].strip()
+                if not label:
+                    raise DataError("cluster label is blank", row=i)
+                clusters.append(label)
                 try:
                     t = float(row[1])
                 except ValueError:
@@ -409,8 +415,11 @@ class ModelDesign:
         cluster sums of w.  The intercept rows of S_beta and S_alpha are
         Z' too.  scipy's CSR product adds every entry from 0.0 in stored
         order, which gives each sum the bits of ``np.bincount`` over the
-        records.  Built once per design.
+        records.  Built once per design, at its first record pass, which is
+        also where a process first loads scipy.sparse.
         """
+        import scipy.sparse
+
         n, q = self.n, self.q
         # 32-bit indices where they fit: half the memory of 64-bit ones
         nnz = (1 + self.m_beta + self.m_alpha) * n

@@ -18,6 +18,10 @@ L and x: the accepted step of a Newton iteration, Step 2's batched
 profile, the next sweep's first Newton assembly and the final re-solve
 take it from there, with the same bits.  Each fit builds its own design;
 the pass is replaced as one attribute and used only at an equal key.
+
+Importing this module loads numpy alone.  The Cholesky factorizations
+call LAPACK's dpotrf and dpotrs through scipy.linalg, which loads at a
+process's first factorization (``_bind_lapack``).
 """
 
 import math
@@ -26,7 +30,6 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 from .baselines import BASELINES, normalize_family
 from .data import LINPRED_MAX, combine
@@ -191,9 +194,22 @@ _SCHUR_POINTS = 7
 
 # the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
 # without their checks; positional (lower=1, clean=0, overwrite_a=1) and
-# (lower=1): keywords cost 0.7 us a call
-_POTRF = scipy.linalg.lapack.dpotrf
-_POTRS = scipy.linalg.lapack.dpotrs
+# (lower=1): keywords cost 0.7 us a call.  scipy.linalg loads at the first
+# factorization, not at import: the two stubs below rebind both names to the
+# f2py routines on their first call, so every later call is the direct one.
+def _bind_lapack():
+    global _POTRF, _POTRS
+    from scipy.linalg.lapack import dpotrf as _POTRF, dpotrs as _POTRS
+
+
+def _POTRF(*args, **kwargs):
+    _bind_lapack()
+    return _POTRF(*args, **kwargs)
+
+
+def _POTRS(*args, **kwargs):
+    _bind_lapack()
+    return _POTRS(*args, **kwargs)
 
 
 def _cholesky(H):

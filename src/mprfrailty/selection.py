@@ -13,7 +13,7 @@ chi-square distributions with 0 and 1 degrees of freedom.
 
 from dataclasses import dataclass
 
-from .data import IF, NF, SCF, SHF
+from .data import IF, NF, SCF, SHF, csv_number
 from .errors import MPRFrailtyError
 
 # 90th percentile of chi2(1): the 5% critical value of the
@@ -97,9 +97,17 @@ class SelectionReport:
     failures: dict
 
     def to_csv_rows(self):
-        return [["model"] + [name for name, _, _ in _COLUMNS]] + [
-            [r.model] + [f"{getattr(r, name):.10g}" for name, _, _ in _COLUMNS]
-            for r in self.rows]
+        """The table as CSV cells: one row per fit, then one per failed structure.
+
+        ``converged`` is true or false; ``note`` is empty, "not converged", or
+        a failed structure's reason, whose numeric cells are NA.
+        """
+        head = ["model"] + [name for name, _, _ in _COLUMNS] + ["converged", "note"]
+        fitted = [[r.model] + [csv_number(getattr(r, name)) for name, _, _ in _COLUMNS]
+                  + [str(r.converged).lower(), r.note] for r in self.rows]
+        failed = [[model] + [csv_number(None)] * len(_COLUMNS) + ["false", reason]
+                  for model, reason in self.failures.items()]
+        return [head] + fitted + failed
 
     def to_text(self):
         head = f"{'model':<6}" + "".join(f" {text:>{width}}" for _, text, width in _COLUMNS)
@@ -125,7 +133,8 @@ def selection_report(fits, failures=None):
     """Build the comparison table from completed fits.
 
     ``failures`` maps structure names that could not be fitted to the
-    reason; they appear as annotations, not as rows.
+    reason; they appear as annotations in the text and as rows of NA in
+    the CSV.
     """
     if not fits:
         raise ValueError("at least one completed fit is required")

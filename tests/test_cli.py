@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mprfrailty import Dataset, ModelFit, bootstrap_hr_ci, fit, frailty_estimates
+from mprfrailty import (
+    CurvatureError,
+    Dataset,
+    ModelFit,
+    bootstrap_hr_ci,
+    fit,
+    frailty_estimates,
+)
 from mprfrailty.cli import build_parser, main
 
 from .conftest import small_weibull_dataset
@@ -105,6 +112,22 @@ class TestCmdFit:
         assert code == 1
         assert "covariate named more than once: x1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["label", "name"])
+    def test_blank_cluster_label_or_covariate_name_exits_1(self, data_csv, tmp_path, capsys,
+                                                            where):
+        lines = Path(data_csv).read_text().splitlines()
+        if where == "label":
+            lines[3] = "  " + lines[3][lines[3].index(","):]
+        else:
+            lines = [lines[0] + ","] + [line + ",0" for line in lines[1:]]
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--data", str(path), "--structure", "ScF", "--out", str(tmp_path)])
+        assert code == 1
+        assert {"label": "row 3: cluster label is blank",
+                "name": "covariate name in column 6 is blank"}[where] in capsys.readouterr().err
+        assert not (tmp_path / "fit_ScF.json").exists()
+
     def test_repeated_scale_covariate_exits_1(self, data_csv, tmp_path, capsys):
         code = main(["fit", "--data", data_csv, "--structure", "ScF",
                      "--scale-covariates", "x1,x1", "--out", str(tmp_path)])
@@ -140,6 +163,29 @@ class TestCmdCompare:
         txt = (out / "selection.txt").read_text()
         assert "LRT NF vs ScF" in txt
         assert "LRT NF vs ShF" in txt
+
+    def test_selection_csv_marks_non_convergence_and_failures(self, data_csv, tmp_path,
+                                                              monkeypatch):
+        import mprfrailty.cli
+
+        def fit_or_fail(dataset, structure, **kwargs):
+            if structure == "CF":
+                raise CurvatureError('lost curvature, at "x"')
+            return fit(dataset, structure=structure, **kwargs)
+
+        monkeypatch.setattr(mprfrailty.cli, "fit", fit_or_fail)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--data", data_csv, "--structures", "NF,ScF,BVNF,CF",
+                     "--max-outer", "2", "--out", str(out)]) == 0
+        with open(out / "selection.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-2:] == ["converged", "note"]
+        assert all(len(row) == 11 for row in rows)
+        by_model = {row[0]: row for row in rows[1:]}
+        assert by_model["NF"][-2:] == ["true", ""]
+        assert by_model["ScF"][-2:] == by_model["BVNF"][-2:] == ["false", "not converged"]
+        assert by_model["CF"] == ["CF"] + ["NA"] * 8 + [
+            "false", 'CurvatureError: lost curvature, at "x"']
 
     def test_single_structure_rejected(self, data_csv, tmp_path):
         assert main(["compare", "--data", data_csv, "--structures", "NF",
@@ -573,25 +619,31 @@ class TestCmdFrailties:
         assert not out.exists()
 
 
-# Run in a fresh interpreter.  Prints which scipy subpackages that only fits
-# or the LRT use are loaded after `import mprfrailty.cli`, after `hr` and
-# `frailties` on a saved fit, and after the process's first fit; then that
-# fit's output.  The first fit is either `fit` or a run_scenario whose two
-# worker threads import scipy.optimize at once, followed by a serial rerun.
+# Run in a fresh interpreter.  Prints every scipy module loaded after `import
+# mprfrailty.cli`, after `hr` and `frailties` on a saved fit, and which of LAZY are
+# loaded after the process's first fit; then that fit's output.  The first fit is
+# either `fit` or a run_scenario whose two worker threads import scipy at once,
+# followed by a serial rerun.
 START_UP_PROBE = """
 import contextlib, io, json, sys
 import mprfrailty.cli
 
-LAZY = ("scipy.stats", "scipy.optimize", "scipy.special")
+LAZY = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats")
 fit_path, data_csv, out, first_fit, scenario = sys.argv[1:]
-loaded = {"import": [m for m in LAZY if m in sys.modules]}
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+loaded = {"import": scipy_modules()}
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [mprfrailty.cli.main(["hr", "--fit", fit_path, "--covariate", "x1",
                                   "--boot", "150", "--out", out])]
-    loaded["hr"] = [m for m in LAZY if m in sys.modules]
+    loaded["hr"] = scipy_modules()
     codes.append(mprfrailty.cli.main(["frailties", "--fit", fit_path,
                                       "--component", "scale", "--out", out]))
-    loaded["frailties"] = [m for m in LAZY if m in sys.modules]
+    loaded["frailties"] = scipy_modules()
 
 
 def summary_json(threads):
@@ -613,7 +665,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "result": result}))
 """
 
 
-def test_scipy_optimize_and_special_load_on_first_fit(saved_fit, data_csv, tmp_path):
+def test_no_scipy_module_loads_before_the_first_fit(saved_fit, data_csv, tmp_path):
     env = source_env()
     scenario = json.dumps(dict(
         q=6, n_i=10, beta_true=[0.8, -0.4, 0.3], alpha_true=[0.3, 0.2, -0.2],
@@ -628,9 +680,11 @@ def test_scipy_optimize_and_special_load_on_first_fit(saved_fit, data_csv, tmp_p
         probes[first_fit] = json.loads(out.stdout.splitlines()[-1])
     for probe in probes.values():
         assert probe["codes"] == [0, 0]
-        # scipy.stats is scipy's slowest import; the LRT needs only chdtrc
+        # LAPACK, the cluster sums, the outer search and chdtrc load with the first
+        # fit; scipy.stats, scipy's slowest import, never does
         assert probe["loaded"] == {"import": [], "hr": [], "frailties": [],
-                                   "first fit": ["scipy.optimize", "scipy.special"]}
+                                   "first fit": ["scipy.linalg", "scipy.optimize",
+                                                 "scipy.sparse", "scipy.special"]}
     want = fit(Dataset.read_csv(data_csv), structure="ScF")
     assert probes["fit"]["result"] == [json.dumps(want.to_dict(), sort_keys=True)]
     threads_2, threads_1 = probes["scenario"]["result"]

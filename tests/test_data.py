@@ -132,6 +132,22 @@ class TestReadCsv(object):
         with pytest.raises(DataError):
             Dataset.read_csv(path)
 
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_blank_cluster_label_reports_row(self, tmp_path, label):
+        # a blank label used to pool its rows into one cluster named ""
+        path = self._write(tmp_path, f"cluster,time,status,age\nA,1.0,1,0.1\n{label},2.0,0,0.2\n")
+        with pytest.raises(DataError, match="cluster label is blank") as err:
+            Dataset.read_csv(path)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("header, column", [("cluster,time,status,age,", 5),
+                                                 ("cluster,time,status, ,age", 4)])
+    def test_blank_covariate_name_reports_column(self, tmp_path, header, column):
+        # a blank name used to fit a coefficient with no name
+        path = self._write(tmp_path, f"{header}\nA,1.0,1,0.1,0.2\n")
+        with pytest.raises(DataError, match=f"covariate name in column {column} is blank"):
+            Dataset.read_csv(path)
+
     def test_byte_order_mark_and_non_ascii_labels(self, tmp_path):
         # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
         text = "cluster,time,status,age\nZürich,1.0,1,0.1\nZürich,2.0,0,0.2\nMálaga,0.5,1,-0.3\n"

@@ -136,9 +136,18 @@ class TestSelectionReport:
         rows = report.to_csv_rows()
         assert rows[0] == [
             "model", "deviance_r", "df_r", "raic", "delta_raic",
-            "deviance_c", "df_c", "caic", "delta_caic",
+            "deviance_c", "df_c", "caic", "delta_caic", "converged", "note",
         ]
         assert len(rows) == 2
+        assert rows[1] == ["NF", "100", "0", "100", "0", "0", "0", "0", "0", "true", ""]
+
+    def test_csv_row_of_a_failed_structure(self):
+        # a structure that raised used to have no row in the CSV
+        report = selection_report([stub_fit("NF", 100.0, 0)],
+                                  failures={"BVNF": "CurvatureError: boom, twice"})
+        rows = report.to_csv_rows()
+        assert [row[0] for row in rows[1:]] == ["NF", "BVNF"]
+        assert rows[2] == ["BVNF"] + ["NA"] * 8 + ["false", "CurvatureError: boom, twice"]
 
     def test_text_marks_best_and_failures(self):
         report = selection_report(
@@ -155,7 +164,10 @@ class TestSelectionReport:
         nf_line, scf_line = report.to_text().splitlines()[2:]
         assert scf_line.startswith("ScF") and scf_line.endswith(" (not converged)")
         assert "not converged" not in nf_line
-        assert report.to_csv_rows()[2][0] == "ScF" and len(report.to_csv_rows()[2]) == 9
+        # the CSV says so too: it used to carry no column for it
+        scf_row = report.to_csv_rows()[2]
+        assert scf_row[0] == "ScF" and len(scf_row) == 11
+        assert scf_row[-2:] == ["false", "not converged"]
 
     def test_nested_deviance_ordering_on_real_fits(self):
         ds = small_weibull_dataset(seed=2, q=5, n_i=10)
