@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fitting import FitSettings, ModelFit, fit
 from .inference import bootstrap_hr_ci, frailty_estimates, hazard_ratio_curve
-from .selection import frailty_lrt, selection_report
+from .selection import frailty_lrt, selection_report  # noqa: F401 (bench/spans.py wraps frailty_lrt)
 from .simulation import ScenarioSpec, format_failure_reasons, run_scenario
 
 EXIT_OK = 0
@@ -196,22 +196,6 @@ def cmd_compare(args):
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(report.to_csv_rows())
     text = report.to_text()
-    lrt_lines = []
-    if "NF" in fits:
-        for alt in ("ScF", "ShF"):
-            if alt in fits:
-                try:
-                    res = frailty_lrt(fits["NF"], fits[alt])
-                except MPRFrailtyError as exc:
-                    lrt_lines.append(f"LRT NF vs {alt}: failed ({exc})")
-                    continue
-                verdict = "significant" if res.significant else "not significant"
-                lrt_lines.append(
-                    f"LRT NF vs {alt}: statistic {res.statistic:.3f} vs "
-                    f"{res.critical_value:.2f} -> {verdict}"
-                )
-    if lrt_lines:
-        text += "\n" + "\n".join(lrt_lines)
     with open(os.path.join(args.out, "selection.txt"), "w") as fh:
         fh.write(text + "\n")
     for structure, f in fits.items():

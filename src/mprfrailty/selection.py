@@ -11,17 +11,34 @@ ratio test for a single frailty variance uses the half-half mixture of
 chi-square distributions with 0 and 1 degrees of freedom.
 """
 
+import math
 from dataclasses import dataclass
 
-from .data import IF, NF, SCF, SHF, csv_number
+from .data import BVNF, CF, FRAILTY_LAWS, IF, NF, SCF, SHF, STRUCTURES, csv_number
 from .errors import MPRFrailtyError
 
 # 90th percentile of chi2(1): the 5% critical value of the
 # (chi2_0 + chi2_1)/2 mixture for a variance on the boundary.
 MIXTURE_CHI2_CRITICAL_5PCT = 2.705543
 
-# null -> alternative pairs that pin exactly one frailty variance to zero
-_NESTED_PAIRS = {(NF, SCF), (NF, SHF), (SCF, IF), (SHF, IF)}
+# (reduced, richer) for each step of the nesting order, in STRUCTURES order: the richer
+# with a sigma or rho at 0, phi at 0 (ScF in CF) or |rho| at 1 (CF in BVNF) is the reduced
+_NESTING_EDGES = ((NF, SCF), (NF, SHF), (SCF, IF), (SCF, CF), (SHF, IF), (IF, BVNF), (CF, BVNF))
+
+
+def _nests(reduced):
+    """Every structure that nests ``reduced``, directly or through others."""
+    richer = {b for a, b in _NESTING_EDGES if a == reduced}
+    return richer.union(*map(_nests, richer))
+
+
+# the pairs frailty_lrt tests: the edges whose richer law adds one standard deviation alone
+_NESTED_PAIRS = tuple((a, b) for a, b in _NESTING_EDGES if any(
+    set(FRAILTY_LAWS[b].names) - set(FRAILTY_LAWS[a].names) == {s} for s in FRAILTY_LAWS[b].sigmas))
+
+# how far a richer fit's deviance_profile may exceed a nested fit's before
+# the two are called inconsistent
+_DEVIANCE_TOLERANCE = 1e-6
 
 
 class InconsistentFitsError(MPRFrailtyError, ValueError):
@@ -47,26 +64,31 @@ def frailty_lrt(fit_null, fit_alt):
         raise ValueError(
             f"{pair[0]} is not {pair[1]} with exactly one frailty variance "
             "pinned to zero; supported pairs: "
-            + ", ".join(f"{a} vs {b}" for a, b in sorted(_NESTED_PAIRS))
+            + ", ".join(f"{a} vs {b}" for a, b in _NESTED_PAIRS)
         )
     statistic = fit_null.deviance_profile - fit_alt.deviance_profile
-    if statistic < -1e-6:
+    if statistic < -_DEVIANCE_TOLERANCE:
         raise InconsistentFitsError(
             f"deviance of the richer model exceeds the reduced model by "
             f"{-statistic:.4g}; at least one fit has not converged"
         )
     statistic = max(statistic, 0.0)
-    # imported on first use, so that the CLI's start-up does not load scipy.special;
-    # chdtrc(1, x) is the chi2(1) survival function, the one chi2.sf calls
-    from scipy.special import chdtrc
-
-    p_value = 0.5 if statistic == 0.0 else 0.5 * float(chdtrc(1, statistic))
     return LrtResult(
         statistic=statistic,
         critical_value=MIXTURE_CHI2_CRITICAL_5PCT,
         significant=statistic > MIXTURE_CHI2_CRITICAL_5PCT,
-        p_value=p_value,
+        p_value=0.5 * math.erfc(math.sqrt(statistic / 2)),
     )
+
+
+def _lrt_line(fit_null, fit_alt):
+    try:
+        res = frailty_lrt(fit_null, fit_alt)
+        verdict = "significant" if res.significant else "not significant"
+        text = f"statistic {res.statistic:.3f} vs {res.critical_value:.2f} -> {verdict}"
+    except InconsistentFitsError as exc:
+        text = f"failed ({exc})"
+    return f"LRT {fit_null.structure} vs {fit_alt.structure}: {text}"
 
 
 @dataclass
@@ -95,12 +117,14 @@ _COLUMNS = (("deviance_r", "-2p(h)", 10), ("df_r", "df_r", 5), ("raic", "rAIC", 
 class SelectionReport:
     rows: list
     failures: dict
+    lrt_lines: list
 
     def to_csv_rows(self):
         """The table as CSV cells: one row per fit, then one per failed structure.
 
-        ``converged`` is true or false; ``note`` is empty, "not converged", or
-        a failed structure's reason, whose numeric cells are NA.
+        ``converged`` is true or false; ``note`` is empty, "not converged"
+        and the nesting violations joined by "; ", or a failed structure's
+        reason, whose numeric cells are NA.
         """
         head = ["model"] + [name for name, _, _ in _COLUMNS] + ["converged", "note"]
         fitted = [[r.model] + [csv_number(getattr(r, name)) for name, _, _ in _COLUMNS]
@@ -126,7 +150,7 @@ class SelectionReport:
             lines.append(f"{r.model:<6}{cells}{mark}")
         for model, reason in self.failures.items():
             lines.append(f"{model:<6} failed: {reason}")
-        return "\n".join(lines)
+        return "\n".join(lines + self.lrt_lines)
 
 
 def selection_report(fits, failures=None):
@@ -134,16 +158,27 @@ def selection_report(fits, failures=None):
 
     ``failures`` maps structure names that could not be fitted to the
     reason; they appear as annotations in the text and as rows of NA in
-    the CSV.
+    the CSV.  A fit whose deviance_profile exceeds that of a fit nested in
+    it is noted, and the text ends with each LRT frailty_lrt can run on them.
     """
     if not fits:
         raise ValueError("at least one completed fit is required")
     raic_min = min(f.raic for f in fits)
     caic_min = min(f.caic for f in fits)
+    by_model = {f.structure: f for f in fits}
+
+    def note(f):
+        gaps = [(a, f.deviance_profile - by_model[a].deviance_profile)
+                for a in STRUCTURES if a in by_model and f.structure in _nests(a)]
+        return "; ".join(["not converged"] * (not f.converged)
+                         + [f"deviance above {a}'s by {d:.4g}" for a, d in gaps
+                            if d > _DEVIANCE_TOLERANCE])
+
     rows = [SelectionRow(model=f.structure, deviance_r=f.deviance_profile, df_r=f.df_r,
                          raic=f.raic, delta_raic=f.raic - raic_min,
                          deviance_c=f.cond_deviance, df_c=f.df_c,
                          caic=f.caic, delta_caic=f.caic - caic_min,
-                         converged=f.converged, note="" if f.converged else "not converged")
+                         converged=f.converged, note=note(f))
             for f in fits]
-    return SelectionReport(rows=rows, failures=dict(failures or {}))
+    return SelectionReport(rows=rows, failures=dict(failures or {}), lrt_lines=[
+        _lrt_line(by_model[a], by_model[b]) for a, b in _NESTED_PAIRS if {a, b} <= by_model.keys()])

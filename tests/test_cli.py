@@ -164,6 +164,14 @@ class TestCmdCompare:
         assert "LRT NF vs ScF" in txt
         assert "LRT NF vs ShF" in txt
 
+    def test_selection_txt_holds_every_lrt_of_six_fits(self, data_csv, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--data", data_csv, "--max-outer", "10",
+                     "--out", str(out)]) == 0
+        lrt = [line.split(":")[0] for line in (out / "selection.txt").read_text().splitlines()
+               if line.startswith("LRT")]
+        assert lrt == ["LRT NF vs ScF", "LRT NF vs ShF", "LRT ScF vs IF", "LRT ShF vs IF"]
+
     def test_selection_csv_marks_non_convergence_and_failures(self, data_csv, tmp_path,
                                                               monkeypatch):
         import mprfrailty.cli
@@ -183,7 +191,10 @@ class TestCmdCompare:
         assert all(len(row) == 11 for row in rows)
         by_model = {row[0]: row for row in rows[1:]}
         assert by_model["NF"][-2:] == ["true", ""]
-        assert by_model["ScF"][-2:] == by_model["BVNF"][-2:] == ["false", "not converged"]
+        assert by_model["BVNF"][-2:] == ["false", "not converged"]
+        # two sweeps leave ScF's profile above NF's, which it nests
+        assert by_model["ScF"][-2] == "false"
+        assert by_model["ScF"][-1].startswith("not converged; deviance above NF's by ")
         assert by_model["CF"] == ["CF"] + ["NA"] * 8 + [
             "false", 'CurvatureError: lost curvature, at "x"']
 

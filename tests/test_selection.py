@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mprfrailty import (
     frailty_lrt,
     selection_report,
 )
+from mprfrailty.selection import _NESTED_PAIRS
 
 from .conftest import small_weibull_dataset
 
@@ -103,7 +105,16 @@ class TestFrailtyLrt:
 
         for statistic in (1e-9, 0.3, 2.705543, 3.68, 43.88, 700.0):
             res = frailty_lrt(stub_fit("NF", 500.0 + statistic, 0), stub_fit("ScF", 500.0, 1))
-            assert res.p_value == 0.5 * float(chi2.sf(res.statistic, df=1))
+            # the chi2(1) tail in closed form, which needs no scipy
+            assert res.p_value == 0.5 * math.erfc(math.sqrt(res.statistic / 2))
+            assert res.p_value == pytest.approx(0.5 * float(chi2.sf(res.statistic, df=1)),
+                                                rel=1e-12, abs=0.0)
+
+    def test_pairs_are_the_nesting_edges_that_add_one_standard_deviation(self):
+        assert set(_NESTED_PAIRS) == {("NF", "ScF"), ("NF", "ShF"), ("ScF", "IF"), ("ShF", "IF")}
+        with pytest.raises(ValueError, match="supported pairs: NF vs ScF, NF vs ShF, "
+                                             "ScF vs IF, ShF vs IF$"):
+            frailty_lrt(stub_fit("IF", 500.0, 2), stub_fit("BVNF", 490.0, 3))
 
     def test_critical_value_is_half_mixture_quantile(self):
         from scipy.stats import chi2
@@ -161,13 +172,54 @@ class TestSelectionReport:
     def test_text_notes_a_fit_that_did_not_converge(self):
         stopped = dataclasses.replace(stub_fit("ScF", 90.0, 1), converged=False)
         report = selection_report([stub_fit("NF", 100.0, 0), stopped])
-        nf_line, scf_line = report.to_text().splitlines()[2:]
+        nf_line, scf_line = report.to_text().splitlines()[2:4]
         assert scf_line.startswith("ScF") and scf_line.endswith(" (not converged)")
         assert "not converged" not in nf_line
         # the CSV says so too: it used to carry no column for it
         scf_row = report.to_csv_rows()[2]
         assert scf_row[0] == "ScF" and len(scf_row) == 11
         assert scf_row[-2:] == ["false", "not converged"]
+
+    def test_text_ends_with_every_lrt_of_the_fits_in_structures_order(self):
+        fits = [stub_fit("IF", 90.0, 2), stub_fit("ShF", 95.0, 1), stub_fit("NF", 100.0, 0),
+                stub_fit("ScF", 89.0, 1), stub_fit("BVNF", 85.0, 3)]
+        lines = selection_report(fits).to_text().splitlines()
+        assert lines[-4:] == [
+            "LRT NF vs ScF: statistic 11.000 vs 2.71 -> significant",
+            "LRT NF vs ShF: statistic 5.000 vs 2.71 -> significant",
+            "LRT ScF vs IF: failed (deviance of the richer model exceeds the reduced model "
+            "by 1; at least one fit has not converged)",
+            "LRT ShF vs IF: statistic 5.000 vs 2.71 -> significant",
+        ]
+        assert not any(line.startswith("LRT") for line in lines[:-4])
+        only_nf = selection_report([stub_fit("NF", 100.0, 0), stub_fit("BVNF", 90.0, 3)])
+        assert "LRT" not in only_nf.to_text()
+
+    def test_richer_fit_above_a_nested_one_is_noted(self):
+        # each fit against every structure that it nests or that nests it
+        fits = [stub_fit("NF", 100.0, 0),
+                dataclasses.replace(stub_fit("ScF", 101.0, 1), converged=False),
+                stub_fit("ShF", 100.0 + 5e-7, 1),  # within the LRT's tolerance
+                stub_fit("IF", 99.0, 2), stub_fit("CF", 100.5, 2), stub_fit("BVNF", 100.7, 3)]
+        report = selection_report(fits)
+        notes = {r.model: r.note for r in report.rows}
+        assert notes == {
+            "NF": "",
+            "ScF": "not converged; deviance above NF's by 1",
+            "ShF": "",
+            "IF": "",
+            "CF": "deviance above NF's by 0.5",
+            "BVNF": "deviance above NF's by 0.7; deviance above ShF's by 0.7; "
+                    "deviance above IF's by 1.7; deviance above CF's by 0.2",
+        }
+        assert {row[0]: row[-1] for row in report.to_csv_rows()[1:]} == notes
+        text = report.to_text()
+        assert "(deviance above NF's by 0.5)" in text
+        assert "(not converged; deviance above NF's by 1)" in text
+        # the reduced fit above the richer one is what nesting expects: no note
+        fine = selection_report([stub_fit("IF", 90.0, 2), stub_fit("BVNF", 89.0, 3),
+                                 stub_fit("CF", 95.0, 2)])
+        assert [r.note for r in fine.rows] == ["", "", ""]
 
     def test_nested_deviance_ordering_on_real_fits(self):
         ds = small_weibull_dataset(seed=2, q=5, n_i=10)
