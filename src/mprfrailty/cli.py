@@ -6,10 +6,14 @@ stdout and a .txt file.  Exit codes partition failure modes so the tool
 is scriptable:
 
     0  success
-    1  user/input error (bad CSV, unknown covariate, bad flags)
+    1  user/input error (bad CSV, unknown covariate, bad flags, unusable --out)
     2  fit completed but did not converge (partial outputs written)
     3  numerical failure (lost curvature, diverged solver)
     4  simulation scenario or censoring calibration failure
+
+A command returns 0 or 2 itself (``compare`` also 3, when every structure
+failed); ``main`` gives an exception that escapes a command its code and
+message through ``_FAILURES``.
 """
 
 import argparse
@@ -24,7 +28,9 @@ import numpy as np
 
 from .data import STRUCTURES, Dataset, csv_number, normalize_structure, plain
 from .errors import (
+    BootstrapError,
     CalibrationError,
+    DataError,
     DomainError,
     MPRFrailtyError,
     ScenarioError,
@@ -40,21 +46,19 @@ EXIT_NOCONV = 2
 EXIT_NUMERIC = 3
 EXIT_SCENARIO = 4
 
-
-def _sanitize(obj):
-    """Replace non-finite floats with None so the JSON stays strict."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+# message prefix and exit code of an exception that escapes a command, first match
+# wins; BootstrapError is an input error (hr's saved covariance cannot be factored),
+# and any other exception is a bug that ends in a traceback
+_FAILURES = (
+    ((CalibrationError, ScenarioError), "scenario failure", EXIT_SCENARIO),
+    ((OSError, ValueError, BootstrapError), "error", EXIT_USER),
+    (MPRFrailtyError, "numerical failure", EXIT_NUMERIC),
+)
 
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(_sanitize(payload), fh, indent=2)
+        json.dump(plain(payload), fh, indent=2)
         fh.write("\n")
 
 
@@ -125,24 +129,17 @@ def _settings_from_args(args):
 
 
 def cmd_fit(args):
-    try:
-        dataset = Dataset.read_csv(args.data)
-        model_fit = fit(
-            dataset,
-            structure=args.structure,
-            family=args.family,
-            scale_covariates=_split_list(args.scale_covariates),
-            shape_covariates=_split_list(args.shape_covariates),
-            settings=_settings_from_args(args),
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except MPRFrailtyError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-
+    dataset = Dataset.read_csv(args.data)
+    settings = _settings_from_args(args)
     os.makedirs(args.out, exist_ok=True)
+    model_fit = fit(
+        dataset,
+        structure=args.structure,
+        family=args.family,
+        scale_covariates=_split_list(args.scale_covariates),
+        shape_covariates=_split_list(args.shape_covariates),
+        settings=settings,
+    )
     stem = os.path.join(args.out, f"fit_{model_fit.structure}")
     _write_json(stem + ".json", model_fit.to_dict())
     table = fit_table_text(model_fit)
@@ -154,22 +151,14 @@ def cmd_fit(args):
 
 
 def cmd_compare(args):
-    try:
-        # canonical names, each once, in the order given
-        structures = list(dict.fromkeys(
-            normalize_structure(s) for s in _split_list(args.structures) or STRUCTURES))
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    # canonical names, each once, in the order given
+    structures = list(dict.fromkeys(
+        normalize_structure(s) for s in _split_list(args.structures) or STRUCTURES))
     if len(structures) < 2:
-        print("error: compare needs at least 2 structures", file=sys.stderr)
-        return EXIT_USER
-    try:
-        settings = _settings_from_args(args)
-        dataset = Dataset.read_csv(args.data)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+        raise DomainError("compare needs at least 2 structures")
+    settings = _settings_from_args(args)
+    dataset = Dataset.read_csv(args.data)
+    os.makedirs(args.out, exist_ok=True)
 
     fits, failures = {}, {}
     for structure in structures:
@@ -191,7 +180,6 @@ def cmd_compare(args):
         return EXIT_NUMERIC
 
     report = selection_report(list(fits.values()), failures)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "selection.csv")
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(report.to_csv_rows())
@@ -209,23 +197,13 @@ def cmd_simulate(args):
     try:
         scenario = ScenarioSpec.read_json(args.scenario)
     except (OSError, ValueError) as exc:
-        print(f"error: bad scenario file: {exc}", file=sys.stderr)
-        return EXIT_USER
+        raise DataError(f"bad scenario file: {exc}") from exc
     overrides = {"replicates": args.replicates, "seed": args.seed}
-    try:
-        # a flag out of range is a DomainError, reported below without blaming the file
-        scenario = dataclasses.replace(
-            scenario, **{k: v for k, v in overrides.items() if v is not None})
-        summary = run_scenario(
-            scenario, structure=args.structure, threads=args.threads
-        )
-    except (CalibrationError, ScenarioError) as exc:
-        print(f"scenario failure: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    # a flag out of range is a DomainError, reported without blaming the file
+    scenario = dataclasses.replace(
+        scenario, **{k: v for k, v in overrides.items() if v is not None})
     os.makedirs(args.out, exist_ok=True)
+    summary = run_scenario(scenario, structure=args.structure, threads=args.threads)
     path = os.path.join(args.out, "scenario_summary.csv")
     with open(path, "w") as fh:
         fh.write(summary.to_csv_text())
@@ -239,37 +217,26 @@ def cmd_simulate(args):
 
 
 def cmd_hr(args):
-    try:
-        model_fit = _load_fit(args.fit)
-        times = _parse_times(args.times)
-        if args.boot:
-            curve = bootstrap_hr_ci(
-                model_fit, args.covariate, times,
-                n_boot=args.boot, seed=args.seed,
-            )
-        else:
-            curve = hazard_ratio_curve(model_fit, args.covariate, times)
-    except (OSError, ValueError, MPRFrailtyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    model_fit = _load_fit(args.fit)
+    times = _parse_times(args.times)
+    if args.boot:
+        curve = bootstrap_hr_ci(model_fit, args.covariate, times,
+                                n_boot=args.boot, seed=args.seed)
+    else:
+        curve = hazard_ratio_curve(model_fit, args.covariate, times)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"hr_{args.covariate}")
-    with open(stem + ".csv", "w") as fh:
-        fh.write("time,hr,lower,upper\n")
-        for row in curve.to_rows():
-            fh.write(",".join(map(csv_number, row)) + "\n")
-    _write_json(stem + ".json", plain(dataclasses.asdict(curve)))
+    with open(stem + ".csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time", "hr", "lower", "upper"])
+        writer.writerows(map(csv_number, row) for row in curve.to_rows())
+    _write_json(stem + ".json", dataclasses.asdict(curve))
     print(f"wrote {stem}.csv")
     return EXIT_OK
 
 
 def cmd_frailties(args):
-    try:
-        model_fit = _load_fit(args.fit)
-        intervals = frailty_estimates(model_fit, args.component)
-    except (OSError, ValueError, MPRFrailtyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    intervals = frailty_estimates(_load_fit(args.fit), args.component)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"frailties_{args.component}")
     with open(stem + ".csv", "w", newline="") as fh:
@@ -360,7 +327,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, prefix, code in _FAILURES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -366,13 +366,15 @@ class Dataset:
 
 
 def plain(value):
-    """``value`` with numpy arrays and scalars, also inside dicts, lists and tuples, as JSON types."""
+    """``value`` as JSON types, also inside dicts, lists, tuples and arrays; nan and ±inf as None."""
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
+        return plain(value.tolist())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 

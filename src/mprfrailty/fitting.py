@@ -415,7 +415,7 @@ class ModelFit:
         return self.cond_deviance + 2.0 * self.df_c
 
     def to_dict(self):
-        """Every field but ``H``, as JSON types; a non-finite float stays nan."""
+        """Every field but ``H``, as JSON types; a non-finite float is None, as written."""
         return {f.name: plain(getattr(self, f.name)) for f in fields(self) if f.name != "H"}
 
     @classmethod
@@ -473,6 +473,7 @@ class ModelFit:
         kw |= {n: dict(typed(n, dict)) for n in (
             "dispersion", "se_dispersion", "iterations", "modal_covariates", "binary_covariates")}
         finite("dispersion", array("dispersion", values=list(kw["dispersion"].values())))
+        kw["se_dispersion"] = {k: math.nan if v is None else v for k, v in kw["se_dispersion"].items()}
         kw |= {n: finite(n, array(n)) for n in ("beta", "alpha", "v_beta", "v_alpha")}
         kw |= {n: array(n) for n in ("se_beta", "se_alpha")}
         kw |= {n: None if d[n] is None else array(n) for n in ("se_v_beta", "se_v_alpha")}

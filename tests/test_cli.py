@@ -535,6 +535,16 @@ class TestCmdHr:
             written.append([(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
         assert written[0] == written[1]
 
+    def test_covariance_not_positive_definite_exits_1(self, saved_fit, tmp_path, capsys):
+        m = len(json.loads(saved_fit.read_text())["cov_theta"])
+        path = fit_file_with(saved_fit, tmp_path, cov_theta=(-np.eye(m)).tolist())
+        out = tmp_path / "hr"
+        assert main(["hr", "--fit", path, "--covariate", "x1", "--boot", "150",
+                     "--out", str(out)]) == 1
+        assert ("error: fixed-effect covariance block is not positive definite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_null_standard_errors_and_deviances_read_as_nan(self, saved_fit, tmp_path):
         path = fit_file_with(saved_fit, tmp_path, **with_first_null(saved_fit, "se_beta"),
                              deviance_profile=None, cond_deviance=None)
@@ -628,6 +638,33 @@ class TestCmdFrailties:
         err = capsys.readouterr().err
         assert "error: fit field" in err and repr(name) in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare", "simulate", "hr", "frailties"])
+def test_out_below_a_regular_file_exits_1_before_any_fit(data_csv, saved_fit, tmp_path, capsys,
+                                                         monkeypatch, command):
+    # each command used to end in a NotADirectoryError traceback, fit, compare and
+    # simulate after all their fits
+    import mprfrailty.cli
+
+    def no_fit(*args, **kwargs):
+        pytest.fail(f"{command} fitted before it made --out")
+
+    monkeypatch.setattr(mprfrailty.cli, "fit", no_fit)
+    monkeypatch.setattr(mprfrailty.cli, "run_scenario", no_fit)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(dict(
+        q=6, n_i=10, beta_true=[0.8, -0.4, 0.3], alpha_true=[0.3, 0.2, -0.2],
+        sigma_beta=0.6, sigma_alpha=0.3, rho=-0.3, replicates=2, seed=5)))
+    argv = {"fit": ["fit", "--data", data_csv],
+            "compare": ["compare", "--data", data_csv],
+            "simulate": ["simulate", "--scenario", str(scenario)],
+            "hr": ["hr", "--fit", str(saved_fit), "--covariate", "x1"],
+            "frailties": ["frailties", "--fit", str(saved_fit), "--component", "scale"]}
+    (tmp_path / "file").write_text("")
+    assert main([*argv[command], "--out", str(tmp_path / "file" / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # Run in a fresh interpreter.  Prints every scipy module loaded after `import

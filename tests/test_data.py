@@ -10,6 +10,7 @@ from mprfrailty import (
     FrailtySpec,
     build_design,
 )
+from mprfrailty.data import plain
 from mprfrailty.hlik import Evaluator
 
 from .conftest import small_weibull_dataset
@@ -19,6 +20,16 @@ def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from mprfrailty import *", namespace)
     assert set(mprfrailty.__all__) <= set(namespace)
+
+
+def test_plain_maps_non_finite_floats_to_none_at_any_depth():
+    value = {"a": float("nan"), "b": [1.5, np.array([2.0, np.nan, -np.inf])],
+             "c": {"d": (np.float64(np.inf), np.float64(0.25), 3, True, "x", None)},
+             "e": np.array([[1, 2], [3, 4]]), "f": np.int64(7)}
+    assert plain(value) == {"a": None, "b": [1.5, [2.0, None, None]],
+                            "c": {"d": [None, 0.25, 3, True, "x", None]},
+                            "e": [[1, 2], [3, 4]], "f": 7}
+    assert type(plain(np.float64(0.25))) is float and type(plain(np.int64(7))) is int
 
 
 def toy_dataset():

@@ -364,6 +364,16 @@ class TestFit:
         assert np.array_equal(back.cov_theta, f.cov_theta)
         assert back.modal_covariates == f.modal_covariates
 
+    def test_nan_standard_errors_write_as_null_and_read_back_as_nan(self, small_dataset):
+        f = fit(small_dataset, structure="ScF")
+        f = dataclasses.replace(f, se_beta=np.r_[np.nan, f.se_beta[1:]],
+                                se_dispersion={"sigma_beta": math.nan})
+        d = json.loads(json.dumps(f.to_dict(), allow_nan=False))
+        assert d["se_beta"][0] is None and d["se_dispersion"] == {"sigma_beta": None}
+        back = ModelFit.from_dict(d)
+        assert np.isnan(back.se_beta[0]) and np.array_equal(back.se_beta[1:], f.se_beta[1:])
+        assert math.isnan(back.se_dispersion["sigma_beta"])
+
     @pytest.mark.parametrize("structure, family, max_outer", [
         *[(s, "weibull", None) for s in STRUCTURES], ("ScF", "weibull", 1), ("ScF", "gompertz", None)])
     def test_to_dict_holds_json_types_in_field_order(self, structure, family, max_outer):
