@@ -88,7 +88,6 @@ class InnerResult:
     alpha: np.ndarray
     v_beta: np.ndarray
     v_alpha: np.ndarray
-    h: float
     ell1_sum: float
     H: Curvature
     iterations: int
@@ -105,7 +104,7 @@ def _newton(evaluator, x0):
         if float(np.max(np.abs(g))) < INNER_TOL:
             beta, alpha, vb, va = evaluator.unpack(x)
             return InnerResult(
-                x=x, beta=beta, alpha=alpha, v_beta=vb, v_alpha=va, h=parts.h,
+                x=x, beta=beta, alpha=alpha, v_beta=vb, v_alpha=va,
                 ell1_sum=parts.ell1_sum, H=H, iterations=it, monotone=monotone,
             )
         if it >= MAX_INNER:
@@ -241,17 +240,6 @@ class _DispersionObjective:
             if not math.isnan(v) and (self.best is None or v > self.best[0]):
                 self.best = (v, Z[i].copy())
 
-    def profiles(self, Z):
-        """p (None where not evaluable) at each row of the transformed points Z, in order.
-
-        Every row counts as an evaluation, and only a strictly better row
-        replaces ``best``.
-        """
-        Z = np.asarray(Z, dtype=float)
-        p = self._values(Z)
-        self._record(Z, p)
-        return [None if math.isnan(v) else v for v in p]
-
     def _stencil(self, z):
         """(Z, p, f, g) for the rows Z = [z, z - h_0 e_0, z + h_0 e_0, ...] as one batch.
 
@@ -310,7 +298,6 @@ class _DispersionObjective:
 @dataclass
 class OuterResult:
     spec: FrailtySpec
-    profile_loglik: float
     z: np.ndarray
     n_eval: int
     gradient_converged: bool
@@ -355,10 +342,9 @@ def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
         gradient_converged = bool(result.status == 0)
     except (ValueError, FloatingPointError):
         pass  # fall back to the best evaluated point
-    p_best, z_best = obj.best
+    z_best = obj.best[1]
     return OuterResult(
         spec=_spec_with_z(structure, z_best),
-        profile_loglik=p_best,
         z=z_best,
         n_eval=obj.n_eval,
         gradient_converged=gradient_converged,
@@ -406,7 +392,13 @@ class ModelFit:
 
     @property
     def raic(self):
-        """Restricted AIC: -2 p(h) + 2 df_r, with df_r the number of dispersion parameters."""
+        """Restricted AIC: -2 p(h) + 2 df_r, with df_r the number of dispersion parameters.
+
+        -2 p(h) is ``deviance_profile``: p at the alternation's fixed point, a
+        root of dp/dz with (theta, v) held at their Step 1 solution, not a
+        certified maximum of p.  rAIC differences inherit the gap; a richer
+        fit can end above a nested one, which ``compare``'s note flags.
+        """
         return self.deviance_profile + 2.0 * self.df_r
 
     @property
@@ -519,18 +511,20 @@ def _empirical_modes(dataset):
     return modes, binary
 
 
-def _num_hessian(f, z, step=1e-4):
-    """Central-difference Hessian of a scalar function, symmetric by build.
-
-    ``f`` maps a stack of points to their values; the whole stencil is one call.
-    """
+def _hessian_stencil(z, step=1e-4):
+    """z, z +- step e_i, then z +- step e_i +- step e_j for i < j: a central Hessian's rows."""
     k = len(z)
     e = np.eye(k) * step
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    points = [z] + [p for i in range(k) for p in (z + e[i], z - e[i])] + [
+    return np.array([z] + [p for i in range(k) for p in (z + e[i], z - e[i])] + [
         p for i, j in pairs
-        for p in (z + e[i] + e[j], z + e[i] - e[j], z - e[i] + e[j], z - e[i] - e[j])]
-    f0, *vals = f(np.array(points))
+        for p in (z + e[i] + e[j], z + e[i] - e[j], z - e[i] + e[j], z - e[i] - e[j])])
+
+
+def _central_hessian(values, k, step=1e-4):
+    """The Hessian from values at the rows of :func:`_hessian_stencil`, symmetric by build."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    f0, *vals = values
     Hn = np.diag([(vals[2 * i] - 2.0 * f0 + vals[2 * i + 1]) / step**2 for i in range(k)])
     for n, (i, j) in enumerate(pairs):
         a, b, c, d = vals[2 * k + 4 * n: 2 * k + 4 * n + 4]
@@ -625,11 +619,14 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         z = z_next
         spec = _spec_with_z(structure, z)
 
-    # final matched state: re-solve (theta, v) at the final dispersion and
-    # evaluate the adjusted profile there
+    # final matched state: re-solve (theta, v) at the final dispersion; the
+    # adjusted profile there and at the stencil of its curvature is one batch
     final = _newton(Evaluator(family, design, spec), x)
     inner_total += final.iterations
-    profile_loglik = final.h - 0.5 * (logdet_pd(final.H) - final.H.dim * LOG_2PI)
+    profiles = _DispersionObjective(family, design, structure, final.x)._values(
+        _hessian_stencil(z))
+    if math.isnan(profiles[0]):
+        raise CurvatureError("information matrix is not positive definite")
 
     if not converged:
         fit_warnings.append(
@@ -641,14 +638,14 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     fit_warnings += law.boundary_warnings(spec.dispersion().values())
 
     return _assemble_fit(
-        family, design, dataset, spec, final, profile_loglik, z,
+        family, design, dataset, spec, final, profiles,
         converged=converged,
         iterations={"outer": outer_it, "inner_total": inner_total},
         fit_warnings=fit_warnings,
     )
 
 
-def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, z,
+def _assemble_fit(family, design, dataset, spec, inner, profiles,
                   converged, iterations, fit_warnings):
     H = inner.H
     lay = H.layout
@@ -680,7 +677,7 @@ def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, z,
     # conditional effective degrees of freedom: trace(H^-1 H*)
     df_c = H.df_c(v_blocks)
 
-    se_dispersion = _dispersion_se(family, design, spec, z, inner.x, fit_warnings)
+    se_dispersion = _dispersion_se(spec, profiles, fit_warnings)
 
     modes, binary = _empirical_modes(dataset)
     return ModelFit(
@@ -698,7 +695,7 @@ def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, z,
         se_v_alpha=se_v_alpha,
         dispersion=dispersion,
         se_dispersion=se_dispersion,
-        deviance_profile=-2.0 * profile_loglik,
+        deviance_profile=-2.0 * profiles[0],
         cond_deviance=-2.0 * inner.ell1_sum,
         df_r=spec.df_r,
         df_c=df_c,
@@ -714,40 +711,33 @@ def _assemble_fit(family, design, dataset, spec, inner, profile_loglik, z,
     )
 
 
-def _dispersion_se(family, design, spec, z_hat, x_hat, fit_warnings):
-    """Delta-method standard errors for the dispersion estimates at z_hat, x_hat.
+def _dispersion_se(spec, profiles, fit_warnings):
+    """Delta-method standard errors for the dispersion estimates at z_hat.
 
-    The curvature of the adjusted profile likelihood is measured on the
-    transformed scale (central differences, step 1e-4) and mapped back.
+    ``profiles`` holds p at the rows of ``_hessian_stencil(z_hat)``: the
+    curvature of the adjusted profile likelihood on the transformed scale
+    (central differences, step 1e-4), which is mapped back.
     """
     names = spec.law.names
     if not names:
         return {}
-    obj = _DispersionObjective(family, design, spec.structure, x_hat)
-
-    def neg_p(Z):
-        values = [_OBJECTIVE_PENALTY if p is None else -p for p in obj.profiles(Z)]
-        if any(v >= _OBJECTIVE_PENALTY for v in values):
-            raise CurvatureError("profile likelihood not evaluable near optimum")
-        return values
-
     try:
-        info_z = _num_hessian(neg_p, np.asarray(z_hat, dtype=float), step=1e-4)
-        cov_z = np.linalg.inv(info_z)
-        jac = spec.law.jacobian(spec.dispersion().values())
-        cov_nat = (jac[:, None] * cov_z) * jac[None, :]
-        var = np.diag(cov_nat).copy()
-        bad = var <= 0
-        if np.any(bad):
-            fit_warnings.append(
-                "dispersion information not positive definite; affected "
-                "standard errors reported as nan"
-            )
-            var[bad] = np.nan
-        se = np.sqrt(var)
-    except (np.linalg.LinAlgError, MPRFrailtyError):
+        if any(math.isnan(p) for p in profiles):
+            raise CurvatureError("profile likelihood not evaluable near optimum")
+        cov_z = np.linalg.inv(_central_hessian([-p for p in profiles], len(names)))
+    except (np.linalg.LinAlgError, CurvatureError):
         fit_warnings.append(
             "dispersion standard errors unavailable (curvature evaluation failed)"
         )
-        se = np.full(len(names), np.nan)
-    return dict(zip(names, (float(s) for s in se)))
+        return dict.fromkeys(names, math.nan)
+    jac = spec.law.jacobian(spec.dispersion().values())
+    cov_nat = (jac[:, None] * cov_z) * jac[None, :]
+    var = np.diag(cov_nat).copy()
+    bad = var <= 0
+    if np.any(bad):
+        fit_warnings.append(
+            "dispersion information not positive definite; affected "
+            "standard errors reported as nan"
+        )
+        var[bad] = np.nan
+    return dict(zip(names, (float(s) for s in np.sqrt(var))))

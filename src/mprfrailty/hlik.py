@@ -268,7 +268,7 @@ class Curvature:
     ``to_dense()`` instead, which is faster there; the inverse blocks,
     formed once per fit, always take the Schur path.  Every method raises
     :class:`CurvatureError` when H is not positive definite, except
-    ``logdet`` of a penalty stack.
+    ``logdet``, which marks such a point nan.
 
     The dense matrix is one scatter through ``layout.dense_index`` and the
     dense side calls LAPACK directly: at dim 46 (BVNF, q = 20) ``to_dense``
@@ -325,18 +325,13 @@ class Curvature:
             D[j, j] += r[m + j * q: m + (j + 1) * q]
         return Curvature(self.layout, A, self.B, D, self.P)
 
-    def logdet(self, P=None):
-        """log det H; for a stack P (npts, k, k) of frailty precisions, npts log-dets.
+    def logdet(self, P):
+        """npts log-dets for a stack P (npts, k, k) of frailty precisions.
 
         Entry j is log det of H with P[j] added to every D_i, nan where that
         sum is not positive definite.
         """
-        out = self._logdet_dense(P) if self._dense_side else self._logdet_schur(P)
-        if P is not None:
-            return out
-        if np.isnan(out[0]):
-            raise CurvatureError("information matrix is not positive definite")
-        return float(out[0])
+        return self._logdet_dense(P) if self._dense_side else self._logdet_schur(P)
 
     def solve(self, g):
         """H^-1 g."""
@@ -380,18 +375,17 @@ class Curvature:
 
     # dense LAPACK on _dense(), for the log-det and solve at small dim
 
-    def _logdet_dense(self, Ps=None):
-        # the log-dets of H + each P of the stack Ps (of H alone for None), nan where
-        # not PD; row i of the stack is a copy of the kept matrix with D + P[i] for
-        # its D_i entries, and row i viewed (dim, dim) and transposed is that matrix
-        # in Fortran order, which the factorization overwrites in place
+    def _logdet_dense(self, Ps):
+        # the log-dets of H + each P of the stack Ps, nan where not PD; row i of the
+        # stack is a copy of the kept matrix with D + P[i] for its D_i entries, and
+        # row i viewed (dim, dim) and transposed is that matrix in Fortran order,
+        # which the factorization overwrites in place
         if self._flat is None:
             self._flat = self._dense()
-        n, dim = 1 if Ps is None else len(Ps), self.dim
+        n, dim = len(Ps), self.dim
         stack = np.empty((n, dim * dim))
         stack[:] = self._flat
-        if Ps is not None:
-            stack[:, self.layout.d_index] = self.D + Ps[..., None]
+        stack[:, self.layout.d_index] = self.D + Ps[..., None]
         ok = np.array([_POTRF(H.T, 1, 0, 1)[1] == 0 for H in stack.reshape(n, dim, dim)])
         out = np.full(n, np.nan)
         # the selected diagonals are a C-ordered copy, so that each row's sum is
@@ -417,12 +411,11 @@ class Curvature:
         W, S = self._complement(Dinv[0])
         return Dinv[0], W, _cholesky(S)
 
-    def _logdet_schur(self, Ps=None):
+    def _logdet_schur(self, Ps):
         # as _logdet_dense; D + P and D^-1 for _SCHUR_POINTS points at a time, W and S per point
         out = []
-        for lo in range(0, 1 if Ps is None else len(Ps), _SCHUR_POINTS):
-            D = self.D[None] if Ps is None else self.D + Ps[lo:lo + _SCHUR_POINTS, ..., None]
-            Dinv, logdet = _block_inverse(D)
+        for lo in range(0, len(Ps), _SCHUR_POINTS):
+            Dinv, logdet = _block_inverse(self.D + Ps[lo:lo + _SCHUR_POINTS, ..., None])
             for i in np.flatnonzero(~np.isnan(logdet)):
                 c, info = _POTRF(self._complement(Dinv[i])[1], lower=1, clean=0)
                 logdet[i] += 2.0 * float(np.log(c.diagonal()).sum()) if info == 0 else np.nan
@@ -688,13 +681,12 @@ class Evaluator:
         return parts, g, H.with_penalty(self._penalty)
 
 
-def logdet_pd(H, P=None):
-    """log det of the positive-definite information, a :class:`Curvature`.
+def logdet_pd(H, P):
+    """log det of the information, a :class:`Curvature`, plus each of a stack P.
 
-    With ``P`` a stack of k x k frailty precisions, each is added to
-    every D_i first (see :meth:`Curvature.logdet`).  Raises
-    :class:`CurvatureError` when the factorization fails, rather than
-    silently taking absolute values of pivots; a stack marks such a point nan.
+    Each k x k frailty precision of ``P`` is added to every D_i first (see
+    :meth:`Curvature.logdet`).  A point whose factorization fails is nan,
+    rather than a log-det of the absolute values of its pivots.
     """
     return H.logdet(P)
 

@@ -23,7 +23,7 @@ from mprfrailty import (
     fit,
     simulate_dataset,
 )
-from mprfrailty.errors import MPRFrailtyError, NonConvergenceError
+from mprfrailty.errors import CurvatureError, MPRFrailtyError, NonConvergenceError
 from mprfrailty.fitting import (
     _FD_STEP,
     INNER_TOL,
@@ -431,7 +431,6 @@ class TestFit:
             _spec_with_z,
             outer_dispersion,
         )
-        from mprfrailty.hlik import LOG_2PI, logdet_pd
 
         spec_sc = ScenarioSpec(
             q=10, n_i=20, beta_true=(1, -0.5, 0.5), alpha_true=(0.5, 0.5, -0.5),
@@ -449,9 +448,8 @@ class TestFit:
         for _ in range(12):
             res = _newton(Evaluator("weibull", design, spec), x)
             x = res.x
-            profile_trace.append(
-                res.h - 0.5 * (logdet_pd(res.H) - ev.layout.dim * LOG_2PI)
-            )
+            obj = _DispersionObjective("weibull", design, "BVNF", x)
+            profile_trace.append(obj._values(np.array([z]))[0])
             out = outer_dispersion("weibull", design, "BVNF", z, x)
             z, spec = out.z, out.spec
         assert np.all(np.diff(profile_trace) > -1e-10)
@@ -499,12 +497,17 @@ class TestBlockCurvatureFit:
         assert peak < 32e6
 
 
-def _objective_fixture(structure, q):
-    """(design, x, z): the inner maximizer of h at a Table-2-like dispersion."""
+def _fixture_dataset(q):
+    """A (q, n_i = 5) data set at the Table-2 truth with 25% censoring, seeded by q."""
     sc = ScenarioSpec(q=q, n_i=5, beta_true=(1.0, -0.5, 0.5),
                       alpha_true=(0.5, 0.5, -0.5), sigma_beta=1.0,
                       sigma_alpha=0.5, rho=-0.5, censor_rate=0.25, seed=q)
-    design = build_design(simulate_dataset(sc, 2.0, np.random.default_rng(q)))
+    return simulate_dataset(sc, 2.0, np.random.default_rng(q))
+
+
+def _objective_fixture(structure, q):
+    """(design, x, z): the inner maximizer of h at a Table-2-like dispersion."""
+    design = build_design(_fixture_dataset(q))
     z = FRAILTY_LAWS[structure].to_z({
         "ScF": (0.8,), "ShF": (0.6,), "IF": (0.8, 0.6), "CF": (0.8, 0.5),
         "BVNF": (0.8, 0.6, -0.4)}[structure])
@@ -512,17 +515,33 @@ def _objective_fixture(structure, q):
     return design, res.x, z
 
 
+def _profiles(obj, Z):
+    """p (None where not evaluable) at each row of Z, one batch counted as Step 2 counts it."""
+    Z = np.asarray(Z, dtype=float)
+    p = obj._values(Z)
+    obj._record(Z, p)
+    return [None if math.isnan(v) else v for v in p]
+
+
 def _neg_profile(obj, z):
     """-p at z from a one-row batch, the penalty where p is None."""
-    p = obj.profiles([z])[0]
+    p = _profiles(obj, [z])[0]
     return _OBJECTIVE_PENALTY if p is None else -p
+
+
+def _logdet(H):
+    """log det H itself, from a one-row stack of zero precisions; CurvatureError where not PD."""
+    logdet = H.logdet(np.zeros((1, H.layout.k, H.layout.k)))[0]
+    if math.isnan(logdet):
+        raise CurvatureError("information matrix is not positive definite")
+    return logdet
 
 
 def _reference_objective(design, structure, x, z):
     """-p(z) from a fresh Evaluator and the full penalized information."""
     ev = Evaluator("weibull", design, _spec_with_z(structure, z))
     dim = ev.layout.dim
-    return -(ev.h(x) - 0.5 * (ev.information(x).logdet() - dim * LOG_2PI))
+    return -(ev.h(x) - 0.5 * (_logdet(ev.information(x)) - dim * LOG_2PI))
 
 
 def _stencil(z):
@@ -652,15 +671,15 @@ _UNSCALED_OPTIONS = {
 
 
 def _scipy_3_point_outer(design, structure, x, z0, effort):
-    """(OuterResult, L-BFGS-B message) of the search under jac="3-point"."""
+    """(OuterResult, p at its point, L-BFGS-B message) of the search under jac="3-point"."""
     obj = _DispersionObjective("weibull", design, structure, x)
-    obj.profiles([z0])
+    _profiles(obj, [z0])
     res = scipy.optimize.minimize(lambda z: _neg_profile(obj, z), z0, method="L-BFGS-B",
                                   jac="3-point", options=_UNSCALED_OPTIONS[effort])
     p, z = obj.best
-    out = OuterResult(spec=_spec_with_z(structure, z), profile_loglik=p, z=z,
+    out = OuterResult(spec=_spec_with_z(structure, z), z=z,
                       n_eval=obj.n_eval, gradient_converged=bool(res.status == 0))
-    return out, res.message
+    return out, p, res.message
 
 
 class TestDispersionObjective:
@@ -691,7 +710,7 @@ class TestDispersionObjective:
             # the dense side calls the LAPACK routine cho_factor wraps
             H = Evaluator("weibull", design, _spec_with_z(structure, z0)).information(x)
             c, _ = scipy.linalg.cho_factor(H.to_dense(), lower=True)
-            assert H.logdet() == 2.0 * float(np.sum(np.log(np.diag(c))))
+            assert _logdet(H) == 2.0 * float(np.sum(np.log(np.diag(c))))
 
     @pytest.mark.parametrize("structure", ["ScF", "IF", "CF", "BVNF"])
     def test_non_finite_dispersion_is_penalized(self, structure):
@@ -712,10 +731,11 @@ class TestDispersionObjective:
     @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
     def test_own_gradient_repeats_scipy_3_point(self, structure, q, effort):
         design, x, z0 = _objective_fixture(structure, q)
-        want, message = _scipy_3_point_outer(design, structure, x, z0, effort)
+        want, p_want, message = _scipy_3_point_outer(design, structure, x, z0, effort)
         got = outer_dispersion("weibull", design, structure, z0, x, effort=effort)
         assert np.array_equal(got.z, want.z)
-        assert got.profile_loglik == want.profile_loglik
+        obj = _DispersionObjective("weibull", design, structure, x)
+        assert obj._values(got.z[None])[0] == p_want
         assert got.spec == want.spec
         # the reference probes z0 and then evaluates it again as the first point of
         # L-BFGS-B's first stencil; outer_dispersion evaluates that stencil once
@@ -744,7 +764,8 @@ class TestDispersionObjective:
         values = [-_reference_objective(design, "BVNF", x, z) for z in finite]
         best = int(np.argmax(values))
         assert np.array_equal(out.z, finite[best])
-        assert out.profile_loglik == values[best]
+        obj = _DispersionObjective("weibull", design, "BVNF", x)
+        assert obj._values(out.z[None])[0] == values[best]
         assert isinstance(out.spec, FrailtySpec)
         assert out.spec == _spec_with_z("BVNF", finite[best])
 
@@ -770,7 +791,7 @@ class TestBatchedProfiles:
             if modify:
                 _modify_data(obj, modify)
             want, best = _sequential_profiles(design, structure, x, Z, modify)
-            assert obj.profiles(Z) == want
+            assert _profiles(obj, Z) == want
             assert obj.n_eval == len(Z)
             assert obj.best[0] == best[0] and np.array_equal(obj.best[1], best[1])
             if structure == "CF":
@@ -788,7 +809,7 @@ class TestBatchedProfiles:
         obj = _DispersionObjective("weibull", design, structure, x)
         _modify_data(obj, modify)
         want, best = _sequential_profiles(design, structure, x, Z, modify)
-        got = obj.profiles(Z)
+        got = _profiles(obj, Z)
         assert got == want and got[0] == got[1] and got[2] is None
         assert np.array_equal(obj.best[1], Z[0])
 
@@ -823,6 +844,53 @@ class TestBatchedProfiles:
         assert calls == []
         outer_dispersion("weibull", design, "BVNF", z0, res.x + 1e-3, effort="loose")
         assert calls == [1]
+
+
+class TestReportedProfile:
+    """The fit's tail: p at the final point and the dispersion SEs' stencil are one batch."""
+
+    @pytest.mark.parametrize("family, structure, q", [
+        *(("weibull", s, q) for q in (10, 80) for s in STRUCTURES),
+        ("gompertz", "BVNF", 10), ("gompertz", "CF", 80)])
+    def test_deviance_is_row_0_of_the_tail_batch(self, monkeypatch, family, structure, q):
+        batches = []
+        values = _DispersionObjective._values
+        monkeypatch.setattr(_DispersionObjective, "_values",
+                            lambda self, Z: batches.append(values(self, Z)) or batches[-1])
+        f = fit(_fixture_dataset(q), structure=structure, family=family,
+                settings=FitSettings(max_outer=20))
+        # q10 factors densely, q80 through the Schur complement; NF (k = 0) is dense at both
+        assert (f.H.dim <= DENSE_MAX_DIM) == (q == 10 or structure == "NF")
+        k = len(FRAILTY_LAWS[structure].names)
+        tail = batches[-1]
+        assert len(tail) == 1 + 2 * k * k  # z, z +- step e_i and the k(k - 1)/2 corner quartets
+        assert f.deviance_profile == -2.0 * tail[0]
+        se = fitting._dispersion_se(f.spec, tail, [])
+        assert np.array_equal(list(se.values()), list(f.se_dispersion.values()), equal_nan=True)
+
+    @pytest.mark.parametrize("structure", ["ScF", "CF", "BVNF"])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_row_that_is_not_evaluable(self, monkeypatch, structure, row):
+        # a nan search point is outside the domain, so _values marks its row nan
+        stencil = fitting._hessian_stencil
+
+        def spoiled(z, step=1e-4):
+            Z = stencil(z, step)
+            Z[row] = np.nan
+            return Z
+
+        monkeypatch.setattr(fitting, "_hessian_stencil", spoiled)
+        ds, settings = _fixture_dataset(10), FitSettings(max_outer=20)
+        if row == 0:
+            with pytest.raises(CurvatureError,
+                               match="^information matrix is not positive definite$"):
+                fit(ds, structure=structure, settings=settings)
+            return
+        f = fit(ds, structure=structure, settings=settings)
+        assert np.isfinite(f.deviance_profile)
+        assert all(math.isnan(v) for v in f.se_dispersion.values())
+        assert ("dispersion standard errors unavailable (curvature evaluation failed)"
+                in f.warnings)
 
 
 # each fit's to_dict() hashed, or the exception it raised; argv[1] holds the cases;

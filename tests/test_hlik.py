@@ -429,6 +429,11 @@ def _rel(a, b):
     return abs(a - b) / max(1.0, abs(b))
 
 
+def _no_penalty(H):
+    """A one-row stack of zero frailty precisions: its log-det is that of H itself."""
+    return np.zeros((1, H.layout.k, H.layout.k))
+
+
 def _dense_ridge_solve(Hd, g):
     """Ridge-escalating dense Cholesky solve: (direction, ridge)."""
     diag = np.abs(np.diag(Hd))
@@ -469,7 +474,8 @@ class TestCurvature:
         g = rng.standard_normal(ev.layout.dim)
 
         logdet = 2.0 * np.sum(np.log(np.diag(scipy.linalg.cholesky(Hd))))
-        for got in (H.logdet(), H._logdet_schur()[0], logdet_pd(H)):
+        none = _no_penalty(H)
+        for got in (H.logdet(none)[0], H._logdet_schur(none)[0], logdet_pd(H, none)[0]):
             assert _rel(got, logdet) < 1e-10
         direction = scipy.linalg.solve(Hd, g, assume_a="pos")
         for got in (H.solve(g), H._solve_schur(g)):
@@ -496,9 +502,8 @@ class TestCurvature:
         d, ridge = bad.solve_ascent(g)
         assert ridge == want_ridge > 0.0
         assert rel_err(d, want) < 1e-10
-        assert np.isnan(bad._logdet_schur()[0])
-        with pytest.raises(CurvatureError):
-            bad.logdet()
+        assert np.isnan(bad._logdet_schur(_no_penalty(bad))[0])
+        assert np.isnan(bad.logdet(_no_penalty(bad))[0])
 
     def test_frailty_block_with_negative_determinant_raises(self, block_design):
         ev = Evaluator("weibull", block_design, spec_for("BVNF"))
@@ -506,10 +511,10 @@ class TestCurvature:
         D = H.D.copy()
         D[0, 1, 3] = D[1, 0, 3] = 1.5 * np.sqrt(D[0, 0, 3] * D[1, 1, 3])
         bad = Curvature(H.layout, H.A, H.B, D, H.P)
-        assert np.isnan(bad._logdet_schur()[0])
-        for method in (bad.logdet, bad.inverse_blocks):
-            with pytest.raises(CurvatureError):
-                method()
+        assert np.isnan(bad._logdet_schur(_no_penalty(bad))[0])
+        assert np.isnan(bad.logdet(_no_penalty(bad))[0])
+        with pytest.raises(CurvatureError):
+            bad.inverse_blocks()
         with pytest.raises(CurvatureError):
             bad._solve_schur(np.ones(ev.layout.dim))
 
@@ -550,24 +555,22 @@ class TestSameBits:
         for curv in (H, lopsided):
             assert np.array_equal(curv.to_dense(), _blockwise_dense(curv))
 
-    @pytest.mark.parametrize("structure", ["ScF", "ShF", "CF", "IF", "BVNF"])
+    @pytest.mark.parametrize("structure", STRUCTURES)
     def test_stacked_log_det_equals_one_point_log_det(self, block_design, structure):
-        # q10 factors densely, q150 through the Schur complement
+        # q10 (and NF, k = 0) factors densely, q150 through the Schur complement
         ev = Evaluator("weibull", block_design, spec_for(structure))
         H = ev.information(np.random.default_rng(4).uniform(-0.3, 0.3, ev.layout.dim),
                            penalty=False)
-        assert (H.dim <= DENSE_MAX_DIM) == (block_design.q == 10)
+        assert (H.dim <= DENSE_MAX_DIM) == (block_design.q == 10 or structure == "NF")
         sig, rho = _dispersion_stack(H.layout.k, 9, seed=block_design.q)
-        # the last precision leaves every D_i + P indefinite
+        # the last precision leaves every D_i + P indefinite, where there is a D_i
         Ps = np.concatenate([_penalty_blocks(sig, rho), -1e3 * np.eye(H.layout.k)[None]])
         got = H.logdet(Ps)
-        assert np.isnan(got[-1]) and not np.isnan(got).all()
-        for P, logdet in zip(Ps, got):
-            if np.isnan(logdet):
-                with pytest.raises(CurvatureError):
-                    H.with_penalty(P).logdet()
-            else:
-                assert H.with_penalty(P).logdet() == logdet
+        assert np.isnan(got[-1]) == (structure != "NF") and not np.isnan(got).all()
+        for j, P in enumerate(Ps):
+            # row j alone, and with P[j] added to the curvature before a zero precision
+            for one in (H.logdet(Ps[j:j + 1]), H.with_penalty(P).logdet(_no_penalty(H))):
+                assert np.array_equal(one, got[j:j + 1], equal_nan=True)
         # a stack where every point is positive definite
         pd = ~np.isnan(got)
         assert np.array_equal(H.logdet(Ps[pd]), got[pd])
