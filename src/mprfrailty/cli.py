@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .data import STRUCTURES, Dataset, csv_number, normalize_structure, plain
+from .data import CF, SCF, STRUCTURES, Dataset, csv_number, normalize_structure, plain
 from .errors import (
     BootstrapError,
     CalibrationError,
@@ -86,8 +86,11 @@ def fit_table_text(model_fit):
     """Human-readable coefficient table mirroring the report layout."""
     lines = []
     lines.append(f"family: {model_fit.family}  structure: {model_fit.structure}")
+    # a CF fit whose alternation began on the ScF face says so; no other fit has a start
+    start = model_fit.iterations.get("start")
     lines.append(f"converged: {model_fit.converged}  "
-                 f"outer iterations: {model_fit.iterations.get('outer')}")
+                 f"outer iterations: {model_fit.iterations.get('outer')}"
+                 + (f"  start: {start}" if start else ""))
     lines.append("")
     for title, names, estimates, ses in (
             ("Scale", model_fit.scale_names, model_fit.beta, model_fit.se_beta),
@@ -161,7 +164,8 @@ def cmd_compare(args):
     os.makedirs(args.out, exist_ok=True)
 
     fits, failures = {}, {}
-    for structure in structures:
+    # ScF first, so that CF starts on its fit; the report keeps the order given
+    for structure in sorted(structures, key=lambda s: s != SCF):
         try:
             fits[structure] = fit(
                 dataset,
@@ -170,9 +174,12 @@ def cmd_compare(args):
                 scale_covariates=_split_list(args.scale_covariates),
                 shape_covariates=_split_list(args.shape_covariates),
                 settings=settings,
+                start=fits.get(SCF) if structure == CF else None,
             )
         except (MPRFrailtyError, ValueError) as exc:
             failures[structure] = f"{type(exc).__name__}: {exc}"
+    fits = {s: fits[s] for s in structures if s in fits}
+    failures = {s: failures[s] for s in structures if s in failures}
     if not fits:
         print("error: every requested structure failed", file=sys.stderr)
         for structure, reason in failures.items():

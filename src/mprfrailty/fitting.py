@@ -14,6 +14,8 @@ rho -> 1 or sigma -> 0 are reachable as limits instead of domain errors.
 The structure's ``data.FrailtyLaw`` holds that scale, its caps and
 Jacobian, and the warnings for a fit that ends at a boundary.  Every
 structure takes the same path; NF, with no dispersion, runs no sweep.
+CF alone first starts on its fitted ScF face (phi = 0), and falls back
+to the default start where that run fails (``fit``).
 """
 
 import math
@@ -24,8 +26,10 @@ import numpy as np
 
 from .baselines import WEIBULL, normalize_family
 from .data import (
+    CF,
     FRAILTY_LAWS,
     NF,
+    SCF,
     FrailtySpec,
     build_design,
     combine,
@@ -36,6 +40,7 @@ from .errors import (
     CurvatureError,
     DataError,
     DivergedIterateError,
+    DomainError,
     EvaluationError,
     MPRFrailtyError,
     NonConvergenceError,
@@ -539,7 +544,7 @@ def _initial_theta(design):
 
 
 def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
-        shape_covariates=None, settings=None):
+        shape_covariates=None, settings=None, start=None):
     """Fit an MPR frailty model by alternating h and profile maximization.
 
     Parameters
@@ -552,27 +557,75 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     scale_covariates, shape_covariates : list of str or None
         Covariates entering each component (default: all, both).
     settings : FitSettings or None
+    start : ModelFit or None
+        CF only: a fitted ScF model of the same family, covariates and
+        clusters (``compare`` passes its own).  Without it, a CF fit fits
+        ScF first.
 
-    The fixed effects start from a fixed-effects Weibull fit from 0.01
-    starts, and every dispersion parameter from 0.1.
+    The default start: the fixed effects from a fixed-effects Weibull fit
+    from 0.01 starts, the frailties at 0.01 and every dispersion parameter
+    at 0.1.  CF first starts on the fitted ScF face instead, where it
+    nests ScF exactly: (theta, v_beta) and sigma_beta of the ScF fit, and
+    phi = 0 (from the default start, CF drifts towards its ShF limit at
+    sigma_beta -> 0, |phi| -> inf).  A CF alternation from the face that
+    raises or does not converge, or whose ScF fit raises, is replaced by
+    the one from the default start.  A fit whose alternation began on the
+    face has ``iterations["start"] == "ScF"``.
     """
     family = normalize_family(family)
     structure = normalize_structure(structure)
     settings = settings or FitSettings()
     design = build_design(dataset, scale_covariates, shape_covariates)
+    if start is not None:
+        _check_start(start, structure, family, design)
+    if structure == CF:
+        try:
+            if start is None:
+                start = _alternate(family, design, dataset, SCF, settings)
+            face = _alternate(family, design, dataset, CF, settings, start=start)
+            if face.converged:
+                return face
+        except MPRFrailtyError:
+            pass
+    return _alternate(family, design, dataset, structure, settings)
 
+
+def _check_start(start, structure, family, design):
+    """DomainError unless ``start`` is an ScF fit that a CF fit of this family and design can start from."""
+    if structure != CF:
+        raise DomainError(f"start applies to CF fits only, not to {structure}")
+    if not isinstance(start, ModelFit) or start.structure != SCF:
+        got = start.structure if isinstance(start, ModelFit) else type(start).__name__
+        raise DomainError(f"start must be a fitted ScF model, not {got}")
+    for what, got, want in (("family", start.family, family),
+                            ("scale covariates", start.scale_names, design.scale_names),
+                            ("shape covariates", start.shape_names, design.shape_names),
+                            ("cluster labels", start.cluster_labels, design.cluster_labels)):
+        if got != want:
+            raise DomainError(f"start does not match this fit in its {what}")
+
+
+def _alternate(family, design, dataset, structure, settings, start=None):
+    """The fit of ``structure`` by the alternation from the default start.
+
+    With ``start``, an ScF fit, the CF alternation starts on its face
+    instead, and the fit's ``iterations`` say so.
+    """
     fit_warnings = []
-    init_res = _initial_theta(design)
-    inner_total = init_res.iterations
-    theta0 = np.concatenate([init_res.beta, init_res.alpha])
-
     law = FRAILTY_LAWS[structure]
-    z = law.to_z([_START_DISPERSION] * len(law.names))
+    if start is None:
+        init_res = _initial_theta(design)
+        inner_total = init_res.iterations
+        z = law.to_z([_START_DISPERSION] * len(law.names))
+        start_v = np.full(design.q, 0.01)
+        point = (init_res.beta, init_res.alpha, start_v, start_v)
+    else:
+        # CF's dispersion is (sigma_beta, phi), and phi = 0 is ScF
+        inner_total = 0
+        z = law.to_z([start.dispersion["sigma_beta"], 0.0])
+        point = (start.beta, start.alpha, start.v_beta, None)
     spec = _spec_with_z(structure, z)
-
-    ev = Evaluator(family, design, spec)
-    start_v = np.full(design.q, 0.01)
-    x = ev.layout.pack(theta0[: design.m_beta], theta0[design.m_beta:], start_v, start_v)
+    x = Evaluator(family, design, spec).layout.pack(*point)
 
     # without dispersion parameters there is nothing to alternate with
     converged = not law.names
@@ -640,7 +693,8 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     return _assemble_fit(
         family, design, dataset, spec, final, profiles,
         converged=converged,
-        iterations={"outer": outer_it, "inner_total": inner_total},
+        iterations={"outer": outer_it, "inner_total": inner_total}
+        | ({} if start is None else {"start": SCF}),
         fit_warnings=fit_warnings,
     )
 

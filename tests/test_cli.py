@@ -198,6 +198,28 @@ class TestCmdCompare:
         assert by_model["CF"] == ["CF"] + ["NA"] * 8 + [
             "false", 'CurvatureError: lost curvature, at "x"']
 
+    def test_compare_fits_scf_once_and_starts_cf_on_it(self, data_csv, tmp_path, monkeypatch):
+        import mprfrailty.cli
+
+        calls = []
+
+        def recording_fit(dataset, structure, **kwargs):
+            calls.append((structure, kwargs["start"]))
+            out = fit(dataset, structure=structure, **kwargs)
+            calls[-1] += (out,)
+            return out
+
+        monkeypatch.setattr(mprfrailty.cli, "fit", recording_fit)
+        out = tmp_path / "cmp"
+        # CF listed first: ScF is still fitted before it
+        assert main(["compare", "--data", data_csv, "--structures", "CF,NF,ScF",
+                     "--out", str(out)]) == 0
+        assert [c[0] for c in calls] == ["ScF", "CF", "NF"]
+        scf = calls[0][2]
+        assert calls[1][1] is scf and calls[0][1] is None and calls[2][1] is None
+        rows = (out / "selection.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["CF", "NF", "ScF"]
+
     def test_single_structure_rejected(self, data_csv, tmp_path):
         assert main(["compare", "--data", data_csv, "--structures", "NF",
                      "--out", str(tmp_path)]) == 1

@@ -23,7 +23,8 @@ from mprfrailty import (
     fit,
     simulate_dataset,
 )
-from mprfrailty.errors import CurvatureError, MPRFrailtyError, NonConvergenceError
+from mprfrailty.cli import fit_table_text
+from mprfrailty.errors import CurvatureError, DomainError, MPRFrailtyError, NonConvergenceError
 from mprfrailty.fitting import (
     _FD_STEP,
     INNER_TOL,
@@ -453,6 +454,63 @@ class TestFit:
             out = outer_dispersion("weibull", design, "BVNF", z, x)
             z, spec = out.z, out.spec
         assert np.all(np.diff(profile_trace) > -1e-10)
+
+
+class TestCfStart:
+    """CF starts on the fitted ScF face, (theta, v_beta, sigma_beta) of ScF with phi = 0,
+    and falls back to the default start where that alternation fails."""
+
+    def test_cf_converges_from_the_scf_face(self, q50_seed3_fits):
+        ds, scf, cf = q50_seed3_fits
+        assert cf.converged and cf.iterations["start"] == "ScF"
+        assert scf.deviance_profile == pytest.approx(-236.36, abs=5e-3)
+        assert cf.deviance_profile == pytest.approx(-315.90, abs=5e-3)
+        assert "start: ScF" in fit_table_text(cf)
+        assert "start" not in scf.iterations and "start" not in fit_table_text(scf)
+        # from the default start the alternation runs off towards the ShF limit
+        with pytest.raises(NonConvergenceError):
+            fitting._alternate("weibull", build_design(ds), ds, "CF", FitSettings())
+
+    def test_a_given_start_is_the_scf_fit_cf_makes_itself(self, q50_seed3_fits):
+        ds, scf, cf = q50_seed3_fits
+        assert fit(ds, structure="CF", start=scf).to_dict() == cf.to_dict()
+
+    def test_fallback_returns_the_default_start_fit(self):
+        # the face run does not converge here, so the fit is the default start's
+        ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)
+        f = fit(ds, structure="CF")
+        assert f.converged and "start" not in f.iterations
+        assert f.dispersion["sigma_beta"] == pytest.approx(0.1851636, abs=1e-6)
+        assert f.dispersion["phi"] == pytest.approx(1.389846, abs=1e-6)
+        assert f.deviance_profile == pytest.approx(56.953542, abs=1e-6)
+
+    def test_fallback_is_the_default_alternation_bit_for_bit(self):
+        ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)
+        default = fitting._alternate("weibull", build_design(ds), ds, "CF", FitSettings())
+        assert fit(ds, structure="CF").to_dict() == default.to_dict()
+
+    @pytest.mark.parametrize("structure, start, message", [
+        ("CF", dict(structure="ShF"), "fitted ScF model"),
+        ("CF", dict(structure="CF"), "fitted ScF model"),
+        ("CF", dict(family="gompertz"), "family"),
+        ("CF", dict(scale_covariates=[]), "scale covariates"),
+        ("CF", dict(shape_covariates=[]), "shape covariates"),
+        ("ScF", {}, "CF fits only"),
+        ("BVNF", {}, "CF fits only"),
+    ])
+    def test_a_start_that_does_not_fit_raises(self, structure, start, message):
+        ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)
+        given = fit(ds, **{"structure": "ScF", **start})
+        with pytest.raises(DomainError, match=message):
+            fit(ds, structure=structure, start=given)
+
+    def test_a_start_on_other_clusters_or_not_a_fit_raises(self):
+        ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)
+        other = small_weibull_dataset(seed=11, q=6, n_i=10, p=1, censor_scale=3.0)
+        with pytest.raises(DomainError, match="cluster labels"):
+            fit(ds, structure="CF", start=fit(other, structure="ScF"))
+        with pytest.raises(DomainError, match="fitted ScF model"):
+            fit(ds, structure="CF", start=fit(ds, structure="ScF").to_dict())
 
 
 class TestBlockCurvatureFit:

@@ -221,6 +221,12 @@ class TestSelectionReport:
                                  stub_fit("CF", 95.0, 2)])
         assert [r.note for r in fine.rows] == ["", "", ""]
 
+    def test_cf_from_the_scf_face_is_not_above_the_fits_it_nests(self, q50_seed3_fits):
+        # the nesting check on real fits: from the default start CF raises here
+        ds, scf, cf = q50_seed3_fits
+        report = selection_report([fit(ds, structure="NF"), scf, cf])
+        assert {r.model: r.note for r in report.rows} == {"NF": "", "ScF": "", "CF": ""}
+
     def test_nested_deviance_ordering_on_real_fits(self):
         ds = small_weibull_dataset(seed=2, q=5, n_i=10)
         f_nf = fit(ds, structure="NF")

@@ -28,7 +28,11 @@ It prints, in order:
 - the six Weibull fits, hashed as above, of the benchmark's analyst-deep
   data set (q = 100, n_i = 50, 25% censoring, seed 1, x1 cut at 0 into a
   0/1 treatment), whose frailty structures take the Schur side (dim 106
-  and 206) as wide-shallow and analyst-deep do (about 2 s).
+  and 206) as wide-shallow and analyst-deep do (about 2 s);
+- the Weibull ScF and CF fits of the Table-2 data set at (q = 50, n_i = 5,
+  25% censoring, seed 3), where CF converges from the ScF face and raises
+  ``NonConvergenceError`` from the default start: the start decides its
+  outcome (about 2 s).
 """
 
 import hashlib
@@ -54,10 +58,10 @@ def generated(spec):
     return m.simulate_dataset(spec, m.calibrate_censoring(spec, calibration), replicate)
 
 
-def print_fits(ds, families, label=None):
+def print_fits(ds, families, label=None, structures=m.STRUCTURES):
     """One line per family and structure: the fit's hash and iterations, or the exception's type."""
     for family in families:
-        for structure in m.STRUCTURES:
+        for structure in structures:
             try:
                 f = m.fit(ds, structure=structure, family=family)
             except m.MPRFrailtyError as exc:
@@ -120,6 +124,9 @@ def main():
     treatment = np.column_stack([deep.covariates[:, 0] > 0, deep.covariates[:, 1]])
     print_fits(m.Dataset(deep.clusters, deep.time, deep.status, treatment, ["treatment", "x2"]),
                ("weibull",), label="analyst-deep")
+
+    table2 = generated(m.ScenarioSpec(q=50, n_i=5, censor_rate=0.25, replicates=1, seed=3, **TRUTH))
+    print_fits(table2, ("weibull",), label="q50-seed3", structures=("ScF", "CF"))
 
 
 if __name__ == "__main__":
