@@ -14,8 +14,8 @@ rho -> 1 or sigma -> 0 are reachable as limits instead of domain errors.
 The structure's ``data.FrailtyLaw`` holds that scale, its caps and
 Jacobian, and the warnings for a fit that ends at a boundary.  Every
 structure takes the same path; NF, with no dispersion, runs no sweep.
-CF alone first starts on its fitted ScF face (phi = 0), and falls back
-to the default start where that run fails (``fit``).
+CF alone first starts on its fitted ScF face, phi = 0, and runs from the
+default start too where that run fails; the larger p is the fit (``fit``).
 """
 
 import math
@@ -562,15 +562,18 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         clusters (``compare`` passes its own).  Without it, a CF fit fits
         ScF first.
 
-    The default start: the fixed effects from a fixed-effects Weibull fit
-    from 0.01 starts, the frailties at 0.01 and every dispersion parameter
-    at 0.1.  CF first starts on the fitted ScF face instead, where it
-    nests ScF exactly: (theta, v_beta) and sigma_beta of the ScF fit, and
-    phi = 0 (from the default start, CF drifts towards its ShF limit at
-    sigma_beta -> 0, |phi| -> inf).  A CF alternation from the face that
-    raises or does not converge, or whose ScF fit raises, is replaced by
-    the one from the default start.  A fit whose alternation began on the
-    face has ``iterations["start"] == "ScF"``.
+    Every structure but CF starts from one default: the fixed effects
+    from a fixed-effects Weibull fit from 0.01 starts, the frailties at
+    0.01 and every dispersion parameter at 0.1.  From there CF drifts
+    towards its ShF limit at sigma_beta -> 0, |phi| -> inf, so CF starts
+    on its fitted ScF face first, where it nests ScF exactly:
+    (theta, v_beta) and sigma_beta of the ScF fit, and phi = 0.  Where
+    that run raises or does not converge, CF also runs from the default
+    start, and the fit is the end with the larger p (the lower
+    ``deviance_profile``), converged or not; it raises only where both
+    runs raise, with the default run's error.  A fit from the face has
+    ``iterations["start"] == "ScF"``.  ``inner_total`` counts the
+    returned alternation alone.
     """
     family = normalize_family(family)
     structure = normalize_structure(structure)
@@ -578,16 +581,27 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     design = build_design(dataset, scale_covariates, shape_covariates)
     if start is not None:
         _check_start(start, structure, family, design)
-    if structure == CF:
+    if structure != CF:
+        return _finish(family, design, dataset, _alternate(family, design, structure, settings))
+    ends = []
+    try:
+        if start is None:
+            start = _finish(family, design, dataset, _alternate(family, design, SCF, settings))
+        ends.append(_alternate(family, design, CF, settings, start=start))
+    except MPRFrailtyError:
+        pass
+    if not (ends and ends[0].converged):
         try:
-            if start is None:
-                start = _alternate(family, design, dataset, SCF, settings)
-            face = _alternate(family, design, dataset, CF, settings, start=start)
-            if face.converged:
-                return face
+            ends.append(_alternate(family, design, CF, settings))
         except MPRFrailtyError:
-            pass
-    return _alternate(family, design, dataset, structure, settings)
+            if not ends:
+                raise
+    if len(ends) == 2:
+        # the larger p, on a tie the face run's; only the kept end gets its tail
+        face, default = (_DispersionObjective(family, design, CF, end.final.x)._values(end.z[None])[0]
+                         for end in ends)
+        ends = ends[1:] if math.isnan(face) or default > face else ends[:1]
+    return _finish(family, design, dataset, ends[0])
 
 
 def _check_start(start, structure, family, design):
@@ -605,11 +619,24 @@ def _check_start(start, structure, family, design):
             raise DomainError(f"start does not match this fit in its {what}")
 
 
-def _alternate(family, design, dataset, structure, settings, start=None):
-    """The fit of ``structure`` by the alternation from the default start.
+@dataclass
+class _AlternationEnd:
+    """Where an alternation stopped: (theta, v) re-solved at its last dispersion."""
+
+    structure: str
+    z: np.ndarray
+    spec: FrailtySpec
+    final: InnerResult
+    converged: bool
+    iterations: dict
+    warnings: list
+
+
+def _alternate(family, design, structure, settings, start=None):
+    """The alternation for ``structure`` from the default start, up to its end.
 
     With ``start``, an ScF fit, the CF alternation starts on its face
-    instead, and the fit's ``iterations`` say so.
+    instead, and the end's ``iterations`` say so.
     """
     fit_warnings = []
     law = FRAILTY_LAWS[structure]
@@ -672,14 +699,9 @@ def _alternate(family, design, dataset, structure, settings, start=None):
         z = z_next
         spec = _spec_with_z(structure, z)
 
-    # final matched state: re-solve (theta, v) at the final dispersion; the
-    # adjusted profile there and at the stencil of its curvature is one batch
+    # final matched state: re-solve (theta, v) at the final dispersion
     final = _newton(Evaluator(family, design, spec), x)
     inner_total += final.iterations
-    profiles = _DispersionObjective(family, design, structure, final.x)._values(
-        _hessian_stencil(z))
-    if math.isnan(profiles[0]):
-        raise CurvatureError("information matrix is not positive definite")
 
     if not converged:
         fit_warnings.append(
@@ -690,12 +712,24 @@ def _alternate(family, design, dataset, structure, settings, start=None):
         fit_warnings.append("inner step-halving accepted a non-increasing step")
     fit_warnings += law.boundary_warnings(spec.dispersion().values())
 
-    return _assemble_fit(
-        family, design, dataset, spec, final, profiles,
-        converged=converged,
+    return _AlternationEnd(
+        structure, z, spec, final, converged,
         iterations={"outer": outer_it, "inner_total": inner_total}
         | ({} if start is None else {"start": SCF}),
-        fit_warnings=fit_warnings,
+        warnings=fit_warnings,
+    )
+
+
+def _finish(family, design, dataset, end):
+    """The fit at an alternation's end; the adjusted profile there and at the
+    stencil of its curvature is one batch."""
+    profiles = _DispersionObjective(family, design, end.structure, end.final.x)._values(
+        _hessian_stencil(end.z))
+    if math.isnan(profiles[0]):
+        raise CurvatureError("information matrix is not positive definite")
+    return _assemble_fit(
+        family, design, dataset, end.spec, end.final, profiles,
+        converged=end.converged, iterations=end.iterations, fit_warnings=end.warnings,
     )
 
 

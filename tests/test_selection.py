@@ -14,7 +14,7 @@ from mprfrailty import (
 )
 from mprfrailty.selection import _NESTED_PAIRS
 
-from .conftest import small_weibull_dataset
+from .conftest import small_weibull_dataset, table2_replicate
 
 
 def stub_fit(structure, deviance_profile, df_r, cond_deviance=0.0, df_c=0.0):
@@ -222,10 +222,20 @@ class TestSelectionReport:
         assert [r.note for r in fine.rows] == ["", "", ""]
 
     def test_cf_from_the_scf_face_is_not_above_the_fits_it_nests(self, q50_seed3_fits):
-        # the nesting check on real fits: from the default start CF raises here
+        # the nesting check on real fits
         ds, scf, cf = q50_seed3_fits
         report = selection_report([fit(ds, structure="NF"), scf, cf])
         assert {r.model: r.note for r in report.rows} == {"NF": "", "ScF": "", "CF": ""}
+
+    def test_cf_stopped_on_its_face_is_not_above_scf(self):
+        # Gompertz CF's face run stops at max_outer here, and is kept: the default
+        # start converges at its ShF limit, 14 above ScF's deviance
+        ds = table2_replicate(q=20, n_i=5, seed=1)
+        scf, cf = (fit(ds, structure=s, family="gompertz") for s in ("ScF", "CF"))
+        assert not cf.converged
+        assert cf.deviance_profile < scf.deviance_profile
+        notes = {r.model: r.note for r in selection_report([scf, cf]).rows}
+        assert notes == {"ScF": "", "CF": "not converged"}
 
     def test_nested_deviance_ordering_on_real_fits(self):
         ds = small_weibull_dataset(seed=2, q=5, n_i=10)

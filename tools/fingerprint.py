@@ -30,9 +30,9 @@ It prints, in order:
   0/1 treatment), whose frailty structures take the Schur side (dim 106
   and 206) as wide-shallow and analyst-deep do (about 2 s);
 - the Weibull ScF and CF fits of the Table-2 data set at (q = 50, n_i = 5,
-  25% censoring, seed 3), where CF converges from the ScF face and raises
-  ``NonConvergenceError`` from the default start: the start decides its
-  outcome (about 2 s).
+  25% censoring, seed 3), where CF converges from its ScF face and raises
+  ``NonConvergenceError`` from the default start of the other structures:
+  the start decides its outcome (about 2 s).
 """
 
 import hashlib
