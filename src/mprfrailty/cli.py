@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .data import CF, SCF, STRUCTURES, Dataset, csv_number, normalize_structure, plain
+from .data import STRUCTURES, Dataset, csv_number, normalize_structure, plain
 from .errors import (
     BootstrapError,
     CalibrationError,
@@ -35,7 +35,7 @@ from .errors import (
     MPRFrailtyError,
     ScenarioError,
 )
-from .fitting import FitSettings, ModelFit, fit
+from .fitting import FACES, FitSettings, ModelFit, fit
 from .inference import bootstrap_hr_ci, frailty_estimates, hazard_ratio_curve
 from .selection import frailty_lrt, selection_report  # noqa: F401 (bench/spans.py wraps frailty_lrt)
 from .simulation import ScenarioSpec, format_failure_reasons, run_scenario
@@ -86,7 +86,7 @@ def fit_table_text(model_fit):
     """Human-readable coefficient table mirroring the report layout."""
     lines = []
     lines.append(f"family: {model_fit.family}  structure: {model_fit.structure}")
-    # a CF fit whose alternation began on the ScF face says so; no other fit has a start
+    # a fit whose alternation began on its face (FACES) names it; no other fit has a start
     start = model_fit.iterations.get("start")
     lines.append(f"converged: {model_fit.converged}  "
                  f"outer iterations: {model_fit.iterations.get('outer')}"
@@ -164,8 +164,8 @@ def cmd_compare(args):
     os.makedirs(args.out, exist_ok=True)
 
     fits, failures = {}, {}
-    # ScF first, so that CF starts on its fit; the report keeps the order given
-    for structure in sorted(structures, key=lambda s: s != SCF):
+    # each face before the structure that starts on it; the outputs keep the given order
+    for structure in sorted(structures, key=lambda s: s not in FACES.values()):
         try:
             fits[structure] = fit(
                 dataset,
@@ -174,7 +174,7 @@ def cmd_compare(args):
                 scale_covariates=_split_list(args.scale_covariates),
                 shape_covariates=_split_list(args.shape_covariates),
                 settings=settings,
-                start=fits.get(SCF) if structure == CF else None,
+                start=fits.get(FACES.get(structure)),
             )
         except (MPRFrailtyError, ValueError) as exc:
             failures[structure] = f"{type(exc).__name__}: {exc}"

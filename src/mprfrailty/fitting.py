@@ -14,10 +14,11 @@ rho -> 1 or sigma -> 0 are reachable as limits instead of domain errors.
 The structure's ``data.FrailtyLaw`` holds that scale, its caps and
 Jacobian, and the warnings for a fit that ends at a boundary.  Every
 structure takes the same path; NF, with no dispersion, runs no sweep.
-CF alone first starts on its fitted ScF face, phi = 0, and runs from the
-default start too where that run fails; the larger p is the fit (``fit``).
+CF and BVNF can start on their fitted face (``FACES``), with the default
+start as the fallback; the larger p is the fit (``fit``).
 """
 
+import contextlib
 import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields
@@ -26,8 +27,10 @@ import numpy as np
 
 from .baselines import WEIBULL, normalize_family
 from .data import (
+    BVNF,
     CF,
     FRAILTY_LAWS,
+    IF,
     NF,
     SCF,
     FrailtySpec,
@@ -61,6 +64,10 @@ _FD_STEP = float(np.finfo(float).eps ** (1 / 3))
 
 # starting value of every dispersion parameter of the alternating algorithm
 _START_DISPERSION = 0.1
+
+# the exact faces on the search scale: a structure with its one extra dispersion
+# parameter at 0 is its face (CF at phi = 0 is ScF, BVNF at rho = 0 is IF)
+FACES = {CF: SCF, BVNF: IF}
 
 INNER_TOL = 1e-8       # the inner Newton stops when max |score| falls below this
 MAX_INNER = 50         # inner Newton iterations before NonConvergenceError
@@ -558,21 +565,20 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
         Covariates entering each component (default: all, both).
     settings : FitSettings or None
     start : ModelFit or None
-        CF only: a fitted ScF model of the same family, covariates and
-        clusters (``compare`` passes its own).  Without it, a CF fit fits
-        ScF first.
+        A fit of the structure's face (``FACES``: ScF for CF, IF for BVNF)
+        of the same family, covariates and clusters; ``compare`` passes
+        its own.  Without it CF fits its ScF face first.
 
-    Every structure but CF starts from one default: the fixed effects
-    from a fixed-effects Weibull fit from 0.01 starts, the frailties at
-    0.01 and every dispersion parameter at 0.1.  From there CF drifts
-    towards its ShF limit at sigma_beta -> 0, |phi| -> inf, so CF starts
-    on its fitted ScF face first, where it nests ScF exactly:
-    (theta, v_beta) and sigma_beta of the ScF fit, and phi = 0.  Where
-    that run raises or does not converge, CF also runs from the default
-    start, and the fit is the end with the larger p (the lower
-    ``deviance_profile``), converged or not; it raises only where both
-    runs raise, with the default run's error.  A fit from the face has
-    ``iterations["start"] == "ScF"``.  ``inner_total`` counts the
+    Without ``start`` a fit runs from one default: the fixed effects from a
+    fixed-effects Weibull fit from 0.01 starts, the frailties at 0.01 and
+    every dispersion parameter at 0.1; from there CF drifts towards its ShF
+    limit at sigma_beta -> 0, |phi| -> inf.  A run from a face starts at
+    the face fit's (theta, v) and dispersion, with the parameter the face
+    lacks (phi, rho) at 0.  Where it raises or does not converge, the
+    default start runs too and the fit is the end with the larger p (the
+    lower ``deviance_profile``), converged or not; it raises only where
+    both runs raise, with the default run's error.  A fit from the face
+    names it in ``iterations["start"]``.  ``inner_total`` counts the
     returned alternation alone.
     """
     family = normalize_family(family)
@@ -581,36 +587,36 @@ def fit(dataset, structure="BVNF", family="weibull", scale_covariates=None,
     design = build_design(dataset, scale_covariates, shape_covariates)
     if start is not None:
         _check_start(start, structure, family, design)
-    if structure != CF:
+    elif structure == CF:
+        with contextlib.suppress(MPRFrailtyError):
+            start = _finish(family, design, dataset, _alternate(family, design, SCF, settings))
+    if start is None:
         return _finish(family, design, dataset, _alternate(family, design, structure, settings))
     ends = []
-    try:
-        if start is None:
-            start = _finish(family, design, dataset, _alternate(family, design, SCF, settings))
-        ends.append(_alternate(family, design, CF, settings, start=start))
-    except MPRFrailtyError:
-        pass
+    with contextlib.suppress(MPRFrailtyError):
+        ends.append(_alternate(family, design, structure, settings, start=start))
     if not (ends and ends[0].converged):
         try:
-            ends.append(_alternate(family, design, CF, settings))
+            ends.append(_alternate(family, design, structure, settings))
         except MPRFrailtyError:
             if not ends:
                 raise
     if len(ends) == 2:
         # the larger p, on a tie the face run's; only the kept end gets its tail
-        face, default = (_DispersionObjective(family, design, CF, end.final.x)._values(end.z[None])[0]
-                         for end in ends)
+        face, default = (_DispersionObjective(family, design, structure, end.final.x)
+                         ._values(end.z[None])[0] for end in ends)
         ends = ends[1:] if math.isnan(face) or default > face else ends[:1]
     return _finish(family, design, dataset, ends[0])
 
 
 def _check_start(start, structure, family, design):
-    """DomainError unless ``start`` is an ScF fit that a CF fit of this family and design can start from."""
-    if structure != CF:
-        raise DomainError(f"start applies to CF fits only, not to {structure}")
-    if not isinstance(start, ModelFit) or start.structure != SCF:
+    """DomainError unless ``start`` is a fit of ``structure``'s face, of this family and design."""
+    if structure not in FACES:
+        raise DomainError(f"start applies to {' and '.join(sorted(FACES))} fits only, "
+                          f"not to {structure}")
+    if not isinstance(start, ModelFit) or start.structure != FACES[structure]:
         got = start.structure if isinstance(start, ModelFit) else type(start).__name__
-        raise DomainError(f"start must be a fitted ScF model, not {got}")
+        raise DomainError(f"start must be a fitted {FACES[structure]} model, not {got}")
     for what, got, want in (("family", start.family, family),
                             ("scale covariates", start.scale_names, design.scale_names),
                             ("shape covariates", start.shape_names, design.shape_names),
@@ -635,8 +641,8 @@ class _AlternationEnd:
 def _alternate(family, design, structure, settings, start=None):
     """The alternation for ``structure`` from the default start, up to its end.
 
-    With ``start``, an ScF fit, the CF alternation starts on its face
-    instead, and the end's ``iterations`` say so.
+    With ``start``, a fit of the structure's face, the alternation starts
+    on that face instead, and the end's ``iterations`` say so.
     """
     fit_warnings = []
     law = FRAILTY_LAWS[structure]
@@ -647,10 +653,10 @@ def _alternate(family, design, structure, settings, start=None):
         start_v = np.full(design.q, 0.01)
         point = (init_res.beta, init_res.alpha, start_v, start_v)
     else:
-        # CF's dispersion is (sigma_beta, phi), and phi = 0 is ScF
+        # the face's point, with the parameter it lacks at 0
         inner_total = 0
-        z = law.to_z([start.dispersion["sigma_beta"], 0.0])
-        point = (start.beta, start.alpha, start.v_beta, None)
+        z = law.to_z([start.dispersion.get(name, 0.0) for name in law.names])
+        point = (start.beta, start.alpha, start.v_beta, start.v_alpha)
     spec = _spec_with_z(structure, z)
     x = Evaluator(family, design, spec).layout.pack(*point)
 
@@ -715,7 +721,7 @@ def _alternate(family, design, structure, settings, start=None):
     return _AlternationEnd(
         structure, z, spec, final, converged,
         iterations={"outer": outer_it, "inner_total": inner_total}
-        | ({} if start is None else {"start": SCF}),
+        | ({} if start is None else {"start": start.structure}),
         warnings=fit_warnings,
     )
 

@@ -220,6 +220,30 @@ class TestCmdCompare:
         rows = (out / "selection.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["CF", "NF", "ScF"]
 
+    @pytest.mark.parametrize("structures", ["BVNF,NF,IF", "IF,BVNF,NF"])
+    def test_compare_fits_if_once_and_starts_bvnf_on_it(self, structures, data_csv, tmp_path,
+                                                        monkeypatch):
+        import mprfrailty.cli
+
+        calls = {}
+
+        def recording_fit(dataset, structure, **kwargs):
+            assert structure not in calls
+            calls[structure] = (kwargs["start"], fit(dataset, structure=structure, **kwargs))
+            return calls[structure][1]
+
+        monkeypatch.setattr(mprfrailty.cli, "fit", recording_fit)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--data", data_csv, "--structures", structures,
+                     "--out", str(out)]) == 0
+        # IF is fitted before BVNF, whatever the order given
+        assert list(calls) == ["IF"] + [s for s in structures.split(",") if s != "IF"]
+        assert calls["BVNF"][0] is calls["IF"][1]
+        assert calls["IF"][0] is None and calls["NF"][0] is None
+        assert calls["BVNF"][1].iterations["start"] == "IF"
+        rows = (out / "selection.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == structures.split(",")
+
     def test_single_structure_rejected(self, data_csv, tmp_path):
         assert main(["compare", "--data", data_csv, "--structures", "NF",
                      "--out", str(tmp_path)]) == 1

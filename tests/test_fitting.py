@@ -15,6 +15,7 @@ import scipy.optimize
 
 from mprfrailty import (
     STRUCTURES,
+    Dataset,
     FitSettings,
     FrailtySpec,
     ModelFit,
@@ -43,7 +44,7 @@ from mprfrailty.data import FRAILTY_LAWS, RHO_CAP, SIGMA_BOUNDARY
 from mprfrailty.hlik import DENSE_MAX_DIM, LOG_2PI, Curvature, Evaluator
 
 from ._oracles import nf_negloglik, rel_err
-from .conftest import small_weibull_dataset
+from .conftest import small_weibull_dataset, table2_replicate
 
 
 def newton_at(design, spec, beta0, alpha0, v_beta0=None):
@@ -458,7 +459,8 @@ class TestFit:
 
 class TestCfStart:
     """CF starts on its fitted ScF face, (theta, v_beta, sigma_beta) of ScF with phi = 0;
-    where that run fails, the default start runs too and the larger p is the fit."""
+    where that run fails, the default start runs too and the larger p is the fit.
+    A start is checked against the structure's face in ``fitting.FACES``."""
 
     def test_cf_converges_from_the_scf_face(self, q50_seed3_fits):
         ds, scf, cf = q50_seed3_fits
@@ -494,7 +496,15 @@ class TestCfStart:
         ("CF", dict(scale_covariates=[]), "scale covariates"),
         ("CF", dict(shape_covariates=[]), "shape covariates"),
         ("ScF", {}, "CF fits only"),
-        ("BVNF", {}, "CF fits only"),
+        ("BVNF", {}, "fitted IF model"),
+        ("CF", dict(structure="IF"), "fitted ScF model"),
+        ("BVNF", dict(structure="BVNF"), "fitted IF model"),
+        ("NF", dict(structure="IF"), "BVNF and CF fits only"),
+        ("ShF", dict(structure="IF"), "BVNF and CF fits only"),
+        ("IF", dict(structure="IF"), "BVNF and CF fits only"),
+        ("BVNF", dict(structure="IF", family="gompertz"), "family"),
+        ("BVNF", dict(structure="IF", scale_covariates=[]), "scale covariates"),
+        ("BVNF", dict(structure="IF", shape_covariates=[]), "shape covariates"),
     ])
     def test_a_start_that_does_not_fit_raises(self, structure, start, message):
         ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)
@@ -507,8 +517,33 @@ class TestCfStart:
         other = small_weibull_dataset(seed=11, q=6, n_i=10, p=1, censor_scale=3.0)
         with pytest.raises(DomainError, match="cluster labels"):
             fit(ds, structure="CF", start=fit(other, structure="ScF"))
+        with pytest.raises(DomainError, match="cluster labels"):
+            fit(ds, structure="BVNF", start=fit(other, structure="IF"))
         with pytest.raises(DomainError, match="fitted ScF model"):
             fit(ds, structure="CF", start=fit(ds, structure="ScF").to_dict())
+
+
+class TestBvnfStart:
+    """BVNF starts on its fitted IF face, (theta, v) and the sigmas of IF with rho = 0,
+    only when handed an IF fit; a plain BVNF fit runs from the default start."""
+
+    def test_bvnf_from_its_if_face_ends_at_the_default_starts_point(self):
+        # analyst-deep's data set: x1 cut at 0 into a 0/1 treatment
+        ds = table2_replicate(q=100, n_i=50, censor_rate=0.25, seed=1)
+        ds = Dataset(ds.clusters, ds.time, ds.status,
+                     np.column_stack([ds.covariates[:, 0] > 0, ds.covariates[:, 1]]),
+                     ["treatment", "x2"])
+        default = fit(ds, structure="BVNF")
+        face = fit(ds, structure="BVNF", start=fit(ds, structure="IF"))
+        assert default.converged and face.converged
+        assert face.iterations["start"] == "IF" and "start" not in default.iterations
+        assert face.iterations["outer"] < default.iterations["outer"]
+        assert "start: IF" in fit_table_text(face)
+        for name, value in default.dispersion.items():
+            assert face.dispersion[name] == pytest.approx(value, abs=1e-6)
+        assert face.deviance_profile == pytest.approx(default.deviance_profile, abs=1e-6)
+        np.testing.assert_allclose(face.beta, default.beta, atol=1e-6)
+        np.testing.assert_allclose(face.alpha, default.alpha, atol=1e-6)
 
 
 class TestBlockCurvatureFit:

@@ -29,6 +29,8 @@ It prints, in order:
   data set (q = 100, n_i = 50, 25% censoring, seed 1, x1 cut at 0 into a
   0/1 treatment), whose frailty structures take the Schur side (dim 106
   and 206) as wide-shallow and analyst-deep do (about 2 s);
+- the Weibull BVNF fit of that data set given its IF fit as ``start=``,
+  the face run that ``compare`` makes and no plain ``fit`` does;
 - the Weibull ScF and CF fits of the Table-2 data set at (q = 50, n_i = 5,
   25% censoring, seed 3), where CF converges from its ScF face and raises
   ``NonConvergenceError`` from the default start of the other structures:
@@ -58,6 +60,10 @@ def generated(spec):
     return m.simulate_dataset(spec, m.calibrate_censoring(spec, calibration), replicate)
 
 
+def fit_digest(f):
+    return hashlib.sha256(json.dumps(f.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 def print_fits(ds, families, label=None, structures=m.STRUCTURES):
     """One line per family and structure: the fit's hash and iterations, or the exception's type."""
     for family in families:
@@ -67,8 +73,7 @@ def print_fits(ds, families, label=None, structures=m.STRUCTURES):
             except m.MPRFrailtyError as exc:
                 print(label or family, structure, type(exc).__name__)
                 continue
-            digest = hashlib.sha256(json.dumps(f.to_dict(), sort_keys=True).encode()).hexdigest()
-            print(label or family, structure, digest, json.dumps(f.iterations))
+            print(label or family, structure, fit_digest(f), json.dumps(f.iterations))
 
 
 def main():
@@ -122,8 +127,10 @@ def main():
 
     deep = generated(m.ScenarioSpec(q=100, n_i=50, censor_rate=0.25, replicates=1, seed=1, **TRUTH))
     treatment = np.column_stack([deep.covariates[:, 0] > 0, deep.covariates[:, 1]])
-    print_fits(m.Dataset(deep.clusters, deep.time, deep.status, treatment, ["treatment", "x2"]),
-               ("weibull",), label="analyst-deep")
+    deep = m.Dataset(deep.clusters, deep.time, deep.status, treatment, ["treatment", "x2"])
+    print_fits(deep, ("weibull",), label="analyst-deep")
+    bvnf = m.fit(deep, structure="BVNF", start=m.fit(deep, structure="IF"))
+    print("analyst-deep BVNF start=IF", fit_digest(bvnf), json.dumps(bvnf.iterations))
 
     table2 = generated(m.ScenarioSpec(q=50, n_i=5, censor_rate=0.25, replicates=1, seed=3, **TRUTH))
     print_fits(table2, ("weibull",), label="q50-seed3", structures=("ScF", "CF"))
