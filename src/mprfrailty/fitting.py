@@ -8,6 +8,10 @@ absolute change across all estimates drops below the outer tolerance;
 a safeguarded secant mix of the dispersion updates accelerates the
 fixed-point iteration when its contraction is slow.
 
+Step 2 is a damped Newton ascent under CF, whose dispersion moves the
+data part through phi, and L-BFGS-B under every other structure
+(``outer_dispersion``).
+
 Dispersion parameters are searched on an unconstrained scale
 (log sigma, atanh rho, phi as-is) so that boundary solutions such as
 rho -> 1 or sigma -> 0 are reachable as limits instead of domain errors.
@@ -156,6 +160,27 @@ def _spec_with_z(structure, z):
     return FrailtySpec(structure, **dict(zip(law.names, values)))
 
 
+def _hessian_stencil(z, step=1e-4):
+    """z, z +- step e_i, then z +- step e_i +- step e_j for i < j: a central Hessian's rows."""
+    k = len(z)
+    e = np.eye(k) * step
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return np.array([z] + [p for i in range(k) for p in (z + e[i], z - e[i])] + [
+        p for i, j in pairs
+        for p in (z + e[i] + e[j], z + e[i] - e[j], z - e[i] + e[j], z - e[i] - e[j])])
+
+
+def _central_hessian(values, k, step=1e-4):
+    """The Hessian from values at the rows of :func:`_hessian_stencil`, symmetric by build."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    f0, *vals = values
+    Hn = np.diag([(vals[2 * i] - 2.0 * f0 + vals[2 * i + 1]) / step**2 for i in range(k)])
+    for n, (i, j) in enumerate(pairs):
+        a, b, c, d = vals[2 * k + 4 * n: 2 * k + 4 * n + 4]
+        Hn[i, j] = Hn[j, i] = (a - b - c + d) / (4.0 * step**2)
+    return Hn
+
+
 # the shifts of a start point tried, in order, when p is not evaluable there
 _START_BUMPS = (0.25, -0.25, 0.5, -0.5, 1.0)
 
@@ -196,7 +221,7 @@ class _DispersionObjective:
         # the rows of L's parameters among the dispersion values, whose first k
         # rows are the standard deviations and row k the correlation, if any
         self._loading = [law.names.index(n) for n in law.loading_names]
-        self._first = None  # (z, f, g) of start(), for the search's first call
+        self._first = None  # (z, f, g) of L-BFGS-B's start, for its first call
 
     def _data_part(self, key, values):
         """(ell1 sum, penalty-free curvature) at x for the values ``key`` of L's parameters.
@@ -276,8 +301,8 @@ class _DispersionObjective:
     def value_and_gradient(self, z):
         """(f, g): f = -p at z, the penalty where p is None, and its 3-point gradient.
 
-        One :meth:`_stencil` batch.  The first call after :meth:`start`, at
-        its point, returns what start evaluated.
+        One :meth:`_stencil` batch.  The first call at the point whose
+        stencil L-BFGS-B's start kept (``_first``) returns what was kept.
         """
         z = np.asarray(z, dtype=float)
         first, self._first = self._first, None
@@ -287,24 +312,126 @@ class _DispersionObjective:
         self._record(Z, p)
         return f, g
 
-    def start(self, z0):
-        """The first of z0 and its ``_START_BUMPS`` shifts at which p is evaluable.
+    def start(self, z0, batch):
+        """(z, batch(z)) for the first of z0 and its ``_START_BUMPS`` shifts at which p is evaluable.
 
-        Each candidate is one :meth:`_stencil` batch.  A candidate whose p
-        is None counts as one evaluation, and its other rows are dropped;
-        the first evaluable one counts its stencil and keeps its value and
-        gradient for the search's first :meth:`value_and_gradient` call.
+        ``batch(z)`` gives (Z, p, ...) with z as row 0.  A candidate whose
+        p is None counts as one evaluation, and its other rows are dropped;
+        the first evaluable one counts its batch.
         """
         z0 = np.asarray(z0, dtype=float)
         for z in [z0] + [z0 + bump for bump in _START_BUMPS]:
-            Z, p, f, g = self._stencil(z)
+            out = batch(z)
+            Z, p = out[:2]
             if not math.isnan(p[0]):
                 self._record(Z, p)
-                self._first = (z, f, g)
-                return z
+                return z, out
             self._record(Z[:1], p[:1])
         raise NonConvergenceError(
             "adjusted profile likelihood not evaluable near the starting dispersion")
+
+    # Step 2's own reference to the rows, so that replacing the module's
+    # _hessian_stencil changes the fit's tail alone
+    _hessian_rows = staticmethod(_hessian_stencil)
+
+    def hessian_batch(self, z):
+        """(Z, p): p at the rows Z of the central-difference Hessian stencil around z, as one batch.
+
+        Nothing is counted or kept.
+        """
+        Z = self._hessian_rows(np.asarray(z, dtype=float), _NEWTON_STEP)
+        return Z, self._values(Z)
+
+
+# Step 2 by damped Newton (structures whose loading has parameters): the
+# stencil step, the largest step on the search scale, the halvings of one
+# step and the steps of a tight search.  A tight search stops on the Newton
+# decrement g'd below _NEWTON_TOL: the step it leaves, at most
+# sqrt(g'd / curvature), is below OUTER_TOL for curvatures down to 0.1
+_NEWTON_STEP = 1e-4
+_NEWTON_MAX_STEP = 1.0
+_NEWTON_HALVINGS = 8
+_NEWTON_MAX_ITER = 30
+_NEWTON_TOL = 1e-13
+
+
+def _newton_direction(p, k):
+    """(d, g'd): the modified Newton ascent direction of p from its values at a Hessian stencil.
+
+    g and the Hessian are central differences (step ``_NEWTON_STEP``);
+    eigenvalues of -Hessian below a floor relative to the largest are
+    raised to it, so d is an ascent direction where p is not concave.
+    """
+    g = np.array([(p[1 + 2 * i] - p[2 + 2 * i]) / (2.0 * _NEWTON_STEP) for i in range(k)])
+    w, Q = np.linalg.eigh(-_central_hessian(p, k, _NEWTON_STEP))
+    w = np.maximum(w, 1e-6 * max(1.0, float(np.max(np.abs(w)))))
+    d = Q @ ((Q.T @ g) / w)
+    return d, float(g @ d)
+
+
+def _newton_search(obj, z0, effort):
+    """Damped Newton ascent of p from z0; True where it stopped on the Newton decrement.
+
+    Each iteration evaluates the Hessian stencil around z as one batch;
+    the step is capped at ``_NEWTON_MAX_STEP`` on the search scale and
+    halved until p at the trial point, one row, does not fall below p at z.
+    A loose search takes one accepted step; a tight one iterates until
+    g'd < ``_NEWTON_TOL``.  Stops without a step where a stencil row is not
+    evaluable or no halving is accepted.
+    """
+    z, (Z, p) = obj.start(z0, obj.hessian_batch)
+    k = len(z)
+    for it in range(1 if effort == "loose" else _NEWTON_MAX_ITER):
+        if it:
+            Z, p = obj.hessian_batch(z)
+            obj._record(Z, p)
+        if any(math.isnan(v) for v in p):
+            return False
+        d, decrement = _newton_direction(p, k)
+        if decrement < _NEWTON_TOL:
+            return True
+        d *= min(1.0, _NEWTON_MAX_STEP / float(np.max(np.abs(d))))
+        for _ in range(_NEWTON_HALVINGS + 1):
+            trial = (z + d)[None]
+            p_trial = obj._values(trial)
+            obj._record(trial, p_trial)
+            if p_trial[0] >= p[0]:
+                break
+            d *= 0.5
+        else:
+            return False
+        z = trial[0]
+    return False
+
+
+def _lbfgsb_search(obj, z0, effort):
+    """L-BFGS-B on the 3-point gradient from z0; True where it met its gradient test."""
+    # z0, or where it is not evaluable a deterministically perturbed start; its
+    # stencil also serves L-BFGS-B's first evaluation
+    z0, (_, _, f, g) = obj.start(z0, obj._stencil)
+    obj._first = (z0, f, g)
+    # budgets in objective evaluations; maxfun counts trial points, and
+    # each trial point also evaluates its 2k-point gradient stencil
+    per_trial = 1 + 2 * len(z0)
+    if effort == "loose":
+        options = {"gtol": 1e-5, "ftol": 1e-12, "maxiter": 15, "maxfun": 40 // per_trial}
+    else:
+        options = {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200 // per_trial}
+    # imported here, its only use, so that a process that never fits does not
+    # pay for scipy.optimize; the attribute is looked up at call time
+    import scipy.optimize
+
+    try:
+        result = scipy.optimize.minimize(
+            obj.value_and_gradient,
+            z0,
+            method="L-BFGS-B",
+            jac=True,
+            options=options,
+        )
+    except (ValueError, FloatingPointError):
+        return False  # fall back to the best evaluated point
+    return bool(result.status == 0)
 
 
 @dataclass
@@ -322,38 +449,24 @@ def outer_dispersion(family, design, structure, z0, x_fixed, effort="tight"):
     the current (theta, v) estimates, which stay fixed during the search.
     Returns the best point found with its back-transformed specification.
 
+    A structure whose loading L has parameters (CF's phi) searches by
+    damped Newton (``_newton_search``): there every distinct value of L
+    costs a record pass, and one Newton iteration needs three (its Hessian
+    stencil), against three for each L-BFGS-B trial point.  Every other
+    structure searches by L-BFGS-B on the 3-point gradient
+    (``_lbfgsb_search``), where a trial point costs no record pass.
+
     Far from the joint fixed point the alternation overwrites this
     maximizer on the next sweep anyway, so ``effort="loose"`` caps the
-    search budget; the convergence decision only trusts a ``tight``
-    update that terminated on its gradient criterion.
+    search (L-BFGS-B's budget, or one accepted Newton step); the
+    convergence decision only trusts a ``tight`` update that terminated
+    on its gradient criterion (L-BFGS-B's, or the Newton decrement).
     """
     obj = _DispersionObjective(family, design, structure, x_fixed)
-    # z0, or where it is not evaluable a deterministically perturbed start; its
-    # stencil also serves L-BFGS-B's first evaluation
-    z0 = obj.start(z0)
-    # budgets in objective evaluations; maxfun counts trial points, and
-    # each trial point also evaluates its 2k-point gradient stencil
-    per_trial = 1 + 2 * len(z0)
-    if effort == "loose":
-        options = {"gtol": 1e-5, "ftol": 1e-12, "maxiter": 15, "maxfun": 40 // per_trial}
+    if FRAILTY_LAWS[structure].loading_names:
+        gradient_converged = _newton_search(obj, z0, effort)
     else:
-        options = {"gtol": 5e-7, "ftol": 1e-14, "maxiter": 60, "maxfun": 200 // per_trial}
-    # imported here, its only use, so that a process that never fits does not
-    # pay for scipy.optimize; the attribute is looked up at call time
-    import scipy.optimize
-
-    gradient_converged = False
-    try:
-        result = scipy.optimize.minimize(
-            obj.value_and_gradient,
-            z0,
-            method="L-BFGS-B",
-            jac=True,
-            options=options,
-        )
-        gradient_converged = bool(result.status == 0)
-    except (ValueError, FloatingPointError):
-        pass  # fall back to the best evaluated point
+        gradient_converged = _lbfgsb_search(obj, z0, effort)
     z_best = obj.best[1]
     return OuterResult(
         spec=_spec_with_z(structure, z_best),
@@ -521,27 +634,6 @@ def _empirical_modes(dataset):
         modes[name] = float(values[np.argmax(counts)])  # first max = smallest value
         binary[name] = bool(np.all(np.isin(values, (0.0, 1.0))))
     return modes, binary
-
-
-def _hessian_stencil(z, step=1e-4):
-    """z, z +- step e_i, then z +- step e_i +- step e_j for i < j: a central Hessian's rows."""
-    k = len(z)
-    e = np.eye(k) * step
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    return np.array([z] + [p for i in range(k) for p in (z + e[i], z - e[i])] + [
-        p for i, j in pairs
-        for p in (z + e[i] + e[j], z + e[i] - e[j], z - e[i] + e[j], z - e[i] - e[j])])
-
-
-def _central_hessian(values, k, step=1e-4):
-    """The Hessian from values at the rows of :func:`_hessian_stencil`, symmetric by build."""
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    f0, *vals = values
-    Hn = np.diag([(vals[2 * i] - 2.0 * f0 + vals[2 * i + 1]) / step**2 for i in range(k)])
-    for n, (i, j) in enumerate(pairs):
-        a, b, c, d = vals[2 * k + 4 * n: 2 * k + 4 * n + 4]
-        Hn[i, j] = Hn[j, i] = (a - b - c + d) / (4.0 * step**2)
-    return Hn
 
 
 def _initial_theta(design):

@@ -471,13 +471,13 @@ class TestCfStart:
         assert "start" not in scf.iterations and "start" not in fit_table_text(scf)
 
     def test_the_default_start_is_kept_where_its_p_is_larger(self):
-        # the face run drifts to the ShF limit and stops at max_outer with deviance 58.25;
+        # the face run drifts to the ShF limit and stops at max_outer with deviance 58.49;
         # from the default start CF converges lower
         ds = small_weibull_dataset(seed=11, q=5, n_i=12, p=1, censor_scale=3.0)
         f = fit(ds, structure="CF")
         assert f.converged and "start" not in f.iterations
         assert f.dispersion["sigma_beta"] == pytest.approx(0.1851636, abs=1e-6)
-        assert f.dispersion["phi"] == pytest.approx(1.389846, abs=1e-6)
+        assert f.dispersion["phi"] == pytest.approx(1.3898484, abs=1e-6)
         assert f.deviance_profile == pytest.approx(56.953542, abs=1e-6)
         design = build_design(ds)
         end = fitting._alternate("weibull", design, "CF", FitSettings(), start=fit(ds, structure="ScF"))
@@ -819,7 +819,7 @@ class TestDispersionObjective:
 
     @pytest.mark.parametrize("effort", ["loose", "tight"])
     @pytest.mark.parametrize("q", [5, 80])
-    @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "CF", "BVNF"])
+    @pytest.mark.parametrize("structure", ["ScF", "ShF", "IF", "BVNF"])
     def test_own_gradient_repeats_scipy_3_point(self, structure, q, effort):
         design, x, z0 = _objective_fixture(structure, q)
         want, p_want, message = _scipy_3_point_outer(design, structure, x, z0, effort)
@@ -832,9 +832,45 @@ class TestDispersionObjective:
         # L-BFGS-B's first stencil; outer_dispersion evaluates that stencil once
         assert got.n_eval == want.n_eval - 1
         assert got.gradient_converged == want.gradient_converged
-        if effort == "loose" and structure in ("CF", "BVNF"):
-            # these searches end on the rescaled maxfun cap
+        if effort == "loose" and structure == "BVNF":
+            # this search ends on the rescaled maxfun cap
             assert "EVALUATIONS EXCEEDS LIMIT" in message.upper()
+
+    @pytest.mark.parametrize("q", [5, 80])
+    def test_cf_tight_newton_ends_at_the_3_point_maximizer(self, q):
+        # CF's Step 2 is a damped Newton ascent on the Hessian stencil; a tight
+        # search ends where L-BFGS-B on scipy's 3-point rule ends, to 1e-7 in z,
+        # with p not lower beyond rounding, in fewer evaluations
+        design, x, z0 = _objective_fixture("CF", q)
+        want, p_want, _ = _scipy_3_point_outer(design, "CF", x, z0, "tight")
+        got = outer_dispersion("weibull", design, "CF", z0, x, effort="tight")
+        assert got.gradient_converged and want.gradient_converged
+        assert np.max(np.abs(got.z - want.z)) < 1e-7
+        p_got = _DispersionObjective("weibull", design, "CF", x)._values(got.z[None])[0]
+        assert p_got >= p_want - 1e-14 * abs(p_want)
+        assert got.spec == _spec_with_z("CF", got.z)
+        assert got.n_eval < want.n_eval
+
+    @pytest.mark.parametrize("q, shift, trials", [(5, [1.5, 0.0], 4), (80, [0.5, 0.5], 2)])
+    def test_cf_loose_newton_spends_one_stencil_and_its_halvings(self, monkeypatch, q, shift,
+                                                                 trials):
+        design, x, z0 = _objective_fixture("CF", q)
+        batches = []
+        values = _DispersionObjective._values
+        monkeypatch.setattr(_DispersionObjective, "_values",
+                            lambda self, Z: batches.append((Z, values(self, Z))) or batches[-1][1])
+        out = outer_dispersion("weibull", design, "CF", z0 + shift, x, effort="loose")
+        # the 1 + 2k^2 = 9 rows of the Hessian stencil at the start, then one row per
+        # trial step, halved until p there does not fall below p at the start
+        (Z0, p), *steps = batches
+        assert len(Z0) == 9 and np.array_equal(Z0[0], z0 + shift)
+        assert [len(Z) for Z, _ in steps] == [1] * trials
+        assert [v[0] < p[0] for _, v in steps] == [True] * (trials - 1) + [False]
+        offsets = [Z[0] - Z0[0] for Z, _ in steps]
+        for longer, shorter in zip(offsets, offsets[1:]):
+            np.testing.assert_allclose(shorter, 0.5 * longer, rtol=1e-12)
+        assert out.n_eval == 9 + trials
+        assert np.array_equal(out.z, steps[-1][0][0]) and not out.gradient_converged
 
     def test_outer_dispersion_returns_spec_of_best_point(self, monkeypatch):
         design, x, z0 = _objective_fixture("BVNF", 5)

@@ -227,15 +227,14 @@ class TestSelectionReport:
         report = selection_report([fit(ds, structure="NF"), scf, cf])
         assert {r.model: r.note for r in report.rows} == {"NF": "", "ScF": "", "CF": ""}
 
-    def test_cf_stopped_on_its_face_is_not_above_scf(self):
-        # Gompertz CF's face run stops at max_outer here, and is kept: the default
-        # start converges at its ShF limit, 14 above ScF's deviance
+    def test_gompertz_cf_from_its_face_converges_below_scf(self):
+        # Gompertz CF converges from its ScF face here, 5 below ScF's deviance
         ds = table2_replicate(q=20, n_i=5, seed=1)
         scf, cf = (fit(ds, structure=s, family="gompertz") for s in ("ScF", "CF"))
-        assert not cf.converged
+        assert cf.converged and cf.iterations["start"] == "ScF"
         assert cf.deviance_profile < scf.deviance_profile
         notes = {r.model: r.note for r in selection_report([scf, cf]).rows}
-        assert notes == {"ScF": "", "CF": "not converged"}
+        assert notes == {"ScF": "", "CF": ""}
 
     def test_nested_deviance_ordering_on_real_fits(self):
         ds = small_weibull_dataset(seed=2, q=5, n_i=10)
