@@ -734,7 +734,10 @@ def _alternate(family, design, structure, settings, start=None):
     """The alternation for ``structure`` from the default start, up to its end.
 
     With ``start``, a fit of the structure's face, the alternation starts
-    on that face instead, and the end's ``iterations`` say so.
+    on that face instead, and the end's ``iterations`` say so.  Where Step 1
+    raises at a dispersion that the secant mix produced, it runs once more
+    from the same (theta, v) at that sweep's unmixed Step-2 point, and the
+    alternation raises only where that run raises too.
     """
     fit_warnings = []
     law = FRAILTY_LAWS[structure]
@@ -759,9 +762,16 @@ def _alternate(family, design, structure, settings, start=None):
     prev_estimates = None
     last_change = np.inf
     prev = None  # (z_out, residual) of the previous sweep
+    unmixed = None  # the previous sweep's z_out where the secant mix moved z off it
     for outer_it in range(1, (settings.max_outer if law.names else 0) + 1):
         # Step 1: (theta, v) at fixed dispersion
-        res = _newton(Evaluator(family, design, spec), x)
+        try:
+            res = _newton(Evaluator(family, design, spec), x)
+        except MPRFrailtyError:
+            if unmixed is None:
+                raise
+            z, spec = unmixed, _spec_with_z(structure, unmixed)
+            res = _newton(Evaluator(family, design, spec), x)
         inner_total += res.iterations
         monotone = monotone and res.monotone
         x = res.x
@@ -794,6 +804,7 @@ def _alternate(family, design, structure, settings, start=None):
                 if np.all(np.isfinite(cand)) and np.max(np.abs(cand - z_out)) < 3.0:
                     z_next = cand
         prev = (z_out, resid)
+        unmixed = None if z_next is z_out else z_out
         z = z_next
         spec = _spec_with_z(structure, z)
 

@@ -26,7 +26,7 @@ process's first factorization (``_bind_lapack``).
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,19 +175,22 @@ def _penalty_score(sig, rho, u):
 
 
 # Up to this many (theta, v) coordinates a log-determinant and a Newton solve
-# factor one dense matrix, above it the Schur complement of the frailty blocks.  One
-# log-determinant including the dense assembly, single-threaded OpenBLAS on a
-# 2-CPU x86-64 box, dense vs Schur: BVNF 18 vs 21 us at dim 46, a tie at dim
-# 66, 102 vs 23 us at dim 206 and 793 vs 26 us at dim 406; ScF ties at dim 56.
-# The Newton solve ties at dim 86 (BVNF).  Measured with the block-by-block
-# dense fill; the scatter has since made the dense side cheaper, but moving
-# the bound would move the bits of every fit whose dim it crosses.
+# factor one dense matrix, above it the Schur complement of the frailty blocks.
+# BVNF log-dets, single-threaded OpenBLAS on a 2-CPU x86-64 box, dense vs
+# Schur: a 7-point stencil 67 vs 38 us at dim 46, 101 vs 41 at dim 66 and
+# 7687 vs 95 at dim 406; one point 27 vs 30 us at dim 46, 25 vs 33 at dim
+# 66 and 231 vs 46 at dim 206.  The Newton solve ties at dim 86.  So Step 2's
+# stencils are faster on the Schur side from dim 46 on, but the bound stays:
+# moving it moves the bits of every fit whose dim it crosses.  At 40, all 20
+# BVNF fits of the benchmark's mc-heavy-censor scenario (dim 46) change, and
+# the deviances of replicates 8, 9 and 13 move by 0.07, 0.18 and 5.2.
 DENSE_MAX_DIM = 60
 
 # the relative ridges solve_ascent tries, in order, once H itself is not PD
 _RIDGES = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
-# points whose D + P and D^-1 the Schur side forms at once (a 3-parameter gradient stencil);
+# points whose closed-form (D_i + P)^-1 and S the Schur side forms at once (a
+# 3-parameter gradient stencil);
 # all 19 of a Hessian stencil at once raised a BVNF fit's peak memory at q = 20,000 by 40 MB
 _SCHUR_POINTS = 7
 
@@ -224,29 +227,81 @@ def _cholesky(H):
     return c
 
 
-def _block_inverse(D):
-    """(D_i^-1 stacked like D, sum_i log det D_i) for each point of a stack D (npts, k, k, q).
+# the entries (j, l), j <= l, of a k x k frailty block in the order the closed
+# forms stack them; where entry (j, l) of the full block sits in that order;
+# and the (rows, cols) of the entries whose cofactors they are, (0, 0) <-> (1, 1)
+_PAIRS = {0: (), 1: ((0, 0),), 2: ((0, 0), (0, 1), (1, 1))}
+_PAIR_OF = {0: np.zeros((0, 0), dtype=int), 1: [[0]], 2: [[0, 1], [1, 2]]}
+_COFACTORS = {k: tuple(np.array(ix, dtype=np.intp) for ix in zip(*pairs[::-1]))
+              for k, pairs in _PAIRS.items() if k}
 
-    The log-det is nan at a point where some D_i is not positive definite,
-    and the inverse is None when no point is.
+
+def _block_inverse(D, Ps):
+    """(E, logdet): every (D_i + P)^-1 in closed form, for each P of a stack Ps (npts, k, k).
+
+    ``E`` (npts, k(k+1)/2, q) holds the entries ``_PAIRS[k]`` of each
+    (D_i + P)^-1 and ``logdet`` (npts) the sum_i log det(D_i + P).  At a
+    point where some D_i + P is not positive definite the log-det is nan
+    and that point's E is finite but meaningless.
     """
-    k = D.shape[1]
+    k = D.shape[0]
     if k == 0:
-        return D, np.zeros(len(D))
-    det = D[:, 0, 0] if k == 1 else D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 0, 1]
-    ok = ((D[:, 0, 0] > 0) & (det > 0)).all(1)
-    if not ok.any():
-        return None, np.full(len(D), np.nan)
-    det = det if ok.all() else np.where(ok[:, None], det, 1.0)  # finite where unused
+        return np.empty((len(Ps), 0, D.shape[-1])), np.zeros(len(Ps))
+    # the entries of every D_i + P, each where its cofactor goes in the inverse
+    rows, cols = _COFACTORS[k]
+    E = D[rows, cols] + Ps[:, rows, cols, None]
+    d00 = E[:, -1]
+    det = d00 if k == 1 else d00 * E[:, 0] - E[:, 1] * E[:, 1]
+    # D_i + P is PD where d00 and det are positive; nan is not
+    all_ok = bool(d00.min() > 0 and det.min() > 0)
+    if not all_ok:
+        ok = np.minimum(d00, det).min(axis=1) > 0
+        det = np.where(ok[:, None], det, 1.0)  # finite where unused
     logdet = np.log(det).sum(axis=1)
-    logdet[~ok] = np.nan
     if k == 1:
-        return 1.0 / det[:, None, None], logdet
-    inv = np.empty_like(D)
-    inv[:, 0, 0], inv[:, 1, 1] = D[:, 1, 1], D[:, 0, 0]
-    inv[:, 0, 1] = inv[:, 1, 0] = -D[:, 0, 1]
-    inv /= det[:, None, None]
-    return inv, logdet
+        np.divide(1.0, det, out=E[:, 0])
+    else:
+        E /= det[:, None]
+        np.negative(E[:, 1], out=E[:, 1])
+    if not all_ok:
+        logdet[~ok] = np.nan
+    return E, logdet
+
+
+@cache
+def _lower_index(m):
+    """(rows, cols, positions) of the lower triangle of an m x m block.
+
+    Its entries (b, a), taken in the ``np.triu_indices(m)`` order of (a, b),
+    and their positions in the block flattened in Fortran order; kept per m,
+    since every Evaluator has a layout of its own.
+    """
+    a, b = np.triu_indices(m)
+    return b, a, b + a * m
+
+
+def _border_products(B):
+    """O (m(m+1)/2, k(k+1)/2 * q): the packed products of the border B (k, m, q).
+
+    Row (a, b), a <= b in ``np.triu_indices(m)`` order, column p * q + i
+    holds entry (a, b) of B_j[:, i] B_l[:, i]' for the pair (j, l) =
+    ``_PAIRS[k][p]``, plus its transpose where j < l; so the Schur
+    complement at a point is A - O e, with e the point's closed-form
+    entries of every (D_i + P)^-1 flattened.  Filled a row of a at a time,
+    so that its temporaries are at most m x q.
+    """
+    k, m, q = B.shape
+    O = np.empty((m * (m + 1) // 2, len(_PAIRS[k]) * q))
+    row = 0
+    for a in range(m):
+        rows = slice(row, row + m - a)
+        for p, (j, l) in enumerate(_PAIRS[k]):
+            out = O[rows, p * q:(p + 1) * q]
+            np.multiply(B[j, a], B[l, a:], out=out)
+            if j != l:
+                out += B[l, a] * B[j, a:]
+        row += m - a
+    return O
 
 
 class Curvature:
@@ -265,10 +320,23 @@ class Curvature:
     Schur complement S = A - B D^-1 B' with closed-form D_i^-1: O(q m^2 k
     + m^3) time and O(q m k) memory instead of O(dim^3) and dim^2.  Up to
     DENSE_MAX_DIM coordinates the log-determinant and the solve factor
-    ``to_dense()`` instead, which is faster there; the inverse blocks,
-    formed once per fit, always take the Schur path.  Every method raises
+    ``to_dense()`` instead; the inverse blocks, formed once per fit,
+    always take the Schur path.  Every method raises
     :class:`CurvatureError` when H is not positive definite, except
     ``logdet``, which marks such a point nan.
+
+    The Schur-side log-dets of a stack of npts precisions are elementwise
+    arithmetic on (npts, q) arrays and one stacked product against the
+    packed border products (``_border_products``): O(npts q m^2 k^2)
+    flops.  The penalty-free curvature builds those products at the first
+    Schur-side log-det of any curvature made from it, in O(q m^2 k^2), and
+    keeps them: 8 m(m+1)/2 k(k+1)/2 q bytes, 10 MB for BVNF with m = 6 at
+    q = 20,000.  A 7-point BVNF stencil at dim 406 took 281 us with W and
+    S by ``einsum`` point by point and takes 95 us, after a build of about
+    100 us once per data part.  The solve and the inverse blocks, one
+    point each, keep W and S by ``einsum``: the inverse blocks carry every
+    fit's standard errors, dense side included, and a point's products
+    cost more to build than that ``einsum``.
 
     The dense matrix is one scatter through ``layout.dense_index`` and the
     dense side calls LAPACK directly: at dim 46 (BVNF, q = 20) ``to_dense``
@@ -276,10 +344,22 @@ class Curvature:
     (medians of interleaved rounds on a shared 2-CPU x86-64 box).
     """
 
-    def __init__(self, layout, A, B, D, P):
+    def __init__(self, layout, A, B, D, P, root=None):
         self.layout = layout
         self.A, self.B, self.D, self.P = A, B, D, P
         self._flat = None  # _dense(), kept by the first log-det
+        # the penalty-free curvature this one was made from, None for that one itself
+        self._root = root
+
+    @property
+    def _base(self):
+        """The penalty-free curvature this one was made from, which keeps the border products."""
+        return self if self._root is None else self._root
+
+    @cached_property
+    def _products(self):
+        """``_border_products(B)``, formed at the first Schur-side log-det made from this one."""
+        return _border_products(self.B)
 
     @property
     def dim(self):
@@ -314,7 +394,8 @@ class Curvature:
 
     def with_penalty(self, P):
         """This curvature with the k x k precision P added to every D_i."""
-        return Curvature(self.layout, self.A, self.B, self.D + P[:, :, None], self.P + P)
+        return Curvature(self.layout, self.A, self.B, self.D + P[:, :, None], self.P + P,
+                         self._base)
 
     def _ridged(self, r):
         """H + diag(r); r is a full-length vector."""
@@ -323,7 +404,7 @@ class Curvature:
         D = self.D.copy()
         for j in range(k):
             D[j, j] += r[m + j * q: m + (j + 1) * q]
-        return Curvature(self.layout, A, self.B, D, self.P)
+        return Curvature(self.layout, A, self.B, D, self.P, self._base)
 
     def logdet(self, P):
         """npts log-dets for a stack P (npts, k, k) of frailty precisions.
@@ -398,27 +479,41 @@ class Curvature:
 
     # Schur complement of the frailty blocks: the log-det and solve at large dim
 
-    def _complement(self, Dinv):
-        """(W = B D^-1, S = A - B D^-1 B') for one point's D^-1."""
-        W = np.einsum("lai,lji->jai", self.B, Dinv)
-        return W, self.A - np.einsum("jai,jbi->ab", W, self.B)
-
     def _schur(self):
-        """(D^-1, W, lower Cholesky factor of S)."""
-        Dinv, _ = _block_inverse(self.D[None])
-        if Dinv is None:
+        """(D^-1 stacked like D, W = B D^-1, lower Cholesky factor of S = A - W B')."""
+        E, logdet = _block_inverse(self.D, np.zeros((1,) + self.P.shape))
+        if np.isnan(logdet[0]):
             raise CurvatureError("a frailty block of the information is not positive definite")
-        W, S = self._complement(Dinv[0])
-        return Dinv[0], W, _cholesky(S)
+        Dinv = E[0][_PAIR_OF[len(self.D)]]
+        W = np.einsum("lai,lji->jai", self.B, Dinv)
+        return Dinv, W, _cholesky(self.A - np.einsum("jai,jbi->ab", W, self.B))
 
     def _logdet_schur(self, Ps):
-        # as _logdet_dense; D + P and D^-1 for _SCHUR_POINTS points at a time, W and S per point
+        # as _logdet_dense, for _SCHUR_POINTS points at a time: the closed-form
+        # (D_i + P)^-1 and the lower triangle of each point's S = A - O e, one row
+        # of one stacked product, written into a row of the stack in the
+        # Fortran order that the factorization overwrites in place.  Each point
+        # is a GEMV of its own, so its bits do not depend on the batch (a 2-D
+        # product is a GEMV for one row and a GEMM for more)
+        m = self.A.shape[0]
+        rows, cols, positions = _lower_index(m)
+        A = self.A[rows, cols]
+        O = self._base._products
         out = []
         for lo in range(0, len(Ps), _SCHUR_POINTS):
-            Dinv, logdet = _block_inverse(self.D + Ps[lo:lo + _SCHUR_POINTS, ..., None])
-            for i in np.flatnonzero(~np.isnan(logdet)):
-                c, info = _POTRF(self._complement(Dinv[i])[1], lower=1, clean=0)
-                logdet[i] += 2.0 * float(np.log(c.diagonal()).sum()) if info == 0 else np.nan
+            E, logdet = _block_inverse(self.D, Ps[lo:lo + _SCHUR_POINTS])
+            n = len(E)
+            S = np.zeros((n, m * m))
+            S[:, positions] = A - (E.reshape(n, 1, -1) @ O.T)[:, 0]
+            factored = S.reshape(n, m, m).transpose(0, 2, 1)  # each point's S, Fortran-ordered
+            ok = np.array([pd and _POTRF(s, 1, 0, 1)[1] == 0
+                           for s, pd in zip(factored, (~np.isnan(logdet)).tolist())])
+            # as in _logdet_dense, each row's sum pairwise as for one point
+            if ok.all():
+                logdet += 2.0 * np.log(S[:, ::m + 1]).sum(axis=1)
+            else:
+                logdet[ok] += 2.0 * np.log(S[:, ::m + 1][ok]).sum(axis=1)
+                logdet[~ok] = np.nan
             out.append(logdet)
         return np.concatenate(out)
 

@@ -41,10 +41,12 @@ from mprfrailty.fitting import (
 )
 from mprfrailty import fitting
 from mprfrailty.data import FRAILTY_LAWS, RHO_CAP, SIGMA_BOUNDARY
+from mprfrailty import hlik
 from mprfrailty.hlik import DENSE_MAX_DIM, LOG_2PI, Curvature, Evaluator
+from mprfrailty.simulation import calibrate_censoring
 
 from ._oracles import nf_negloglik, rel_err
-from .conftest import small_weibull_dataset, table2_replicate
+from .conftest import TABLE2_TRUTH, small_weibull_dataset, table2_replicate
 
 
 def newton_at(design, spec, beta0, alpha0, v_beta0=None):
@@ -457,6 +459,56 @@ class TestFit:
         assert np.all(np.diff(profile_trace) > -1e-10)
 
 
+@pytest.fixture(scope="module")
+def mixed_step_1_fails():
+    """Replicate 10 of the benchmark's mc-heavy-censor scenario, drawn as ``run_scenario`` draws it.
+
+    Step 1 of its BVNF fit raises NonConvergenceError at a dispersion that
+    the secant mix produced; at that sweep's Step-2 point it converges.
+    """
+    spec = ScenarioSpec(q=20, n_i=5, censor_rate=0.5, replicates=20, seed=20251, **TABLE2_TRUTH)
+    children = np.random.SeedSequence(spec.seed).spawn(spec.replicates + 1)
+    c_max = calibrate_censoring(spec, np.random.default_rng(children[0]))
+    return simulate_dataset(spec, c_max, np.random.default_rng(children[11]))
+
+
+class TestSecantFallback:
+    def test_step_1_reruns_at_the_unmixed_point(self, mixed_step_1_fails, monkeypatch):
+        calls, failed = [], []
+
+        def recording(ev, x):
+            calls.append((ev.spec, np.array(x)))
+            try:
+                return _newton(ev, x)
+            except NonConvergenceError:
+                failed.append(len(calls))
+                raise
+
+        monkeypatch.setattr(fitting, "_newton", recording)
+        f = fit(mixed_step_1_fails, structure="BVNF", settings=FitSettings(max_outer=600))
+        assert f.converged and f.iterations["outer"] == 39
+        # one Step 1 failed, and the next call ran from the same x at another dispersion
+        assert len(failed) == 1
+        (spec, x), (retry_spec, retry_x) = calls[failed[0] - 1:failed[0] + 1]
+        assert np.array_equal(retry_x, x) and retry_spec != spec
+
+    def test_a_failing_retry_raises(self, mixed_step_1_fails, monkeypatch):
+        failed = []
+
+        def failing_again(ev, x):
+            if failed:
+                raise failed[0]
+            try:
+                return _newton(ev, x)
+            except NonConvergenceError as exc:
+                failed.append(exc)
+                raise
+
+        monkeypatch.setattr(fitting, "_newton", failing_again)
+        with pytest.raises(NonConvergenceError, match="inner Newton did not converge"):
+            fit(mixed_step_1_fails, structure="BVNF", settings=FitSettings(max_outer=600))
+
+
 class TestCfStart:
     """CF starts on its fitted ScF face, (theta, v_beta, sigma_beta) of ScF with phi = 0;
     where that run fails, the default start runs too and the larger p is the fit.
@@ -674,22 +726,30 @@ def _logdet_one(H):
     """log det H by one Cholesky factorization, None when H is not PD.
 
     Dense up to DENSE_MAX_DIM, else through the Schur complement of the
-    frailty blocks, each with the arithmetic of a single-point evaluation.
+    frailty blocks with the arithmetic of a single-point evaluation: the
+    closed-form entries (0, 0), (0, 1), (1, 1) of every D_i^-1, and S from
+    one vector-matrix product against the packed (a <= b) border products.
     """
     try:
         if H.dim <= DENSE_MAX_DIM:
             c = scipy.linalg.cho_factor(H.to_dense(), lower=True)[0]
             return 2.0 * float(np.log(c.diagonal()).sum())
-        D = H.D
+        D, B = H.D, H.B
         det = D[0, 0] if len(D) == 1 else D[0, 0] * D[1, 1] - D[0, 1] * D[0, 1]
         if not (np.all(D[0, 0] > 0) and np.all(det > 0)):
             return None
+        rows, cols = np.triu_indices(len(H.A))
         if len(D) == 1:
-            inv = (1.0 / det)[None, None]
+            e, products = [1.0 / det], [B[0][rows] * B[0][cols]]
         else:
-            inv = np.array([[D[1, 1], -D[0, 1]], [-D[0, 1], D[0, 0]]]) / det
-        W = np.einsum("lai,lji->jai", H.B, inv)
-        c = scipy.linalg.cho_factor(H.A - np.einsum("jai,jbi->ab", W, H.B), lower=True)[0]
+            e = [D[1, 1] / det, -D[0, 1] / det, D[0, 0] / det]
+            products = [B[0][rows] * B[0][cols],
+                        B[0][rows] * B[1][cols] + B[1][rows] * B[0][cols],
+                        B[1][rows] * B[1][cols]]
+        O = np.concatenate(products, axis=1)
+        S = np.zeros_like(H.A)
+        S[cols, rows] = H.A[cols, rows] - np.concatenate(e)[None] @ O.T
+        c = scipy.linalg.cho_factor(S, lower=True)[0]
         return float(np.sum(np.log(det))) + 2.0 * float(np.log(c.diagonal()).sum())
     except scipy.linalg.LinAlgError:
         return None
@@ -958,6 +1018,32 @@ class TestBatchedProfiles:
             assert np.array_equal(g, want)
             assert obj.n_eval == len(points)
             assert obj.best[0] == best[0] and np.array_equal(obj.best[1], best[1])
+
+    @pytest.mark.parametrize("q", [20, 80])
+    @pytest.mark.parametrize("structure", ["CF", "BVNF"])
+    def test_border_products_built_once_per_data_part(self, structure, q, monkeypatch):
+        # BVNF at q = 20 is dim 46, on the dense side; every CF phi is a data part of its own
+        design, x, z0 = _objective_fixture(structure, q)
+        builds, parts = [], []
+        build = hlik._border_products
+        monkeypatch.setattr(hlik, "_border_products", lambda B: builds.append(B) or build(B))
+        obj = _DispersionObjective("weibull", design, structure, x)
+        data_part = obj._data_part
+
+        def recorded(*args):
+            out = data_part(*args)
+            parts.append(out[1])
+            return out
+
+        obj._data_part = recorded
+        for z in (z0, z0 + 0.1, z0 - 0.2):
+            obj.value_and_gradient(z)
+        obj.hessian_batch(z0)
+        distinct = list({id(H): H for H in parts}.values())
+        assert all(H.dim <= DENSE_MAX_DIM for H in distinct) == (q == 20)
+        assert (len(distinct) == 1) == (structure == "BVNF")
+        assert len(builds) == (0 if q == 20 else len(distinct))
+        assert all(any(B is H.B for H in distinct) for B in builds)
 
     def test_step_2_takes_step_1_data_part(self, monkeypatch):
         # at the x and loading of Step 1's last pass, Step 2 makes no record pass
