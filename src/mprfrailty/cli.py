@@ -125,24 +125,18 @@ def _load_fit(path):
         return ModelFit.from_dict(json.load(fh))
 
 
-def _settings_from_args(args):
-    if args.max_outer is None:
-        return None
-    return FitSettings(max_outer=args.max_outer)
+def _fit_arguments(args):
+    """The keyword arguments of ``fit`` that the common fit flags give, settings included."""
+    return {"family": args.family, "scale_covariates": _split_list(args.scale_covariates),
+            "shape_covariates": _split_list(args.shape_covariates),
+            "settings": None if args.max_outer is None else FitSettings(max_outer=args.max_outer)}
 
 
 def cmd_fit(args):
     dataset = Dataset.read_csv(args.data)
-    settings = _settings_from_args(args)
+    arguments = _fit_arguments(args)
     os.makedirs(args.out, exist_ok=True)
-    model_fit = fit(
-        dataset,
-        structure=args.structure,
-        family=args.family,
-        scale_covariates=_split_list(args.scale_covariates),
-        shape_covariates=_split_list(args.shape_covariates),
-        settings=settings,
-    )
+    model_fit = fit(dataset, structure=args.structure, **arguments)
     stem = os.path.join(args.out, f"fit_{model_fit.structure}")
     _write_json(stem + ".json", model_fit.to_dict())
     table = fit_table_text(model_fit)
@@ -159,7 +153,7 @@ def cmd_compare(args):
         normalize_structure(s) for s in _split_list(args.structures) or STRUCTURES))
     if len(structures) < 2:
         raise DomainError("compare needs at least 2 structures")
-    settings = _settings_from_args(args)
+    arguments = _fit_arguments(args)
     dataset = Dataset.read_csv(args.data)
     os.makedirs(args.out, exist_ok=True)
 
@@ -167,15 +161,8 @@ def cmd_compare(args):
     # each face before the structure that starts on it; the outputs keep the given order
     for structure in sorted(structures, key=lambda s: s not in FACES.values()):
         try:
-            fits[structure] = fit(
-                dataset,
-                structure=structure,
-                family=args.family,
-                scale_covariates=_split_list(args.scale_covariates),
-                shape_covariates=_split_list(args.shape_covariates),
-                settings=settings,
-                start=fits.get(FACES.get(structure)),
-            )
+            fits[structure] = fit(dataset, structure=structure,
+                                  start=fits.get(FACES.get(structure)), **arguments)
         except (MPRFrailtyError, ValueError) as exc:
             failures[structure] = f"{type(exc).__name__}: {exc}"
     fits = {s: fits[s] for s in structures if s in fits}

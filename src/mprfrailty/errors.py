@@ -56,14 +56,7 @@ class CurvatureError(MPRFrailtyError, ArithmeticError):
 
 
 class NonConvergenceError(MPRFrailtyError, RuntimeError):
-    """An iterative solver hit its iteration cap.
-
-    ``last`` carries the final iterate so callers can inspect or restart.
-    """
-
-    def __init__(self, message, last=None):
-        super().__init__(message)
-        self.last = last
+    """An iterative solver hit its iteration cap."""
 
 
 class StructureError(MPRFrailtyError, ValueError):

@@ -69,6 +69,10 @@ _FD_STEP = float(np.finfo(float).eps ** (1 / 3))
 # starting value of every dispersion parameter of the alternating algorithm
 _START_DISPERSION = 0.1
 
+# the step of the central-difference Hessian stencil on the search scale, for
+# Step 2's Newton search and the dispersion SEs of the fit's tail
+_STENCIL_STEP = 1e-4
+
 # the exact faces on the search scale: a structure with its one extra dispersion
 # parameter at 0 is its face (CF at phi = 0 is ScF, BVNF at rho = 0 is IF)
 FACES = {CF: SCF, BVNF: IF}
@@ -126,9 +130,7 @@ def _newton(evaluator, x0):
         if it >= MAX_INNER:
             raise NonConvergenceError(
                 f"inner Newton did not converge in {MAX_INNER} iterations "
-                f"(max |score| = {np.max(np.abs(g)):.3g})",
-                last=x,
-            )
+                f"(max |score| = {np.max(np.abs(g)):.3g})")
         direction, _ = H.solve_ascent(g)
         # float-noise allowance so near-converged steps are not rejected
         accept_floor = parts.h - 1e-10 * (1.0 + abs(parts.h))
@@ -145,9 +147,7 @@ def _newton(evaluator, x0):
             step *= 0.5
         if not accepted:
             if not np.isfinite(h_new):
-                raise NonConvergenceError(
-                    "step-halving could not find an evaluable iterate", last=x
-                )
+                raise NonConvergenceError("step-halving could not find an evaluable iterate")
             monotone = False  # accepted after exhausting halvings
         x = x + step * direction
         it += 1
@@ -160,24 +160,25 @@ def _spec_with_z(structure, z):
     return FrailtySpec(structure, **dict(zip(law.names, values)))
 
 
-def _hessian_stencil(z, step=1e-4):
-    """z, z +- step e_i, then z +- step e_i +- step e_j for i < j: a central Hessian's rows."""
+def _hessian_stencil(z):
+    """z, z +- h e_i, then z +- h e_i +- h e_j for i < j (h = _STENCIL_STEP): a Hessian's rows."""
     k = len(z)
-    e = np.eye(k) * step
+    e = np.eye(k) * _STENCIL_STEP
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     return np.array([z] + [p for i in range(k) for p in (z + e[i], z - e[i])] + [
         p for i, j in pairs
         for p in (z + e[i] + e[j], z + e[i] - e[j], z - e[i] + e[j], z - e[i] - e[j])])
 
 
-def _central_hessian(values, k, step=1e-4):
+def _central_hessian(values, k):
     """The Hessian from values at the rows of :func:`_hessian_stencil`, symmetric by build."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     f0, *vals = values
-    Hn = np.diag([(vals[2 * i] - 2.0 * f0 + vals[2 * i + 1]) / step**2 for i in range(k)])
+    h2 = _STENCIL_STEP**2
+    Hn = np.diag([(vals[2 * i] - 2.0 * f0 + vals[2 * i + 1]) / h2 for i in range(k)])
     for n, (i, j) in enumerate(pairs):
         a, b, c, d = vals[2 * k + 4 * n: 2 * k + 4 * n + 4]
-        Hn[i, j] = Hn[j, i] = (a - b - c + d) / (4.0 * step**2)
+        Hn[i, j] = Hn[j, i] = (a - b - c + d) / (4.0 * h2)
     return Hn
 
 
@@ -202,10 +203,6 @@ class _DispersionObjective:
     A batch is a fixed number of numpy calls: the transforms act on whole
     columns, ell2's quadratic forms are one (npts, q) expression, each
     point's constants are scalar arithmetic, and the log-dets one stack.
-    One BVNF stencil at (q = 20, n_i = 5) takes 228 us, against 289 us
-    with per-row dicts, nested-tuple arrays and per-point loops (medians
-    of 15 interleaved rounds on a shared 2-CPU x86-64 box); about 120 us
-    of it are its seven 46 x 46 factorizations.
     """
 
     def __init__(self, family, design, structure, x_fixed):
@@ -339,16 +336,15 @@ class _DispersionObjective:
 
         Nothing is counted or kept.
         """
-        Z = self._hessian_rows(np.asarray(z, dtype=float), _NEWTON_STEP)
+        Z = self._hessian_rows(np.asarray(z, dtype=float))
         return Z, self._values(Z)
 
 
 # Step 2 by damped Newton (structures whose loading has parameters): the
-# stencil step, the largest step on the search scale, the halvings of one
-# step and the steps of a tight search.  A tight search stops on the Newton
-# decrement g'd below _NEWTON_TOL: the step it leaves, at most
-# sqrt(g'd / curvature), is below OUTER_TOL for curvatures down to 0.1
-_NEWTON_STEP = 1e-4
+# largest step on the search scale, the halvings of one step and the steps
+# of a tight search.  A tight search stops on the Newton decrement g'd below
+# _NEWTON_TOL: the step it leaves, at most sqrt(g'd / curvature), is below
+# OUTER_TOL for curvatures down to 0.1
 _NEWTON_MAX_STEP = 1.0
 _NEWTON_HALVINGS = 8
 _NEWTON_MAX_ITER = 30
@@ -358,12 +354,12 @@ _NEWTON_TOL = 1e-13
 def _newton_direction(p, k):
     """(d, g'd): the modified Newton ascent direction of p from its values at a Hessian stencil.
 
-    g and the Hessian are central differences (step ``_NEWTON_STEP``);
+    g and the Hessian are central differences (step ``_STENCIL_STEP``);
     eigenvalues of -Hessian below a floor relative to the largest are
     raised to it, so d is an ascent direction where p is not concave.
     """
-    g = np.array([(p[1 + 2 * i] - p[2 + 2 * i]) / (2.0 * _NEWTON_STEP) for i in range(k)])
-    w, Q = np.linalg.eigh(-_central_hessian(p, k, _NEWTON_STEP))
+    g = np.array([(p[1 + 2 * i] - p[2 + 2 * i]) / (2.0 * _STENCIL_STEP) for i in range(k)])
+    w, Q = np.linalg.eigh(-_central_hessian(p, k))
     w = np.maximum(w, 1e-6 * max(1.0, float(np.max(np.abs(w)))))
     d = Q @ ((Q.T @ g) / w)
     return d, float(g @ d)
@@ -550,6 +546,9 @@ class ModelFit:
         ``modal_covariates`` must map every covariate in them to a finite
         number, and ``binary_covariates`` every one to true or false.  The
         family and the structure must be known names; they read in canonical form.
+        ``dispersion`` and ``se_dispersion`` must map the structure's
+        dispersion names, and no other, to numbers, ``df_r`` must count
+        them, and ``cluster_sizes`` must hold positive integers.
         """
         if not isinstance(d, dict):
             raise DataError(f"a fit must be a JSON object, got {type(d).__name__}")
@@ -563,9 +562,9 @@ class ModelFit:
                 raise DataError(f"fit field {name!r} has the wrong type: {d[name]!r}")
             return d[name]
 
-        def array(name, ndim=1, dtype=float, values=None):
+        def array(name, ndim=1):
             try:
-                out = np.asarray(typed(name, list) if values is None else values, dtype=dtype)
+                out = np.asarray(typed(name, list), dtype=float)
             except (TypeError, ValueError):
                 out = None
             if out is None or out.ndim != ndim:
@@ -577,8 +576,10 @@ class ModelFit:
                 raise DataError(f"fit field {name!r} holds a non-finite value")
             return out
 
-        def number(name):
-            value = typed(name, (int, float, type(None)))
+        def number(name, value):
+            # true and false are ints to Python, but never a number a fit writes
+            if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+                raise DataError(f"fit field {name!r} has the wrong type: {value!r}")
             return math.nan if value is None else float(value)
 
         kw = {"family": normalize_family(typed("family", str)),
@@ -589,13 +590,22 @@ class ModelFit:
                 raise DataError(f"fit field {n!r} holds a name that is not a string")
         kw |= {n: dict(typed(n, dict)) for n in (
             "dispersion", "se_dispersion", "iterations", "modal_covariates", "binary_covariates")}
-        finite("dispersion", array("dispersion", values=list(kw["dispersion"].values())))
-        kw["se_dispersion"] = {k: math.nan if v is None else v for k, v in kw["se_dispersion"].items()}
+        keys = FRAILTY_LAWS[kw["structure"]].names
+        for n in ("dispersion", "se_dispersion"):
+            if kw[n].keys() != set(keys):
+                raise DataError(f"fit field {n!r} has the keys {sorted(kw[n])}, not {list(keys)}")
+            kw[n] = {k: number(n, kw[n][k]) for k in keys}
+        finite("dispersion", list(kw["dispersion"].values()))
+        if type(d["df_r"]) is not int or d["df_r"] != len(keys):
+            raise DataError(f"fit field 'df_r' is {d['df_r']!r}, "
+                            f"not the dispersion's count {len(keys)}")
         kw |= {n: finite(n, array(n)) for n in ("beta", "alpha", "v_beta", "v_alpha")}
         kw |= {n: array(n) for n in ("se_beta", "se_alpha")}
         kw |= {n: None if d[n] is None else array(n) for n in ("se_v_beta", "se_v_alpha")}
-        kw |= {n: number(n) for n in ("deviance_profile", "cond_deviance", "df_c")}
-        kw["cluster_sizes"] = array("cluster_sizes", dtype=int)
+        kw |= {n: number(n, d[n]) for n in ("deviance_profile", "cond_deviance", "df_c")}
+        if not all(type(size) is int and size > 0 for size in typed("cluster_sizes", list)):
+            raise DataError("fit field 'cluster_sizes' holds a size that is not an integer >= 1")
+        kw["cluster_sizes"] = np.array(d["cluster_sizes"], dtype=int)
         for names, members in (("scale_names", ("beta", "se_beta")),
                                ("shape_names", ("alpha", "se_alpha")),
                                ("cluster_labels", ("v_beta", "v_alpha", "se_v_beta",
@@ -620,7 +630,7 @@ class ModelFit:
             for key, value in kw[n].items():
                 if not ok(value):
                     raise DataError(f"fit field {n!r} holds {value!r} for {key!r}, not {what}")
-        return cls(**kw, df_r=typed("df_r", int), converged=typed("converged", bool),
+        return cls(**kw, df_r=d["df_r"], converged=typed("converged", bool),
                    cov_theta=cov_theta,
                    warnings=list(typed("warnings", list)) if "warnings" in d else [])
 
@@ -836,14 +846,7 @@ def _finish(family, design, dataset, end):
         _hessian_stencil(end.z))
     if math.isnan(profiles[0]):
         raise CurvatureError("information matrix is not positive definite")
-    return _assemble_fit(
-        family, design, dataset, end.spec, end.final, profiles,
-        converged=end.converged, iterations=end.iterations, fit_warnings=end.warnings,
-    )
-
-
-def _assemble_fit(family, design, dataset, spec, inner, profiles,
-                  converged, iterations, fit_warnings):
+    spec, inner, fit_warnings = end.spec, end.final, end.warnings
     H = inner.H
     lay = H.layout
     try:
@@ -896,8 +899,8 @@ def _assemble_fit(family, design, dataset, spec, inner, profiles,
         cond_deviance=-2.0 * inner.ell1_sum,
         df_r=spec.df_r,
         df_c=df_c,
-        converged=converged,
-        iterations=iterations,
+        converged=end.converged,
+        iterations=end.iterations,
         cluster_labels=design.cluster_labels,
         cluster_sizes=design.cluster_sizes,
         cov_theta=cov_theta,
@@ -913,7 +916,7 @@ def _dispersion_se(spec, profiles, fit_warnings):
 
     ``profiles`` holds p at the rows of ``_hessian_stencil(z_hat)``: the
     curvature of the adjusted profile likelihood on the transformed scale
-    (central differences, step 1e-4), which is mapped back.
+    (central differences, step ``_STENCIL_STEP``), which is mapped back.
     """
     names = spec.law.names
     if not names:

@@ -104,23 +104,6 @@ class ParamLayout:
         """(beta, alpha, u) with u the k x q free frailty blocks, as views of x."""
         return x[self.sl_beta], x[self.sl_alpha], x[self.m:].reshape(self.k, self.q)
 
-    # positions in the dim x dim matrix flattened in Fortran order, the layout
-    # LAPACK factors in place; see Curvature._dense
-
-    @cached_property
-    def d_index(self):
-        """(k, k, q): the position of entry (j, l) of every D_i."""
-        v = self.m + np.arange(self.k)[:, None] * self.q + np.arange(self.q)
-        return v[:, None] + v[None, :] * self.dim
-
-    @cached_property
-    def dense_index(self):
-        """The positions of A, B (k, m, q), B' and D, each flattened in C order, as one index."""
-        a = np.arange(self.m)[:, None]
-        v = (self.m + np.arange(self.k)[:, None] * self.q + np.arange(self.q))[:, None, :]
-        return np.concatenate([(a + a.T * self.dim).ravel(), (a + v * self.dim).ravel(),
-                               (v + a * self.dim).ravel(), self.d_index.ravel()])
-
 
 # The closed forms below take Sigma as (standard deviations, correlation),
 # see FrailtyLaw.sigma: ``sig`` (k x npts) holds the standard deviations of
@@ -280,6 +263,35 @@ def _lower_index(m):
     return b, a, b + a * m
 
 
+@cache
+def _dense_positions(m, k, q):
+    """The positions of A, B (k, m, q), B' and D (k, k, q), each flattened in C order, as one index.
+
+    Positions in the dim x dim matrix flattened in Fortran order, which LAPACK
+    factors in place; kept per (m, k, q), since every Evaluator has a layout of its own.
+    """
+    dim = m + k * q
+    a = np.arange(m)[:, None]
+    v = (m + np.arange(k)[:, None] * q + np.arange(q))[:, None, :]
+    return np.concatenate([(a + a.T * dim).ravel(), (a + v * dim).ravel(),
+                           (v + a * dim).ravel(), (v + v.transpose(1, 0, 2) * dim).ravel()])
+
+
+def _factored_logdets(stack, size, logdet):
+    """logdet plus the log-det of each row of stack, nan where a factorization fails.
+
+    Row i of ``stack`` (n, size * size), viewed (size, size) and transposed, is
+    a matrix in Fortran order that dpotrf overwrites in place; a row already nan
+    in ``logdet`` is not factored.  The diagonals are summed from a C-ordered
+    copy, so that each row's sum is pairwise, as for one point.
+    """
+    ok = np.array([pd and _POTRF(H.T, 1, 0, 1)[1] == 0 for H, pd in zip(
+        stack.reshape(-1, size, size), (~np.isnan(logdet)).tolist())])
+    logdet[ok] += 2.0 * np.log(stack[:, ::size + 1][ok]).sum(axis=1)
+    logdet[~ok] = np.nan
+    return logdet
+
+
 def _border_products(B):
     """O (m(m+1)/2, k(k+1)/2 * q): the packed products of the border B (k, m, q).
 
@@ -331,23 +343,18 @@ class Curvature:
     flops.  The penalty-free curvature builds those products at the first
     Schur-side log-det of any curvature made from it, in O(q m^2 k^2), and
     keeps them: 8 m(m+1)/2 k(k+1)/2 q bytes, 10 MB for BVNF with m = 6 at
-    q = 20,000.  A 7-point BVNF stencil at dim 406 took 281 us with W and
-    S by ``einsum`` point by point and takes 95 us, after a build of about
-    100 us once per data part.  The solve and the inverse blocks, one
-    point each, keep W and S by ``einsum``: the inverse blocks carry every
-    fit's standard errors, dense side included, and a point's products
-    cost more to build than that ``einsum``.
+    q = 20,000.  The solve and the inverse blocks, one point each, keep W
+    and S by ``einsum``: the inverse blocks carry every fit's standard
+    errors, dense side included, and a point's products cost more to build
+    than that ``einsum``.
 
-    The dense matrix is one scatter through ``layout.dense_index`` and the
-    dense side calls LAPACK directly: at dim 46 (BVNF, q = 20) ``to_dense``
-    took 24 us block by block and takes 9 us, ``solve_ascent`` 79 -> 28 us
-    (medians of interleaved rounds on a shared 2-CPU x86-64 box).
+    The dense matrix is one scatter through ``_dense_positions``, and the
+    dense side calls LAPACK directly.
     """
 
     def __init__(self, layout, A, B, D, P, root=None):
         self.layout = layout
         self.A, self.B, self.D, self.P = A, B, D, P
-        self._flat = None  # _dense(), kept by the first log-det
         # the penalty-free curvature this one was made from, None for that one itself
         self._root = root
 
@@ -372,13 +379,16 @@ class Curvature:
     def _dense(self):
         """The full matrix flattened in Fortran order, a new array.
 
-        One scatter through ``layout.dense_index``; A is copied as it is, so
+        One scatter through ``_dense_positions``; A is copied as it is, so
         the lower triangle that LAPACK reads holds A's lower triangle.
         """
+        lay = self.layout
         flat = np.zeros(self.dim * self.dim)
-        flat[self.layout.dense_index] = np.concatenate(
+        flat[_dense_positions(lay.m, lay.k, lay.q)] = np.concatenate(
             (self.A.ravel(), self.B.ravel(), self.B.ravel(), self.D.ravel()))
         return flat
+
+    _flat = cached_property(_dense)  # kept by the first dense-side log-det
 
     def to_dense(self):
         """The full symmetric matrix in :class:`ParamLayout` order (Fortran-ordered)."""
@@ -458,21 +468,14 @@ class Curvature:
 
     def _logdet_dense(self, Ps):
         # the log-dets of H + each P of the stack Ps, nan where not PD; row i of the
-        # stack is a copy of the kept matrix with D + P[i] for its D_i entries, and
-        # row i viewed (dim, dim) and transposed is that matrix in Fortran order,
-        # which the factorization overwrites in place
-        if self._flat is None:
-            self._flat = self._dense()
-        n, dim = len(Ps), self.dim
+        # stack is a copy of the kept matrix with D + P[i] for its D_i entries
+        n, dim, lay = len(Ps), self.dim, self.layout
         stack = np.empty((n, dim * dim))
         stack[:] = self._flat
-        stack[:, self.layout.d_index] = self.D + Ps[..., None]
-        ok = np.array([_POTRF(H.T, 1, 0, 1)[1] == 0 for H in stack.reshape(n, dim, dim)])
-        out = np.full(n, np.nan)
-        # the selected diagonals are a C-ordered copy, so that each row's sum is
-        # pairwise, as for one point
-        out[ok] = 2.0 * np.log(stack[:, ::dim + 1][ok]).sum(axis=1)
-        return out
+        # D's positions follow those of A, B and B'
+        d_positions = _dense_positions(lay.m, lay.k, lay.q)[self.A.size + 2 * self.B.size:]
+        stack[:, d_positions] = (self.D + Ps[..., None]).reshape(n, -1)
+        return _factored_logdets(stack, dim, np.zeros(n))
 
     def _solve_dense(self, g):
         return _POTRS(_cholesky(self.to_dense()), g, 1)[0]
@@ -491,8 +494,7 @@ class Curvature:
     def _logdet_schur(self, Ps):
         # as _logdet_dense, for _SCHUR_POINTS points at a time: the closed-form
         # (D_i + P)^-1 and the lower triangle of each point's S = A - O e, one row
-        # of one stacked product, written into a row of the stack in the
-        # Fortran order that the factorization overwrites in place.  Each point
+        # of one stacked product, written into a row of the stack.  Each point
         # is a GEMV of its own, so its bits do not depend on the batch (a 2-D
         # product is a GEMV for one row and a GEMM for more)
         m = self.A.shape[0]
@@ -505,16 +507,7 @@ class Curvature:
             n = len(E)
             S = np.zeros((n, m * m))
             S[:, positions] = A - (E.reshape(n, 1, -1) @ O.T)[:, 0]
-            factored = S.reshape(n, m, m).transpose(0, 2, 1)  # each point's S, Fortran-ordered
-            ok = np.array([pd and _POTRF(s, 1, 0, 1)[1] == 0
-                           for s, pd in zip(factored, (~np.isnan(logdet)).tolist())])
-            # as in _logdet_dense, each row's sum pairwise as for one point
-            if ok.all():
-                logdet += 2.0 * np.log(S[:, ::m + 1]).sum(axis=1)
-            else:
-                logdet[ok] += 2.0 * np.log(S[:, ::m + 1][ok]).sum(axis=1)
-                logdet[~ok] = np.nan
-            out.append(logdet)
+            out.append(_factored_logdets(S, m, logdet))
         return np.concatenate(out)
 
     def _solve_schur(self, g):
@@ -531,12 +524,6 @@ class Curvature:
         ``blocks`` are the diagonal blocks of H^-1 from :meth:`inverse_blocks`.
         """
         return self.dim - float(np.einsum("jli,lj->", blocks, self.P))
-
-
-# D_v's entries (0, 0), (0, 1) and (1, 1), Z'diag(w)Z for w_beta, w_ba and
-# w_alpha, as (component c, frailty r) of the cluster sums whose intercept
-# row they are, see Evaluator._assemble_information
-_D_ENTRIES = ((0, 0), (0, 1), (1, 1))
 
 
 class Evaluator:
@@ -751,8 +738,9 @@ class Evaluator:
             B[j, m_b:] = combine(col, sums[1].__getitem__)
 
         def z_sum(e):
-            # entry e of D_v is the intercept row of one of those sums
-            c, r = _D_ENTRIES[e]
+            # D_v's entry (c, r) = _PAIRS[2][e], Z'diag(w)Z for w_beta, w_ba or
+            # w_alpha, is the intercept row of sums[c][r]
+            c, r = _PAIRS[2][e]
             return sums[c][r][0]
 
         for i, j, weights in self._d_weights:

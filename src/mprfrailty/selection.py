@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .data import BVNF, CF, FRAILTY_LAWS, IF, NF, SCF, SHF, STRUCTURES, csv_number
-from .errors import MPRFrailtyError
+from .errors import DomainError, MPRFrailtyError
 
 # 90th percentile of chi2(1): the 5% critical value of the
 # (chi2_0 + chi2_1)/2 mixture for a variance on the boundary.
@@ -57,7 +57,9 @@ def frailty_lrt(fit_null, fit_alt):
     """Boundary-corrected LRT for a single frailty variance.
 
     The null must be the alternative with exactly one frailty variance
-    pinned to zero (NF vs ScF/ShF, or ScF/ShF vs IF).
+    pinned to zero (NF vs ScF/ShF, or ScF/ShF vs IF).  A fit whose
+    ``deviance_profile`` is not finite (a loaded fit may hold null) raises
+    DomainError rather than give a nan statistic.
     """
     pair = (fit_null.structure, fit_alt.structure)
     if pair not in _NESTED_PAIRS:
@@ -66,6 +68,10 @@ def frailty_lrt(fit_null, fit_alt):
             "pinned to zero; supported pairs: "
             + ", ".join(f"{a} vs {b}" for a, b in _NESTED_PAIRS)
         )
+    for f in (fit_null, fit_alt):
+        if not math.isfinite(f.deviance_profile):
+            raise DomainError(f"the {f.structure} fit's deviance_profile is "
+                              f"{f.deviance_profile}; the LRT needs a finite one")
     statistic = fit_null.deviance_profile - fit_alt.deviance_profile
     if statistic < -_DEVIANCE_TOLERANCE:
         raise InconsistentFitsError(
@@ -86,7 +92,7 @@ def _lrt_line(fit_null, fit_alt):
         res = frailty_lrt(fit_null, fit_alt)
         verdict = "significant" if res.significant else "not significant"
         text = f"statistic {res.statistic:.3f} vs {res.critical_value:.2f} -> {verdict}"
-    except InconsistentFitsError as exc:
+    except (InconsistentFitsError, DomainError) as exc:
         text = f"failed ({exc})"
     return f"LRT {fit_null.structure} vs {fit_alt.structure}: {text}"
 
@@ -163,8 +169,9 @@ def selection_report(fits, failures=None):
     """
     if not fits:
         raise ValueError("at least one completed fit is required")
-    raic_min = min(f.raic for f in fits)
-    caic_min = min(f.caic for f in fits)
+    # a loaded fit may hold a nan deviance: each minimum skips it, in any fit order
+    raic_min, caic_min = (min((v for v in values if not math.isnan(v)), default=math.nan)
+                          for values in ([f.raic for f in fits], [f.caic for f in fits]))
     by_model = {f.structure: f for f in fits}
 
     def note(f):

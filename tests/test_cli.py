@@ -10,6 +10,7 @@ import pytest
 
 from mprfrailty import (
     CurvatureError,
+    DataError,
     Dataset,
     ModelFit,
     bootstrap_hr_ci,
@@ -473,6 +474,36 @@ MISMATCHED_FIT_FIELDS = ["beta", "se_beta", "scale_names", "alpha", "se_alpha", 
 def without_last(saved_fit, name):
     """``{name: value}``: the saved fit's field without its last entry (cov_theta: row)."""
     return {name: json.loads(saved_fit.read_text())[name][:-1]}
+
+
+# (field, edit): values that no fit writes, each loaded at one time: a dispersion
+# map without the structure's names or with another's (the fit's .spec then raised
+# DomainError), a string standard error, a cluster size read as 1 or kept negative,
+# and df_r true; edit maps the saved fit's value to the edited one
+UNWRITTEN_FIT_FIELDS = [
+    pytest.param("dispersion", lambda v: {}, id="dispersion-empty"),
+    pytest.param("dispersion", lambda v: {**v, "rho": 0.1}, id="dispersion-extra-rho"),
+    pytest.param("se_dispersion", lambda v: {**v, "rho": 0.1}, id="se_dispersion-extra-rho"),
+    pytest.param("se_dispersion", lambda v: dict.fromkeys(v, "0.1"), id="se_dispersion-string"),
+    pytest.param("cluster_sizes", lambda v: [1.5] + v[1:], id="cluster_sizes-fraction"),
+    pytest.param("cluster_sizes", lambda v: [-v[0]] + v[1:], id="cluster_sizes-negative"),
+    pytest.param("df_r", lambda v: True, id="df_r-true"),
+    pytest.param("df_r", lambda v: v + 1, id="df_r-miscounted"),
+]
+
+
+@pytest.mark.parametrize("command", [["hr", "--covariate", "x1"],
+                                     ["frailties", "--component", "scale"]], ids=["hr", "frailties"])
+@pytest.mark.parametrize("name, edit", UNWRITTEN_FIT_FIELDS)
+def test_unwritten_fit_field_exits_1(saved_fit, tmp_path, capsys, command, name, edit):
+    value = edit(json.loads(saved_fit.read_text())[name])
+    path = fit_file_with(saved_fit, tmp_path, **{name: value})
+    with pytest.raises(DataError, match=f"^fit field {name!r}"):
+        ModelFit.from_dict(json.loads(Path(path).read_text()))
+    out = tmp_path / "out"
+    assert main([command[0], "--fit", path, *command[1:], "--out", str(out)]) == 1
+    assert f"error: fit field {name!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCmdHr:

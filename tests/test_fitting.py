@@ -1045,6 +1045,24 @@ class TestBatchedProfiles:
         assert len(builds) == (0 if q == 20 else len(distinct))
         assert all(any(B is H.B for H in distinct) for B in builds)
 
+    @pytest.mark.parametrize("q", [20, 80])
+    def test_dense_positions_built_once_per_shape(self, q):
+        # every Evaluator has a layout of its own, and each layout built the positions anew
+        hlik._dense_positions.cache_clear()
+        f = fit(_fixture_dataset(q), structure="BVNF", settings=FitSettings(max_outer=20))
+        info = hlik._dense_positions.cache_info()
+        # the fixed-effects start (k = 0) and, on the dense side only, BVNF (k = 2)
+        assert info.misses == info.currsize == (2 if f.H.dim <= DENSE_MAX_DIM else 1)
+        assert info.hits > 0
+        if q == 20:
+            # the positions scatter H's blocks where np.block puts them
+            H, lay = f.H, f.H.layout
+            B = np.concatenate(list(H.B), axis=1)
+            D = np.block([[np.diag(H.D[j, l]) for l in range(lay.k)] for j in range(lay.k)])
+            assert np.array_equal(H.to_dense(), np.block([[H.A, B], [B.T, D]]))
+        fit(_fixture_dataset(q), structure="BVNF", settings=FitSettings(max_outer=20))
+        assert hlik._dense_positions.cache_info().misses == info.misses
+
     def test_step_2_takes_step_1_data_part(self, monkeypatch):
         # at the x and loading of Step 1's last pass, Step 2 makes no record pass
         design, x, z0 = _objective_fixture("BVNF", 5)
@@ -1087,8 +1105,8 @@ class TestReportedProfile:
         # a nan search point is outside the domain, so _values marks its row nan
         stencil = fitting._hessian_stencil
 
-        def spoiled(z, step=1e-4):
-            Z = stencil(z, step)
+        def spoiled(z):
+            Z = stencil(z)
             Z[row] = np.nan
             return Z
 

@@ -6,6 +6,7 @@ import pytest
 
 from mprfrailty import (
     MIXTURE_CHI2_CRITICAL_5PCT,
+    DomainError,
     InconsistentFitsError,
     ModelFit,
     fit,
@@ -95,6 +96,14 @@ class TestFrailtyLrt:
     def test_tiny_negative_clamped(self):
         res = frailty_lrt(stub_fit("NF", 500.0, 0), stub_fit("ScF", 500.0 + 5e-7, 1))
         assert res.statistic == 0.0
+
+    @pytest.mark.parametrize("null, alt", [(math.nan, 500.0), (500.0, math.nan),
+                                           (500.0, math.inf)])
+    def test_non_finite_deviance_raises_naming_the_fit(self, null, alt):
+        # a loaded fit may hold a null deviance; the test gave statistic nan, not significant
+        bad = "NF" if math.isnan(null) else "ScF"
+        with pytest.raises(DomainError, match=f"^the {bad} fit's deviance_profile is "):
+            frailty_lrt(stub_fit("NF", null, 0), stub_fit("ScF", alt, 1))
 
     def test_non_nested_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +203,17 @@ class TestSelectionReport:
         assert not any(line.startswith("LRT") for line in lines[:-4])
         only_nf = selection_report([stub_fit("NF", 100.0, 0), stub_fit("BVNF", 90.0, 3)])
         assert "LRT" not in only_nf.to_text()
+
+    def test_nan_deviance_fails_its_lrt_in_any_fit_order(self):
+        # selection_report printed "statistic nan vs 2.71 -> not significant", and the
+        # rAIC minimum was nan where the nan fit came first
+        fits = [stub_fit("ScF", math.nan, 1), stub_fit("NF", 500.0, 0)]
+        for order in (fits, fits[::-1]):
+            report = selection_report(order)
+            assert report.to_text().splitlines()[-1] == (
+                "LRT NF vs ScF: failed (the ScF fit's deviance_profile is nan; "
+                "the LRT needs a finite one)")
+            assert {r.model: r.delta_raic for r in report.rows}["NF"] == 0.0
 
     def test_richer_fit_above_a_nested_one_is_noted(self):
         # each fit against every structure that it nests or that nests it
